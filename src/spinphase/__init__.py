@@ -64,7 +64,7 @@ from .pipeline import (
     phase_point,
     phase_points,
     run_sweep,
-    thermal_ensemble,
+    thermal_companions,
 )
 from .verify import (
     VerifyItem,

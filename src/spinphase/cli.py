@@ -5,7 +5,8 @@ sweep to CSV or JSON), ``verify`` (closed-form verification ledger), and
 ``propagate`` (propagator comparison dump).
 
 Exit codes are a stable contract: 0 success, 2 usage error, 3 degenerate
-frame or spectrum, 4 undefined phase, 5 inconsistent verification.  Number
+frame or spectrum, 4 undefined phase, 5 inconsistent verification, 6 the
+integration lost unitarity (too few steps for the final time).  Number
 formatting is locale independent; sweep output uses 17 significant digits
 with a lowercase exponent so repeated runs are byte identical.
 """
@@ -21,6 +22,7 @@ from .errors import (
     DegenerateSpectrum,
     InconsistentClassification,
     UndefinedPhase,
+    UnitarityLoss,
 )
 from .model import Convention, ModelParams, closed_form_propagator, period_tau
 from .pipeline import SWEEP_AXES, SweepSpec, phase_point, run_sweep
@@ -37,6 +39,7 @@ EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_UNDEFINED_PHASE = 4
 EXIT_INCONSISTENT = 5
+EXIT_UNITARITY_LOSS = 6
 
 SWEEP_CSV_HEADER = (
     "axis,axis_value,lambda1,delta1,diag_arg_re,diag_arg_im,diag_phase,"
@@ -128,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--points", type=int, required=True)
     p_sweep.add_argument("--t", type=float, help="final time (default: tau per point)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker threads")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="accepted, no effect (>= 1)")
 
     p_verify = sub.add_parser("verify", help="closed-form verification ledger")
     _add_param_flags(p_verify)
@@ -331,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistentClassification as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except UnitarityLoss as exc:
+        print(f"error: {exc}; increase --steps", file=sys.stderr)
+        return EXIT_UNITARITY_LOSS
 
 
 if __name__ == "__main__":

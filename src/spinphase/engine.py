@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .errors import DegenerateWeights, UnitarityLoss
-from .linalg import PhaseFactor, phase_functional, polar_project
+from .linalg import PhaseFactor, phase_functional, polar_project, unitarity_defect
 
 #: Steps between polar re-unitarizations of the running propagator.
 PROJECTION_INTERVAL = 64
@@ -89,77 +88,29 @@ class Ensemble:
         return int(self.weights.shape[0])
 
 
-def _rk4_family(h_samples: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Lock-step RK4 for a family of evolutions.
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product over the two leading axes of stacks shaped (N, N, ...)."""
+    return np.einsum("ij...,jk...->ik...", a, b)
 
-    ``h_samples`` holds the generators at the half-step grid t_0, t_0+dt/2,
-    t_1, ... with shape (B, 2*steps+1, N, N); ``dt`` is the per-family step.
-    Returns the propagators on the full grid, shape (B, steps+1, N, N).
 
-    Raises
-    ------
-    UnitarityLoss
-        If the drift found at a re-unitarization checkpoint exceeds 1e-6.
+def cumulative_simpson(y: np.ndarray, dx) -> np.ndarray:
+    """Cumulative Simpson integral of ``y`` along axis 0 from 0, spacing ``dx``.
+
+    Each interval integrates the parabola through three neighbouring
+    samples (scipy's equal-interval h1/h2 rule).  ``dx`` broadcasts against
+    ``y[0]``, so batch members may have their own spacing.  Needs >= 3 samples.
     """
-    b, m2, n, _ = h_samples.shape
-    steps = (m2 - 1) // 2
-    eye = np.eye(n, dtype=complex)
-    u = np.broadcast_to(eye, (b, n, n)).copy()
-    out = np.empty((b, steps + 1, n, n), dtype=complex)
-    out[:, 0] = u
-    # Fold -i into the step so the stage updates stay plain matmuls.
-    step = (-1j * np.asarray(dt, dtype=float)).reshape(b, 1, 1)
-    for i in range(steps):
-        h0 = h_samples[:, 2 * i]
-        hm = h_samples[:, 2 * i + 1]
-        h1 = h_samples[:, 2 * i + 2]
-        k1 = h0 @ u
-        k2 = hm @ (u + (0.5 * step) * k1)
-        k3 = hm @ (u + (0.5 * step) * k2)
-        k4 = h1 @ (u + step * k3)
-        u = u + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if (i + 1) % PROJECTION_INTERVAL == 0:
-            u = _check_and_project(u, eye)
-        out[:, i + 1] = u
-    _check_drift(u, eye)
-    return out
+    y = np.asarray(y, dtype=float)
 
+    def first_interval(f1, f2, f3):
+        # [x1, x2] under the parabola through x1, x2, x3; reversed, [x2, x3].
+        return dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
 
-def _drift(u: np.ndarray, eye: np.ndarray) -> float:
-    # A diverged integration overflows here; inf still trips the limit.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.einsum("...ji,...jk->...ik", u.conj(), u)
-        d = float(np.max(np.linalg.norm(gram - eye, axis=(-2, -1))))
-    return d if np.isfinite(d) else np.inf
-
-
-def _check_drift(u: np.ndarray, eye: np.ndarray) -> None:
-    d = _drift(u, eye)
-    if d > DRIFT_LIMIT:
-        raise UnitarityLoss(
-            f"unitarity drift {d:.3e} > {DRIFT_LIMIT:.0e}; increase steps"
-        )
-
-
-def _check_and_project(u: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    _check_drift(u, eye)
-    return polar_project(u)
-
-
-def _delta_integrand(
-    u_grid: np.ndarray, h_grid: np.ndarray, basis: np.ndarray
-) -> np.ndarray:
-    """-<psi_k| U^dag H U |psi_k> at every grid point; shape (..., M+1, N)."""
-    hu = h_grid @ u_grid
-    # <psi_k|U^dag H U|psi_k> = sum_ij conj((U B)_ik) (H U B)_ik
-    ub = u_grid @ basis
-    hub = hu @ basis
-    return -np.real(np.einsum("...ik,...ik->...k", ub.conj(), hub))
-
-
-def _running_delta(integrand: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative Simpson integral of the per-state integrand along axis 0."""
-    return cumulative_simpson(integrand, dx=dt, axis=0, initial=0.0)
+    sub = np.empty((y.shape[0] - 1,) + y.shape[1:])
+    sub[:-1:2] = first_interval(y[:-2:2], y[1:-1:2], y[2::2])
+    sub[1::2] = first_interval(y[2::2], y[1:-1:2], y[:-2:2])
+    sub[-1] = first_interval(y[-1], y[-2], y[-3])
+    return np.concatenate([np.zeros_like(y[:1]), np.cumsum(sub, axis=0)])
 
 
 def integrate_propagator(
@@ -168,41 +119,21 @@ def integrate_propagator(
     steps: int,
     basis: np.ndarray | None = None,
 ) -> PropagatorTrace:
-    """Integrate i dU/dt = H(t) U from the identity over [0, t_final].
+    """Integrate i dU/dt = H(t) U from the identity over [0, t_final], t_final > 0.
 
-    Classical fixed-step RK4 with polar re-unitarization every 64 steps;
-    running dynamical phases are accumulated by cumulative Simpson
-    quadrature on the same grid.
-
-    Parameters
-    ----------
-    h_of_t
-        Callable mapping a 1-D time array to stacked Hermitian generators
-        of shape (len(times), N, N).
-    t_final
-        Final time, > 0.
-    steps
-        Number of RK4 steps, >= 2.
-    basis
-        Orthonormal reference basis (columns) for the dynamical phases;
-        defaults to the computational basis.
+    A batch of one through :func:`integrate_sampled_family`: ``h_of_t``
+    maps a 1-D time array to stacked Hermitian generators (len(times), N, N),
+    sampled on the half-step grid of ``steps`` >= 2 RK4 steps; ``basis``
+    (columns) defaults to the computational basis.
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
     if not t_final > 0.0:
         raise ValueError(f"t_final must be positive, got {t_final}")
-    dt = t_final / steps
-    times = 0.5 * dt * np.arange(2 * steps + 1)
-    h_samples = np.asarray(h_of_t(times), dtype=complex)
-    n = h_samples.shape[-1]
-    if basis is None:
-        basis = np.eye(n, dtype=complex)
-    basis = np.asarray(basis, dtype=complex)
-    u_grid = _rk4_family(h_samples[np.newaxis], np.array([dt]))[0]
-    integrand = _delta_integrand(u_grid, h_samples[::2], basis)
-    delta = _running_delta(integrand, dt)
-    grid = dt * np.arange(steps + 1)
-    return PropagatorTrace(grid=grid, U=u_grid, delta=delta, basis=basis)
+    # steps < 2 leaves fewer than five samples, which the kernel rejects.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dt = np.array([t_final], dtype=float) / steps
+        times = 0.5 * dt * np.arange(2 * steps + 1)
+    bases = None if basis is None else [basis]
+    return integrate_sampled_family([h_of_t(times)], dt, bases)[0]
 
 
 def integrate_sampled_family(
@@ -210,30 +141,82 @@ def integrate_sampled_family(
     dt: np.ndarray,
     bases: np.ndarray | None = None,
 ) -> list[PropagatorTrace]:
-    """Batched variant of :func:`integrate_propagator` over pre-sampled generators.
+    """Integrate i dU/dt = H(t) U from the identity for a family of evolutions.
 
-    ``h_samples`` has shape (B, 2*steps+1, N, N) on each family's half-step
-    grid, ``dt`` the per-family step sizes, and ``bases`` optional reference
-    bases of shape (B, N, N).  The batch advances in lock-step through one
-    RK4 loop; each member's arithmetic is independent of the others, so the
-    results match member-by-member integration bit for bit.
+    ``h_samples`` has shape (B, 2*steps+1, N, N) on each member's half-step
+    grid t_0, t_0 + dt/2, t_1, ...; ``dt`` holds the per-member step sizes
+    and ``bases`` optional orthonormal reference bases (columns) of shape
+    (B, N, N), defaulting to the computational basis.
+
+    Classical fixed-step RK4 with polar re-unitarization every 64 steps;
+    running dynamical phases by cumulative Simpson quadrature on the same
+    grid.  No operation mixes members, so a member's result does not
+    depend on the batch it is integrated in.
+
+    Raises
+    ------
+    ValueError
+        If there are fewer than 2 steps.
+    UnitarityLoss
+        If the drift found at a re-unitarization checkpoint exceeds 1e-6.
     """
     h_samples = np.asarray(h_samples, dtype=complex)
     dt = np.asarray(dt, dtype=float)
-    b, _, n, _ = h_samples.shape
+    b, m2, n, _ = h_samples.shape
+    steps = (m2 - 1) // 2
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {m2} half-step samples")
     if bases is None:
         bases = np.broadcast_to(np.eye(n, dtype=complex), (b, n, n))
-    u_grids = _rk4_family(h_samples, dt)
-    steps = u_grids.shape[1] - 1
-    traces = []
-    for j in range(b):
-        integrand = _delta_integrand(u_grids[j], h_samples[j, ::2], bases[j])
-        delta = _running_delta(integrand, float(dt[j]))
-        grid = float(dt[j]) * np.arange(steps + 1)
-        traces.append(
-            PropagatorTrace(grid=grid, U=u_grids[j], delta=delta, basis=np.asarray(bases[j]))
+    bases = np.asarray(bases, dtype=complex)
+    # Integration runs in (N, N, time, B) blocks: each matrix element is a
+    # contiguous row over the batch, so one contraction advances every member.
+    basis_last = bases.transpose(1, 2, 0)[:, :, np.newaxis]
+    # Fold -i into the step so the stage updates stay plain contractions.
+    step = -1j * dt
+    half = 0.5 * step
+    sixth = step / 6.0
+
+    u_grid = np.empty((b, steps + 1, n, n), dtype=complex)
+    u_grid[:, 0] = np.eye(n)
+    integrand = np.empty((steps + 1, n, b))
+    u = np.broadcast_to(np.eye(n, dtype=complex)[..., np.newaxis], (n, n, b))
+    # A diverging run overflows; the checkpoint drift test reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, steps, PROJECTION_INTERVAL):
+            stop = min(start + PROJECTION_INTERVAL, steps)
+            h = np.ascontiguousarray(h_samples[:, 2 * start : 2 * stop + 1].transpose(2, 3, 1, 0))
+            block = np.empty((n, n, stop - start + 1, b), dtype=complex)
+            block[:, :, 0] = u
+            for i in range(stop - start):
+                hm = h[:, :, 2 * i + 1]
+                k1 = _contract(h[:, :, 2 * i], u)
+                k2 = _contract(hm, u + half * k1)
+                k3 = _contract(hm, u + half * k2)
+                k4 = _contract(h[:, :, 2 * i + 2], u + step * k3)
+                u = u + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+                block[:, :, i + 1] = u
+            u_end = block[:, :, -1].transpose(2, 0, 1)
+            drift = unitarity_defect(u_end)
+            if not drift <= DRIFT_LIMIT:  # NaN from a diverged run fails too
+                raise UnitarityLoss(f"unitarity drift {drift:.3e} > {DRIFT_LIMIT:.0e}")
+            if stop % PROJECTION_INTERVAL == 0:
+                block[:, :, -1] = polar_project(u_end).transpose(1, 2, 0)
+            u = block[:, :, -1]
+            # -<psi_k| U^dag H U |psi_k> = -Re sum_i conj((U B)_ik) (H U B)_ik
+            ub = _contract(block, basis_last)
+            hub = _contract(h[:, :, ::2], ub)
+            block_integrand = -np.real(np.einsum("ik...,ik...->k...", ub.conj(), hub))
+            integrand[start : stop + 1] = block_integrand.transpose(1, 0, 2)
+            u_grid[:, start + 1 : stop + 1] = block[:, :, 1:].transpose(3, 2, 0, 1)
+
+    delta = np.ascontiguousarray(np.moveaxis(cumulative_simpson(integrand, dt), -1, 0))
+    return [
+        PropagatorTrace(
+            grid=dt[j] * np.arange(steps + 1), U=u_grid[j], delta=delta[j], basis=bases[j]
         )
-    return traces
+        for j in range(b)
+    ]
 
 
 def dynamical_phase(
@@ -243,15 +226,29 @@ def dynamical_phase(
 ) -> float:
     """Dynamical phase delta_k(T) = -int_0^T <psi_k|U^dag H U|psi_k> dt.
 
-    Composite Simpson on the trace grid.  The integrand is real because
-    U^dag dU/dt = -i U^dag H U with Hermitian H.
+    Simpson quadrature of the integrand re-sampled from ``h_of_t`` on the
+    trace grid, independent of the trace's running phases.  The integrand
+    is real because U^dag dU/dt = -i U^dag H U with Hermitian H.
     """
     if not 0 <= k < trace.dim:
         raise IndexError(f"basis index {k} out of range for dimension {trace.dim}")
     h_grid = np.asarray(h_of_t(trace.grid), dtype=complex)
-    integrand = _delta_integrand(trace.U, h_grid, trace.basis)
+    ub = trace.U @ trace.basis
+    integrand = -np.real(np.einsum("mik,mik->mk", ub.conj(), h_grid @ ub))
     dt = float(trace.grid[1] - trace.grid[0])
-    return float(simpson(integrand[:, k], dx=dt))
+    return float(cumulative_simpson(integrand[:, k], dt)[-1])
+
+
+def transported_propagator(u: np.ndarray, delta: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Parallel-transported propagator U_par = U B diag(e^{-i delta}) B^dag.
+
+    ``u`` (..., N, N), ``delta`` (..., N) and ``basis`` (..., N, N)
+    broadcast over leading axes: pass the final time of one trace, a whole
+    grid, or the final times of a batch.
+    """
+    phases = np.exp(-1j * np.asarray(delta))[..., np.newaxis, :]
+    basis = np.asarray(basis)
+    return u @ ((basis * phases) @ np.conj(np.swapaxes(basis, -1, -2)))
 
 
 def parallel_transported(trace: PropagatorTrace) -> PropagatorTrace:
@@ -260,13 +257,9 @@ def parallel_transported(trace: PropagatorTrace) -> PropagatorTrace:
     The returned trace carries zero running phases: along U_par no dynamical
     phase accrues in any reference-basis direction.
     """
-    phases = np.exp(-1j * trace.delta)  # (M+1, N)
-    # U_par = U B diag(e^{-i delta}) B^dag, applied per grid point.
-    b = trace.basis
-    corrected = trace.U @ ((b * phases[:, np.newaxis, :]) @ b.conj().T)
     return PropagatorTrace(
         grid=trace.grid,
-        U=corrected,
+        U=transported_propagator(trace.U, trace.delta, trace.basis),
         delta=np.zeros_like(trace.delta),
         basis=trace.basis,
     )
@@ -293,12 +286,23 @@ def _require_shared_basis(trace: PropagatorTrace, ensembles: Sequence[Ensemble])
             raise ValueError("ensemble basis differs from the trace reference basis")
 
 
+def diagonal_amplitude(
+    u_final: np.ndarray, delta_final: np.ndarray, basis: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """sum_k lambda_k <psi_k|U(T)|psi_k> e^{-i delta_k(T)} over the columns of ``basis``.
+
+    ``u_final`` (..., N, N), ``delta_final`` (..., N), ``basis`` (..., N, N)
+    and ``weights`` (..., N) broadcast over leading batch axes.
+    """
+    elements = np.einsum("...ja,...jk,...ka->...a", np.conj(basis), u_final, basis)
+    return np.sum(weights * elements * np.exp(-1j * delta_final), axis=-1)
+
+
 def diagonal_phase_argument(trace: PropagatorTrace, ensemble: Ensemble) -> complex:
     """Raw interference amplitude sum_k lambda_k <psi_k|U(T)|psi_k> e^{-i delta_k}."""
     _require_shared_basis(trace, [ensemble])
-    b = ensemble.basis
-    elements = np.einsum("ja,jk,ka->a", b.conj(), trace.U[-1], b)
-    return complex(np.sum(ensemble.weights * elements * np.exp(-1j * trace.delta[-1])))
+    u, delta = trace.U[-1], trace.delta[-1]
+    return complex(diagonal_amplitude(u, delta, ensemble.basis, ensemble.weights))
 
 
 def diagonal_mixed_phase(trace: PropagatorTrace, ensemble: Ensemble) -> PhaseFactor:
@@ -349,6 +353,22 @@ def shift_ensembles(ensemble: Ensemble, *, require_distinct: bool = True) -> lis
     ]
 
 
+def cyclic_trace(u_par: np.ndarray, bases: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Tr prod_a U_par rho_a^{1/l} with rho_a^{1/l} = sum_k w_ak^{1/l} |psi_ak><psi_ak|.
+
+    ``bases`` (..., l, N, N) and ``weights`` (..., l, N) list the l
+    ensembles in product order; ``u_par`` is (..., N, N).  Leading batch
+    axes broadcast.
+    """
+    l = weights.shape[-2]
+    adjoints = np.conj(np.swapaxes(bases, -1, -2))
+    roots = (bases * weights[..., np.newaxis, :] ** (1.0 / l)) @ adjoints
+    product = u_par @ roots[..., 0, :, :]
+    for a in range(1, l):
+        product = product @ u_par @ roots[..., a, :, :]
+    return np.trace(product, axis1=-2, axis2=-1)
+
+
 def offdiagonal_trace(
     trace: PropagatorTrace,
     ensembles: Sequence[Ensemble],
@@ -367,12 +387,10 @@ def offdiagonal_trace(
     if l < 1:
         raise ValueError("need at least one ensemble")
     _require_shared_basis(trace, ensembles)
-    u_par = parallel_transported(trace).U[-1]
-    product = np.eye(trace.dim, dtype=complex)
-    for e in ensembles:
-        root = (e.basis * e.weights ** (1.0 / l)) @ e.basis.conj().T
-        product = product @ u_par @ root
-    return complex(np.trace(product))
+    u_par = transported_propagator(trace.U[-1], trace.delta[-1], trace.basis)
+    bases = np.stack([e.basis for e in ensembles])
+    weights = np.stack([e.weights for e in ensembles])
+    return complex(cyclic_trace(u_par, bases, weights))
 
 
 def offdiagonal_mixed_phase(
@@ -408,7 +426,7 @@ def offdiag_trace_expansion(
     _require_shared_basis(trace, ensembles)
     b = trace.basis
     n = trace.dim
-    m_par = (b.conj().T @ trace.U[-1] @ b) * np.exp(-1j * trace.delta[-1])[np.newaxis, :]
+    m_par = b.conj().T @ transported_propagator(trace.U[-1], trace.delta[-1], b) @ b
     roots = [e.weights ** (1.0 / l) for e in ensembles]
     total = 0.0 + 0.0j
     for path in itertools.product(range(n), repeat=l):

@@ -132,10 +132,10 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Frobenius distance of ``u^dagger u`` from the identity."""
+    """Frobenius distance of ``u^dagger u`` from the identity; the largest over a batch."""
     u = np.asarray(u, dtype=complex)
-    n = u.shape[-1]
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
+    gram = np.conj(np.swapaxes(u, -1, -2)) @ u
+    return float(np.max(np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1))))
 
 
 def hermitian_defect(h: np.ndarray) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -88,15 +89,28 @@ def hamiltonian(p: ModelParams, t: float) -> np.ndarray:
     )
 
 
-def hamiltonian_samples(p: ModelParams, times: np.ndarray) -> np.ndarray:
-    """H(t) evaluated on an array of times, shape (len(times), 2, 2)."""
+def hamiltonian_samples(
+    p: ModelParams | Sequence[ModelParams], times: np.ndarray
+) -> np.ndarray:
+    """H(t) evaluated on an array of times, shape times.shape + (2, 2).
+
+    ``p`` is one :class:`ModelParams`, or a sequence of B of them with
+    ``times`` of shape (B, T), one row of sample times per point.
+    """
     times = np.asarray(times, dtype=float)
-    phase = np.exp(-1j * p.omega * times)
+    if isinstance(p, ModelParams):
+        V, muB, omega = p.V, p.muB, p.omega
+    else:
+        V, muB, omega = (
+            np.array([getattr(q, name) for q in p])[:, np.newaxis]
+            for name in ("V", "muB", "omega")
+        )
+    phase = np.exp(-1j * omega * times)
     out = np.empty(times.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 0.5 * p.V
-    out[..., 1, 1] = -0.5 * p.V
-    out[..., 0, 1] = p.muB * phase
-    out[..., 1, 0] = p.muB * np.conj(phase)
+    out[..., 0, 0] = 0.5 * V
+    out[..., 1, 1] = -0.5 * V
+    out[..., 0, 1] = muB * phase
+    out[..., 1, 0] = muB * np.conj(phase)
     return out
 
 

@@ -1,15 +1,14 @@
 """End-to-end evaluation of thermal-state geometric phases for the spin model.
 
 Single parameter points and parameter families share one code path: a family
-is integrated in lock-step through the batched RK4 core, after which each
-point's phases are assembled with the generic engine operations over the
-frozen t = 0 eigenbasis.  Batch composition does not affect any individual
-point's arithmetic, so sweeps are deterministic under any chunking.
+is integrated as one batch by the engine kernel, after which the phases of
+every point are assembled at once with the engine's broadcasting operations
+over the frozen t = 0 eigenbasis.  No operation mixes points, so a point's
+values do not depend on the family it is evaluated in.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,10 +17,11 @@ import numpy as np
 from .engine import (
     Ensemble,
     PropagatorTrace,
-    diagonal_phase_argument,
+    cyclic_trace,
+    diagonal_amplitude,
     integrate_sampled_family,
-    offdiagonal_trace,
     shift_ensembles,
+    transported_propagator,
 )
 from .errors import UndefinedPhase
 from .linalg import PhaseFactor, phase_functional
@@ -29,6 +29,7 @@ from .model import (
     ModelParams,
     eigenbasis_matrix,
     eigensystem,
+    hamiltonian_samples,
     period_tau,
     rotating_frame,
     thermal_weights,
@@ -42,11 +43,12 @@ def model_traces(
     steps: int,
     t_final: float | Sequence[float] | None = None,
 ) -> list[PropagatorTrace]:
-    """Integrate the model for a family of parameter points in lock-step.
+    """Integrate the model for a family of parameter points as one batch.
 
     ``t_final`` may be a scalar, one value per point, or None for each
     point's own rotating-frame period tau.  The dynamical-phase reference
-    basis is the t = 0 eigenbasis of each point.
+    basis is the t = 0 eigenbasis of each point.  Points that differ only in
+    beta share one trace: beta enters the thermal weights, not the evolution.
     """
     n_pts = len(params_list)
     if t_final is None:
@@ -55,20 +57,18 @@ def model_traces(
         finals = np.broadcast_to(np.asarray(t_final, dtype=float), (n_pts,)).astype(float)
         if np.any(finals <= 0.0):
             raise ValueError("t_final must be positive")
-    bases = np.stack([eigenbasis_matrix(eigensystem(p, 0.0)) for p in params_list])
-    dts = finals / steps
-    # Half-step sample times per point, shape (B, 2*steps+1).
-    times = 0.5 * dts[:, np.newaxis] * np.arange(2 * steps + 1)[np.newaxis, :]
-    omegas = np.array([p.omega for p in params_list])
-    couplings = np.array([p.muB for p in params_list])
-    splittings = np.array([p.V for p in params_list])
-    phase = np.exp(-1j * omegas[:, np.newaxis] * times)
-    h_samples = np.zeros(times.shape + (2, 2), dtype=complex)
-    h_samples[..., 0, 0] = 0.5 * splittings[:, np.newaxis]
-    h_samples[..., 1, 1] = -0.5 * splittings[:, np.newaxis]
-    h_samples[..., 0, 1] = couplings[:, np.newaxis] * phase
-    h_samples[..., 1, 0] = couplings[:, np.newaxis] * np.conj(phase)
-    return integrate_sampled_family(h_samples, dts, bases)
+    keys = [(p.V, p.muB, p.omega, t) for p, t in zip(params_list, finals.tolist())]
+    distinct = dict(zip(keys, params_list))
+    points = list(distinct.values())
+    bases = np.stack([eigenbasis_matrix(eigensystem(p, 0.0)) for p in points])
+    # steps < 2 leaves fewer than five samples, which the kernel rejects.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dts = np.array([key[3] for key in distinct]) / steps
+        # Half-step sample times per point, shape (B, 2*steps+1).
+        times = 0.5 * dts[:, np.newaxis] * np.arange(2 * steps + 1)[np.newaxis, :]
+    traces = integrate_sampled_family(hamiltonian_samples(points, times), dts, bases)
+    by_key = dict(zip(distinct, traces))
+    return [by_key[key] for key in keys]
 
 
 def model_trace(
@@ -78,11 +78,16 @@ def model_trace(
     return model_traces([params], steps, t_final)[0]
 
 
-def thermal_ensemble(params: ModelParams) -> Ensemble:
-    """Thermal state over the t = 0 eigenbasis."""
+def thermal_companions(params: ModelParams, basis: np.ndarray) -> list[Ensemble]:
+    """The thermal state over ``basis`` followed by its weight-shifted companion.
+
+    Equal weights (beta = 0) are admitted: the off-diagonal trace has a
+    well-defined equal-weight limit even though shifted companions of a
+    degenerate ensemble are conceptually ill-defined.
+    """
     w = thermal_weights(params)
-    basis = eigenbasis_matrix(eigensystem(params, 0.0))
-    return Ensemble(basis=basis, weights=np.array([w.lambda1, w.lambda2]))
+    ensemble = Ensemble(basis=basis, weights=np.array([w.lambda1, w.lambda2]))
+    return shift_ensembles(ensemble, require_distinct=False)
 
 
 @dataclass(frozen=True)
@@ -117,41 +122,11 @@ class PhasePoint:
         return tuple(names)
 
 
-def _assemble_point(params: ModelParams, trace: PropagatorTrace) -> PhasePoint:
-    tau = period_tau(params)
-    _, omega_eff = rotating_frame(params)
-    w = thermal_weights(params)
-    ensemble = Ensemble(basis=trace.basis, weights=np.array([w.lambda1, w.lambda2]))
-    # Equal weights (beta = 0) are admitted here: the off-diagonal trace has a
-    # well-defined equal-weight limit even though shifted companions of a
-    # degenerate ensemble are conceptually ill-defined.
-    companions = shift_ensembles(ensemble, require_distinct=False)
-
-    diag_raw = diagonal_phase_argument(trace, ensemble)
-    offdiag_raw = offdiagonal_trace(trace, companions, 2)
+def _phase_or_none(raw: complex) -> PhaseFactor | None:
     try:
-        diag = phase_functional(diag_raw)
+        return phase_functional(raw)
     except UndefinedPhase:
-        diag = None
-    try:
-        offdiag = phase_functional(offdiag_raw)
-    except UndefinedPhase:
-        offdiag = None
-
-    return PhasePoint(
-        params=params,
-        t_final=trace.t_final,
-        tau=tau,
-        omega_eff=omega_eff,
-        lambda1=w.lambda1,
-        lambda2=w.lambda2,
-        delta1=float(trace.delta[-1, 0]),
-        delta2=float(trace.delta[-1, 1]),
-        diag_raw=diag_raw,
-        offdiag_raw=offdiag_raw,
-        diag=diag,
-        offdiag=offdiag,
-    )
+        return None
 
 
 def phase_points(
@@ -161,7 +136,34 @@ def phase_points(
 ) -> list[PhasePoint]:
     """Evaluate the diagonal and off-diagonal phases for a parameter family."""
     traces = model_traces(params_list, steps, t_final)
-    return [_assemble_point(p, tr) for p, tr in zip(params_list, traces)]
+    companions = [thermal_companions(p, tr.basis) for p, tr in zip(params_list, traces)]
+    u_final = np.stack([tr.U[-1] for tr in traces])
+    delta_final = np.stack([tr.delta[-1] for tr in traces])
+    bases = np.stack([tr.basis for tr in traces])
+    weights = np.array([[e.weights for e in c] for c in companions])
+    diag_raw = diagonal_amplitude(u_final, delta_final, bases, weights[:, 0])
+    u_par = transported_propagator(u_final, delta_final, bases)
+    offdiag_raw = cyclic_trace(u_par, bases[:, np.newaxis], weights)
+    return [
+        PhasePoint(
+            params=p,
+            t_final=trace.t_final,
+            tau=period_tau(p),
+            omega_eff=rotating_frame(p)[1],
+            lambda1=lam1,
+            lambda2=lam2,
+            delta1=d1,
+            delta2=d2,
+            diag_raw=d,
+            offdiag_raw=o,
+            diag=_phase_or_none(d),
+            offdiag=_phase_or_none(o),
+        )
+        for p, trace, (lam1, lam2), (d1, d2), d, o in zip(
+            params_list, traces, weights[:, 0].tolist(), delta_final.tolist(),
+            diag_raw.tolist(), offdiag_raw.tolist(),
+        )
+    ]
 
 
 def phase_point(
@@ -235,25 +237,13 @@ def _row_from_point(value: float, point: PhasePoint) -> SweepRow:
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
-    """Evaluate a sweep, optionally fanning chunks out over worker threads.
+    """Evaluate a sweep as one batch; rows come back in axis order.
 
-    Rows are returned in axis order regardless of scheduling; each point's
-    arithmetic is independent of chunk boundaries, so every degree of
-    parallelism produces identical values.
+    ``jobs`` must be >= 1; it is accepted for command-line compatibility
+    and does not change the evaluation.
     """
-    values = spec.grid()
-    params = [spec.params_at(v) for v in values]
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if jobs == 1 or len(params) < 2 * jobs:
-        points = phase_points(params, spec.steps, spec.t_final)
-    else:
-        chunks = np.array_split(np.arange(len(params)), jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(phase_points, [params[i] for i in idx], spec.steps, spec.t_final)
-                for idx in chunks
-                if len(idx)
-            ]
-            points = [pt for fut in futures for pt in fut.result()]
+    values = spec.grid()
+    points = phase_points([spec.params_at(v) for v in values], spec.steps, spec.t_final)
     return [_row_from_point(v, pt) for v, pt in zip(values, points)]

@@ -24,12 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    Ensemble,
     PropagatorTrace,
     diagonal_phase_argument,
     offdiagonal_trace,
-    parallel_transported,
-    shift_ensembles,
+    transported_propagator,
 )
 from .errors import DegenerateFrame, DegenerateSpectrum, InconsistentClassification
 from .model import (
@@ -40,9 +38,8 @@ from .model import (
     eigensystem,
     period_tau,
     reference_closed_forms,
-    thermal_weights,
 )
-from .pipeline import model_trace, model_traces
+from .pipeline import model_trace, model_traces, thermal_companions
 
 EQUATION_IDS = (
     "U11_Eq15",
@@ -128,16 +125,14 @@ def _assemble_report(p: ModelParams, trace: PropagatorTrace) -> VerifyReport:
     tau = period_tau(p)
     basis = trace.basis
     rc = reference_closed_forms(p)
-    w = thermal_weights(p)
 
     u_final = trace.U[-1]
     delta = trace.delta[-1]
     m_oracle = basis.conj().T @ u_final @ basis
-    p_oracle = basis.conj().T @ parallel_transported(trace).U[-1] @ basis
+    p_oracle = basis.conj().T @ transported_propagator(u_final, delta, basis) @ basis
 
-    ensemble = Ensemble(basis=basis, weights=np.array([w.lambda1, w.lambda2]))
-    companions = shift_ensembles(ensemble, require_distinct=False)
-    diag_oracle = diagonal_phase_argument(trace, ensemble)
+    companions = thermal_companions(p, basis)
+    diag_oracle = diagonal_phase_argument(trace, companions[0])
     offdiag_oracle = offdiagonal_trace(trace, companions, 2)
 
     phase1 = np.exp(-1j * rc.delta1)

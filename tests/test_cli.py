@@ -1,8 +1,12 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinphase
 from spinphase.cli import SWEEP_CSV_HEADER, main
 
 FLAGSHIP_FLAGS = ["--V", "1", "--mu-B", "0.5", "--omega", "0.6", "--beta", "1"]
@@ -261,6 +265,61 @@ class TestExplicitFinalTime:
         )
         assert code == 0
         assert len(out.splitlines()) == 3
+
+
+SWEEP_FLAGS = ["sweep", "--axis", "beta", "--start", "0", "--stop", "1", "--points", "3"]
+
+
+class TestInvalidSteps:
+    @pytest.mark.parametrize("steps", ["0", "-4", "1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phases", *FLAGSHIP_FLAGS],
+            ["phases", *FLAGSHIP_FLAGS, "--format", "json"],
+            SWEEP_FLAGS,
+            [*SWEEP_FLAGS, "--format", "json"],
+            ["propagate", *FLAGSHIP_FLAGS],
+        ],
+        ids=["phases", "phases-json", "sweep", "sweep-json", "propagate"],
+    )
+    def test_exits_2_without_output(self, capsys, argv, steps):
+        code, out, err = run_cli(capsys, *argv, "--steps", steps)
+        assert code == 2
+        assert out == ""
+        assert "steps must be >= 2" in err
+
+    def test_jobs_below_one_exits_2(self, capsys):
+        code, out, _ = run_cli(capsys, *SWEEP_FLAGS, "--steps", "256", "--jobs", "0")
+        assert code == 2
+        assert out == ""
+
+
+class TestUnitarityLossExit:
+    @pytest.mark.parametrize(
+        "argv",
+        [["phases", *FLAGSHIP_FLAGS], [*SWEEP_FLAGS, *FLAGSHIP_FLAGS[:6]]],
+        ids=["phases", "sweep"],
+    )
+    def test_undersampled_run_exits_6(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--t", "1e4", "--steps", "64")
+        assert code == 6
+        assert out == ""
+        assert "increase --steps" in err
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(spinphase.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import spinphase.cli; "
+            "print('scipy' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestInconsistentClassificationExit:

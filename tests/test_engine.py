@@ -14,6 +14,7 @@ from support import (
 from spinphase.engine import (
     Ensemble,
     PropagatorTrace,
+    cumulative_simpson,
     diagonal_mixed_phase,
     diagonal_phase_argument,
     dynamical_phase,
@@ -26,6 +27,7 @@ from spinphase.engine import (
     parallel_transported,
     shift_ensembles,
     shift_operator,
+    transported_propagator,
 )
 from spinphase.errors import DegenerateWeights, UndefinedPhase, UnitarityLoss
 from spinphase.linalg import su2_exponential
@@ -33,12 +35,14 @@ from spinphase.model import (
     Convention,
     ModelParams,
     closed_form_propagator,
+    eigenbasis_matrix,
+    eigensystem,
     hamiltonian_samples,
     level_gap_shift,
     period_tau,
     rotating_frame,
 )
-from spinphase.pipeline import model_trace, thermal_ensemble
+from spinphase.pipeline import model_trace, model_traces, thermal_companions
 
 FLAGSHIP = ModelParams(V=1.0, muB=0.5, omega=0.6, beta=1.0)
 
@@ -47,6 +51,10 @@ FLAGSHIP_DELTA1 = -3.485009468485880118
 FLAGSHIP_DIAG_RAW = 0.066303320213127464 + 0.435457389852753100j
 FLAGSHIP_DIAG_ARG = 1.419695549041162181
 FLAGSHIP_OFFDIAG_RAW = -0.886375454070251690
+
+
+def thermal_ensemble(p):
+    return thermal_companions(p, eigenbasis_matrix(eigensystem(p, 0.0)))[0]
 
 
 def constant_h(matrix):
@@ -143,6 +151,60 @@ class TestIntegrator:
             np.testing.assert_array_equal(single.delta, member.delta)
 
 
+    def test_three_level_family_matches_single_runs(self):
+        rng = np.random.default_rng(33)
+        h, dt, _ = smooth_random_family(3, 5, 256, 3.0, rng)
+        bases = np.stack([random_unitary(3, rng) for _ in range(5)])
+        family = integrate_sampled_family(h, dt, bases)
+        for j, member in enumerate(family):
+            single = integrate_sampled_family(h[j : j + 1], dt[j : j + 1], bases[j : j + 1])[0]
+            np.testing.assert_array_equal(single.U, member.U)
+            np.testing.assert_array_equal(single.delta, member.delta)
+
+    def test_model_member_independent_of_batch_width(self):
+        points = [
+            ModelParams(V=0.5 + 0.01 * i, muB=0.5, omega=0.1 + 0.015 * i, beta=0.05 * i)
+            for i in range(101)
+        ]
+        family = model_traces(points, 256)
+        for j in (0, 57, 100):
+            single = model_traces([points[j]], 256)[0]
+            np.testing.assert_array_equal(single.U, family[j].U)
+            np.testing.assert_array_equal(single.delta, family[j].delta)
+
+    @pytest.mark.parametrize("samples", [0, 1, 3])
+    def test_family_rejects_fewer_than_two_steps(self, samples):
+        h = np.zeros((2, samples, 2, 2), dtype=complex)
+        with pytest.raises(ValueError, match="steps must be >= 2"):
+            integrate_sampled_family(h, np.array([0.1, 0.1]))
+
+
+class TestCumulativeSimpson:
+    # Same operations in the same order as scipy, so the results agree bit for bit.
+    @pytest.mark.parametrize("m", [2, 7, 8, 64, 65])
+    def test_matches_scipy_with_per_member_dx(self, m):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        rng = np.random.default_rng(m)
+        y = rng.normal(size=(m + 1, 2, 5))
+        dx = rng.uniform(0.01, 0.5, size=5)
+        expected = scipy_integrate.cumulative_simpson(
+            y, dx=np.broadcast_to(dx, (1, 2, 5)), axis=0, initial=0.0
+        )
+        np.testing.assert_array_equal(cumulative_simpson(y, dx), expected)
+
+    @pytest.mark.parametrize("m", [4, 9])
+    def test_matches_scipy_with_scalar_dx(self, m):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        y = np.sin(np.linspace(0.0, 3.0, m + 1))
+        expected = scipy_integrate.cumulative_simpson(y, dx=0.3, initial=0.0)
+        np.testing.assert_array_equal(cumulative_simpson(y, 0.3), expected)
+
+    def test_exact_for_cubics_over_even_intervals(self):
+        x = np.linspace(0.0, 2.0, 9)
+        integral = cumulative_simpson(x**3 - x, 0.25)
+        np.testing.assert_allclose(integral[::2], (x**4 / 4 - x**2 / 2)[::2], atol=1e-14)
+
+
 class TestDynamicalPhase:
     def test_decoupled_levels(self):
         p = ModelParams(V=1.3, muB=0.0, omega=0.7, beta=0.0)
@@ -215,6 +277,11 @@ class TestParallelTransport:
         expected = m * np.exp(-1j * trace.delta[-1])[np.newaxis, :]
         actual = b.conj().T @ par.U[-1] @ b
         assert np.linalg.norm(actual - expected) <= 1e-8
+
+    def test_endpoint_matches_full_grid(self):
+        trace = model_trace(FLAGSHIP, 512)
+        endpoint = transported_propagator(trace.U[-1], trace.delta[-1], trace.basis)
+        np.testing.assert_allclose(endpoint, parallel_transported(trace).U[-1], atol=1e-15)
 
     def test_interior_residual(self):
         trace = model_trace(FLAGSHIP, 4096)

@@ -96,6 +96,14 @@ class TestHamiltonian:
         for i, t in enumerate(times):
             np.testing.assert_array_equal(stacked[i], hamiltonian(p, t))
 
+    def test_samples_vectorized_over_points(self):
+        points = [FLAGSHIP, ModelParams(V=0.3, muB=1.2, omega=-0.4, beta=2.0)]
+        times = np.array([np.linspace(0.0, 7.0, 23), np.linspace(0.0, 3.0, 23)])
+        stacked = hamiltonian_samples(points, times)
+        assert stacked.shape == (2, 23, 2, 2)
+        for p, row, samples in zip(points, times, stacked):
+            np.testing.assert_array_equal(samples, hamiltonian_samples(p, row))
+
 
 class TestRotatingFrame:
     def test_resonance(self):

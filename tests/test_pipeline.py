@@ -11,7 +11,7 @@ from spinphase.pipeline import (
     phase_point,
     phase_points,
     run_sweep,
-    thermal_ensemble,
+    thermal_companions,
 )
 
 FLAGSHIP = ModelParams(V=1.0, muB=0.5, omega=0.6, beta=1.0)
@@ -31,6 +31,15 @@ class TestModelTraces:
         traces = model_traces(pts, steps=256)
         for p, trace in zip(pts, traces):
             assert trace.t_final == pytest.approx(period_tau(p), abs=1e-12)
+
+    def test_points_differing_only_in_beta_share_one_trace(self):
+        hot = ModelParams(V=1.0, muB=0.5, omega=0.6, beta=0.0)
+        traces = model_traces([hot, FLAGSHIP, ModelParams(V=0.7, muB=0.5, omega=0.6)], 256)
+        assert traces[0] is traces[1]
+        assert traces[2] is not traces[0]
+        alone = model_trace(FLAGSHIP, steps=256)
+        np.testing.assert_array_equal(traces[1].U, alone.U)
+        np.testing.assert_array_equal(traces[1].delta, alone.delta)
 
     def test_basis_is_frozen_initial_eigenbasis(self):
         trace = model_trace(FLAGSHIP, steps=256)
@@ -70,11 +79,24 @@ class TestPhasePoint:
         assert point.offdiag is not None
 
 
+    def test_batch_assembly_matches_per_trace_functions(self):
+        from spinphase.engine import diagonal_phase_argument, offdiagonal_trace
+
+        pts = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0)]
+        for p, point, trace in zip(pts, phase_points(pts, steps=512), model_traces(pts, 512)):
+            companions = thermal_companions(p, trace.basis)
+            assert point.diag_raw == diagonal_phase_argument(trace, companions[0])
+            assert point.offdiag_raw == offdiagonal_trace(trace, companions, 2)
+
+
 class TestThermalEnsemble:
     def test_weights_and_basis(self):
-        e = thermal_ensemble(FLAGSHIP)
+        basis = model_trace(FLAGSHIP, steps=256).basis
+        e, companion = thermal_companions(FLAGSHIP, basis)
         assert e.weights[0] == pytest.approx(0.195570317493, abs=1e-12)
         assert e.weights.sum() == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_array_equal(companion.weights, e.weights[::-1])
+        np.testing.assert_array_equal(e.basis, basis)
         gram = e.basis.conj().T @ e.basis
         assert np.linalg.norm(gram - np.eye(2)) <= 1e-12
 
