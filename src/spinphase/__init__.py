@@ -27,18 +27,13 @@ from .errors import (
     DegenerateFrame,
     DegenerateSpectrum,
     DegenerateWeights,
-    DimensionMismatch,
     InconsistentClassification,
-    NotHermitian,
     SpinPhaseError,
     UndefinedPhase,
     UnitarityLoss,
 )
 from .linalg import (
     PhaseFactor,
-    eigh_2x2,
-    eigh_fixed_gauge,
-    frobenius_distance,
     phase_functional,
     su2_exponential,
 )
@@ -51,7 +46,6 @@ from .model import (
     closed_form_propagator,
     eigensystem,
     hamiltonian,
-    hamiltonian_samples,
     period_tau,
     reference_closed_forms,
     rotating_frame,

@@ -17,6 +17,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .errors import (
     DegenerateFrame,
     DegenerateSpectrum,
@@ -25,7 +27,7 @@ from .errors import (
     UnitarityLoss,
 )
 from .model import Convention, ModelParams, closed_form_propagator, period_tau
-from .pipeline import SWEEP_AXES, SweepSpec, phase_point, run_sweep
+from .pipeline import SWEEP_AXES, SweepSpec, model_trace, phase_point, run_sweep
 from .verify import (
     random_generic_params,
     report_table,
@@ -47,35 +49,20 @@ SWEEP_CSV_HEADER = (
 )
 
 
-def _fnum(x: float) -> str:
-    """Deterministic float formatting: 17 significant digits, lowercase e."""
-    return format(float(x), ".17g")
+#: Sweep row fields in output order, after the leading ``axis`` column.
+SWEEP_COLUMNS = tuple(SWEEP_CSV_HEADER.split(",")[1:])
 
 
-def _opt(x: float | None) -> str:
-    return "" if x is None else _fnum(x)
+def _fnum(x: float | None) -> str:
+    """Deterministic float formatting: 17 significant digits, lowercase e; None is empty."""
+    return "" if x is None else format(float(x), ".17g")
 
 
 def sweep_csv_lines(axis: str, rows) -> list[str]:
     """Header plus one CSV line per sweep row, byte-stable across runs."""
     lines = [SWEEP_CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    axis,
-                    _fnum(r.axis_value),
-                    _fnum(r.lambda1),
-                    _fnum(r.delta1),
-                    _fnum(r.diag_arg_re),
-                    _fnum(r.diag_arg_im),
-                    _opt(r.diag_phase),
-                    _fnum(r.offdiag_arg_re),
-                    _fnum(r.offdiag_arg_im),
-                    _opt(r.offdiag_phase),
-                )
-            )
-        )
+        lines.append(",".join((axis, *(_fnum(getattr(r, c)) for c in SWEEP_COLUMNS))))
     return lines
 
 
@@ -217,7 +204,9 @@ def _cmd_sweep(args, parser) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    rows = run_sweep(spec, jobs=args.jobs)
+    if args.jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    rows = run_sweep(spec)
     for row in rows:
         if row.diag_phase is None or row.offdiag_phase is None:
             print(
@@ -226,23 +215,8 @@ def _cmd_sweep(args, parser) -> int:
                 file=sys.stderr,
             )
     if args.format == "json":
-        doc = {
-            "axis": args.axis,
-            "rows": [
-                {
-                    "axis_value": r.axis_value,
-                    "lambda1": r.lambda1,
-                    "delta1": r.delta1,
-                    "diag_arg_re": r.diag_arg_re,
-                    "diag_arg_im": r.diag_arg_im,
-                    "diag_phase": r.diag_phase,
-                    "offdiag_arg_re": r.offdiag_arg_re,
-                    "offdiag_arg_im": r.offdiag_arg_im,
-                    "offdiag_phase": r.offdiag_phase,
-                }
-                for r in rows
-            ],
-        }
+        rows_doc = [{c: getattr(r, c) for c in SWEEP_COLUMNS} for r in rows]
+        doc = {"axis": args.axis, "rows": rows_doc}
         print(json.dumps(doc))
         return EXIT_OK
     print("\n".join(sweep_csv_lines(args.axis, rows)))
@@ -284,10 +258,6 @@ def _matrix_lines(name: str, m) -> list[str]:
 
 
 def _cmd_propagate(args, parser) -> int:
-    import numpy as np
-
-    from .pipeline import model_trace
-
     params = _params_from(args, parser)
     t = args.t if args.t is not None else period_tau(params)
     if t < 0:

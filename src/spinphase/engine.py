@@ -78,8 +78,9 @@ class Ensemble:
         gram = basis.conj().T @ basis
         if np.linalg.norm(gram - np.eye(n)) > 1e-10:
             raise ValueError("ensemble basis is not orthonormal")
-        if np.any(weights <= 0.0):
-            raise ValueError("ensemble weights must be positive")
+        # An exactly empty level is the zero-temperature limit, not an error.
+        if np.any(weights < 0.0):
+            raise ValueError("ensemble weights must be non-negative")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise ValueError("ensemble weights must sum to 1")
 

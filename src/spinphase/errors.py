@@ -13,14 +13,6 @@ class UndefinedPhase(SpinPhaseError):
     """
 
 
-class DimensionMismatch(SpinPhaseError):
-    """Operands have non-conformable dimensions."""
-
-
-class NotHermitian(SpinPhaseError):
-    """A Hermitian matrix was required but the input is not Hermitian."""
-
-
 class DegenerateSpectrum(SpinPhaseError):
     """Instantaneous spectrum is (numerically) degenerate; eigenbasis undefined."""
 

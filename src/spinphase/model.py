@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFrame, DegenerateSpectrum
-from .linalg import SIGMA_X, SIGMA_Z, eigh_2x2, rotation_z, su2_exponential
+from .linalg import SIGMA_X, SIGMA_Z, rotation_z, su2_exponential
 
 #: Effective frequencies at or below this are treated as degenerate.
 FRAME_EPSILON = 1e-12
@@ -80,22 +80,14 @@ class Convention(enum.Enum):
     ODE = "ode"
 
 
-def hamiltonian(p: ModelParams, t: float) -> np.ndarray:
-    """Lab-frame Hamiltonian H(t); traceless and Hermitian by construction."""
-    phase = np.exp(-1j * p.omega * t)
-    return np.array(
-        [[0.5 * p.V, p.muB * phase], [p.muB * np.conj(phase), -0.5 * p.V]],
-        dtype=complex,
-    )
-
-
-def hamiltonian_samples(
-    p: ModelParams | Sequence[ModelParams], times: np.ndarray
+def hamiltonian(
+    p: ModelParams | Sequence[ModelParams], times: float | np.ndarray
 ) -> np.ndarray:
-    """H(t) evaluated on an array of times, shape times.shape + (2, 2).
+    """Lab-frame H(t), traceless and Hermitian; shape times.shape + (2, 2).
 
-    ``p`` is one :class:`ModelParams`, or a sequence of B of them with
-    ``times`` of shape (B, T), one row of sample times per point.
+    ``times`` is a scalar or an array.  ``p`` is one :class:`ModelParams`,
+    or a sequence of B of them with ``times`` of shape (B, T), one row of
+    sample times per point.
     """
     times = np.asarray(times, dtype=float)
     if isinstance(p, ModelParams):
@@ -178,7 +170,7 @@ class SpectralFrame:
 
     ``psi1``/``psi2`` are unit eigenvectors for the energies ``E1 = -E2 =
     +sqrt((V/2)^2 + muB^2)``; ``normN`` is the normalization divisor applied
-    to the closed-form components (1.0 when the degenerate fallback returns
+    to the closed-form components (1.0 when the zero-coupling branch returns
     exact basis vectors).
     """
 
@@ -199,8 +191,8 @@ def eigensystem(p: ModelParams, t: float) -> SpectralFrame:
         psi2 = (e^{-i omega t} D,  muB) / N,   D = V/2 - E1,
         N = sqrt(D^2 + muB^2),
 
-    falling back to the gauge-fixed 2x2 eigensolver when the closed form
-    loses rank (muB = 0 with V > 0 makes N vanish).
+    with the exact standard basis where the closed form loses rank (muB = 0
+    with V > 0 makes N vanish).
 
     Raises
     ------
@@ -212,8 +204,9 @@ def eigensystem(p: ModelParams, t: float) -> SpectralFrame:
         raise DegenerateSpectrum(f"E1 = {e1:.3e} <= 1e-12; eigenbasis undefined")
     norm_n = math.hypot(d, p.muB)
     if norm_n == 0.0:
-        _, _, v1, v2 = eigh_2x2(hamiltonian(p, t))
-        return SpectralFrame(t=t, E1=e1, E2=-e1, psi1=v1, psi2=v2, normN=1.0)
+        # muB = 0 < V: H(t) = diag(V/2, -V/2) at every t, so the basis is exact.
+        basis = np.eye(2, dtype=complex)
+        return SpectralFrame(t=t, E1=e1, E2=-e1, psi1=basis[:, 0], psi2=basis[:, 1], normN=1.0)
     phase = np.exp(1j * p.omega * t)
     psi1 = np.array([p.muB, -phase * d], dtype=complex) / norm_n
     psi2 = np.array([np.conj(phase) * d, p.muB], dtype=complex) / norm_n

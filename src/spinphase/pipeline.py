@@ -29,7 +29,7 @@ from .model import (
     ModelParams,
     eigenbasis_matrix,
     eigensystem,
-    hamiltonian_samples,
+    hamiltonian,
     period_tau,
     rotating_frame,
     thermal_weights,
@@ -66,7 +66,7 @@ def model_traces(
         dts = np.array([key[3] for key in distinct]) / steps
         # Half-step sample times per point, shape (B, 2*steps+1).
         times = 0.5 * dts[:, np.newaxis] * np.arange(2 * steps + 1)[np.newaxis, :]
-    traces = integrate_sampled_family(hamiltonian_samples(points, times), dts, bases)
+    traces = integrate_sampled_family(hamiltonian(points, times), dts, bases)
     by_key = dict(zip(distinct, traces))
     return [by_key[key] for key in keys]
 
@@ -236,14 +236,8 @@ def _row_from_point(value: float, point: PhasePoint) -> SweepRow:
     )
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
-    """Evaluate a sweep as one batch; rows come back in axis order.
-
-    ``jobs`` must be >= 1; it is accepted for command-line compatibility
-    and does not change the evaluation.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Evaluate a sweep as one batch; rows come back in axis order."""
     values = spec.grid()
     points = phase_points([spec.params_at(v) for v in values], spec.steps, spec.t_final)
     return [_row_from_point(v, pt) for v, pt in zip(values, points)]

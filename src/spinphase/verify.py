@@ -69,6 +69,9 @@ TOLERANCES = {
 
 MIN_VERIFY_STEPS = 1024
 
+#: Sampling range of each parameter for the seeded generic grid, drawn in this order.
+GENERIC_RANGES = {"V": (0.3, 2.0), "muB": (0.15, 1.0), "omega": (0.1, 2.0), "beta": (0.2, 3.0)}
+
 
 @dataclass(frozen=True)
 class VerifyItem:
@@ -230,23 +233,11 @@ def _check_consistency(reports: list[VerifyReport]) -> None:
                 )
 
 
-def random_generic_params(
-    n: int,
-    seed: int,
-    v_range=(0.3, 2.0),
-    muB_range=(0.15, 1.0),
-    omega_range=(0.1, 2.0),
-    beta_range=(0.2, 3.0),
-) -> list[ModelParams]:
+def random_generic_params(n: int, seed: int) -> list[ModelParams]:
     """Seeded generic parameter points, clear of all degeneracy edges."""
     rng = np.random.default_rng(seed)
     return [
-        ModelParams(
-            V=float(rng.uniform(*v_range)),
-            muB=float(rng.uniform(*muB_range)),
-            omega=float(rng.uniform(*omega_range)),
-            beta=float(rng.uniform(*beta_range)),
-        )
+        ModelParams(**{name: float(rng.uniform(*r)) for name, r in GENERIC_RANGES.items()})
         for _ in range(n)
     ]
 

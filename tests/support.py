@@ -16,6 +16,11 @@ def random_hermitian(n, rng, scale=1.0):
     return scale * 0.5 * (m + m.conj().T)
 
 
+def circular_distance(a, b):
+    """Distance between angles on the circle, in [0, pi]."""
+    return np.abs(np.angle(np.exp(1j * (np.asarray(a) - b))))
+
+
 def distinct_weights(n, rng, min_gap=1e-3):
     while True:
         w = rng.uniform(0.2, 1.0, size=n)

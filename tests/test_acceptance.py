@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from support import distinct_weights, random_unitary, smooth_random_family
+from support import circular_distance, distinct_weights, random_unitary, smooth_random_family
 
 from spinphase.cli import main as cli_main
 from spinphase.engine import (
@@ -47,10 +47,6 @@ GOLDEN_CLASSIFICATIONS = {
     "propagator_Eq14_literal": "conjugate",
     "propagator_Eq14_ode": "match",
 }
-
-
-def circular_distance(a, b):
-    return np.abs(np.angle(np.exp(1j * (np.asarray(a) - b))))
 
 
 def test_criterion_1_oracle_equivalence(acceptance):

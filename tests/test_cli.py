@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from support import circular_distance
+
 import spinphase
 from spinphase.cli import SWEEP_CSV_HEADER, main
 
@@ -16,10 +18,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def circular_distance(a, b):
-    return abs(math.remainder(a - b, 2.0 * math.pi))
 
 
 class TestPhases:
@@ -183,6 +181,8 @@ class TestSweep:
             "axis_value", "lambda1", "delta1", "diag_arg_re", "diag_arg_im",
             "diag_phase", "offdiag_arg_re", "offdiag_arg_im", "offdiag_phase",
         }
+        # JSON keys follow the CSV columns, in order.
+        assert list(doc["rows"][0]) == SWEEP_CSV_HEADER.split(",")[1:]
 
     def test_undefined_rows_emit_empty_fields_and_warning(self, capsys):
         code, out, err = run_cli(
@@ -290,9 +290,40 @@ class TestInvalidSteps:
         assert "steps must be >= 2" in err
 
     def test_jobs_below_one_exits_2(self, capsys):
-        code, out, _ = run_cli(capsys, *SWEEP_FLAGS, "--steps", "256", "--jobs", "0")
+        code, out, err = run_cli(capsys, *SWEEP_FLAGS, "--steps", "256", "--jobs", "0")
         assert code == 2
         assert out == ""
+        assert err == "error: jobs must be >= 1\n"
+
+
+class TestZeroTemperature:
+    """Once 2 beta E1 > ~745 the upper level's weight underflows to exactly 0."""
+
+    def test_phases_at_underflowing_beta(self, capsys):
+        docs = {}
+        for beta in ("520", "600"):
+            flags = [*FLAGSHIP_FLAGS[:6], "--beta", beta, "--steps", "1024"]
+            code, out, _ = run_cli(capsys, "phases", *flags, "--format", "json")
+            assert code == 0
+            docs[beta] = json.loads(out)
+        assert docs["600"]["lambda1"] == 0.0
+        assert docs["600"]["lambda2"] == 1.0
+        for key in ("diag", "offdiag"):
+            assert docs["600"][key]["raw"] == docs["520"][key]["raw"]
+
+    def test_sweep_to_zero_temperature(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sweep",
+            "--axis", "beta", "--start", "0", "--stop", "1000", "--points", "3",
+            *FLAGSHIP_FLAGS[:6],
+            "--steps", "1024",
+        )
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 4
+        assert lines[-1].startswith("beta,1000,0,")
 
 
 class TestUnitarityLossExit:

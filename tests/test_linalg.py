@@ -2,24 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from spinphase.errors import DimensionMismatch, NotHermitian, UndefinedPhase
+from spinphase.errors import UndefinedPhase
 from spinphase.linalg import (
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Z,
-    adjoint,
-    eigh_2x2,
-    eigh_fixed_gauge,
-    frobenius_distance,
-    multiply,
     phase_functional,
     polar_project,
     principal_arg,
     su2_exponential,
-    trace,
     unitarity_defect,
 )
 
@@ -115,133 +109,6 @@ class TestSu2Exponential:
         values, vectors = np.linalg.eigh(generator)
         expected = (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
         np.testing.assert_allclose(su2_exponential(a, t), expected, atol=1e-12)
-
-
-class TestMatrixHelpers:
-    def test_multiply_identity(self):
-        a = np.array([[1 + 2j, 3], [0, -1j]])
-        np.testing.assert_array_equal(multiply(np.eye(2), a), a)
-
-    def test_multiply_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            multiply(np.eye(3), np.eye(2))
-
-    def test_trace_sigma_z(self):
-        assert trace(SIGMA_Z) == 0.0
-
-    def test_trace_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
-            trace(np.ones((2, 3)))
-
-    def test_adjoint_of_diagonal(self):
-        np.testing.assert_array_equal(adjoint(np.diag([1j, -1j])), np.diag([-1j, 1j]))
-
-    def test_adjoint_involution(self):
-        a = np.array([[1 + 1j, 2 - 3j], [0.5j, -2]])
-        np.testing.assert_array_equal(adjoint(adjoint(a)), a)
-
-    @given(data=st.data())
-    def test_trace_cyclic(self, data):
-        entries = st.floats(min_value=-10, max_value=10)
-        a = np.array(data.draw(st.lists(entries, min_size=8, max_size=8))).reshape(2, 2, 2)
-        m1 = a[0] + 1j * a[1]
-        b = np.array(data.draw(st.lists(entries, min_size=8, max_size=8))).reshape(2, 2, 2)
-        m2 = b[0] + 1j * b[1]
-        assert abs(trace(m1 @ m2) - trace(m2 @ m1)) <= 1e-13 * max(1.0, abs(trace(m1 @ m2)))
-
-    def test_frobenius_distance(self):
-        assert frobenius_distance(np.eye(2), np.zeros((2, 2))) == pytest.approx(math.sqrt(2))
-        with pytest.raises(DimensionMismatch):
-            frobenius_distance(np.eye(2), np.eye(3))
-
-
-def assert_gauge_fixed(v, tol=1e-12):
-    """Some component within rounding of the max magnitude is real positive."""
-    mags = np.abs(v)
-    m = mags.max()
-    candidates = np.where(mags >= m * (1.0 - 1e-12))[0]
-    assert any(
-        abs(v[k].imag) <= tol * max(m, 1.0) and v[k].real > 0 for k in candidates
-    ), f"no near-maximal component of {v} is real positive"
-
-
-def random_hermitian_strategy(n):
-    entries = st.floats(min_value=-5, max_value=5, allow_nan=False)
-    return st.lists(entries, min_size=2 * n * n, max_size=2 * n * n).map(
-        lambda vals: _to_hermitian(np.array(vals), n)
-    )
-
-
-def _to_hermitian(vals, n):
-    m = vals[: n * n].reshape(n, n) + 1j * vals[n * n :].reshape(n, n)
-    return 0.5 * (m + m.conj().T)
-
-
-class TestEigh2x2:
-    def test_diagonal(self):
-        e1, e2, v1, v2 = eigh_2x2(np.diag([1.0, -1.0]))
-        assert (e1, e2) == (1.0, -1.0)
-        np.testing.assert_array_equal(v1, [1, 0])
-        np.testing.assert_array_equal(v2, [0, 1])
-
-    def test_sigma_x(self):
-        e1, e2, v1, v2 = eigh_2x2(SIGMA_X)
-        assert e1 == pytest.approx(1.0)
-        assert e2 == pytest.approx(-1.0)
-        np.testing.assert_allclose(v1, np.array([1, 1]) / math.sqrt(2), atol=1e-15)
-        np.testing.assert_allclose(v2, np.array([1, -1]) / math.sqrt(2), atol=1e-15)
-
-    def test_model_point_upper_energy(self):
-        # characteristic polynomial of [[0.5, 0.5], [0.5, -0.5]]:
-        # E^2 = 0.25 + 0.25, so E1 = sqrt(0.5)
-        h = np.array([[0.5, 0.5], [0.5, -0.5]], dtype=complex)
-        e1, e2, _, _ = eigh_2x2(h)
-        assert e1 == pytest.approx(math.sqrt(0.5), abs=1e-14)
-        assert e2 == pytest.approx(-math.sqrt(0.5), abs=1e-14)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            eigh_2x2(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    @settings(max_examples=200)
-    @given(h=random_hermitian_strategy(2))
-    def test_random_hermitian_contract(self, h):
-        e1, e2, v1, v2 = eigh_2x2(h)
-        assert e1 >= e2
-        for e, v in ((e1, v1), (e2, v2)):
-            assert np.linalg.norm(h @ v - e * v) <= 1e-10
-        assert abs(np.vdot(v1, v2)) <= 1e-12
-        recon = e1 * np.outer(v1, v1.conj()) + e2 * np.outer(v2, v2.conj())
-        assert np.linalg.norm(h - recon) <= 1e-10
-        for v in (v1, v2):
-            assert_gauge_fixed(v)
-
-
-class TestEighFixedGauge:
-    @settings(max_examples=60)
-    @given(h=random_hermitian_strategy(4))
-    def test_reconstruction_and_gauge(self, h):
-        values, vectors = eigh_fixed_gauge(h)
-        assert np.all(np.diff(values) <= 1e-12)
-        recon = (vectors * values) @ vectors.conj().T
-        assert np.linalg.norm(h - recon) <= 1e-10
-        for j in range(4):
-            assert_gauge_fixed(vectors[:, j])
-
-    def test_matches_2x2_fast_path(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            h = 0.5 * (m + m.conj().T)
-            values, vectors = eigh_fixed_gauge(h)
-            e1, e2, v1, v2 = eigh_2x2(h)
-            np.testing.assert_allclose(values, [e1, e2], atol=1e-12)
-            np.testing.assert_allclose(vectors[:, 0], v1, atol=1e-9)
-            np.testing.assert_allclose(vectors[:, 1], v2, atol=1e-9)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            eigh_fixed_gauge(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestPolarProject:

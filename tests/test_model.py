@@ -14,7 +14,6 @@ from spinphase.model import (
     eigenbasis_matrix,
     eigensystem,
     hamiltonian,
-    hamiltonian_samples,
     period_tau,
     reference_closed_forms,
     rotating_frame,
@@ -92,17 +91,17 @@ class TestHamiltonian:
     def test_samples_match_pointwise(self):
         p = FLAGSHIP
         times = np.linspace(0.0, 7.0, 23)
-        stacked = hamiltonian_samples(p, times)
+        stacked = hamiltonian(p, times)
         for i, t in enumerate(times):
             np.testing.assert_array_equal(stacked[i], hamiltonian(p, t))
 
     def test_samples_vectorized_over_points(self):
         points = [FLAGSHIP, ModelParams(V=0.3, muB=1.2, omega=-0.4, beta=2.0)]
         times = np.array([np.linspace(0.0, 7.0, 23), np.linspace(0.0, 3.0, 23)])
-        stacked = hamiltonian_samples(points, times)
+        stacked = hamiltonian(points, times)
         assert stacked.shape == (2, 23, 2, 2)
         for p, row, samples in zip(points, times, stacked):
-            np.testing.assert_array_equal(samples, hamiltonian_samples(p, row))
+            np.testing.assert_array_equal(samples, hamiltonian(p, row))
 
 
 class TestRotatingFrame:

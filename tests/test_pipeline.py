@@ -133,19 +133,6 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert [r.axis_value for r in rows] == [0.0, 0.5, 1.0, 1.5, 2.0]
 
-    def test_jobs_do_not_change_values(self):
-        spec = SweepSpec(
-            axis="beta", start=0.0, stop=2.0, points=9, fixed=FLAGSHIP, steps=512
-        )
-        assert run_sweep(spec, jobs=1) == run_sweep(spec, jobs=3)
-
-    def test_rejects_bad_jobs(self):
-        spec = SweepSpec(
-            axis="beta", start=0.0, stop=2.0, points=3, fixed=FLAGSHIP, steps=512
-        )
-        with pytest.raises(ValueError):
-            run_sweep(spec, jobs=0)
-
     def test_rows_match_single_point_pipeline(self):
         spec = SweepSpec(
             axis="beta", start=0.5, stop=1.5, points=3, fixed=FLAGSHIP, steps=512
