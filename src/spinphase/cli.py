@@ -208,7 +208,13 @@ def _cmd_sweep(args, parser) -> int:
         raise ValueError("jobs must be >= 1")
     rows = run_sweep(spec)
     for row in rows:
-        if row.diag_phase is None or row.offdiag_phase is None:
+        if row.error is not None:
+            print(
+                f"warning: degenerate point at {args.axis} = {row.axis_value:.12g} "
+                f"({row.error}); fields left empty",
+                file=sys.stderr,
+            )
+        elif row.diag_phase is None or row.offdiag_phase is None:
             print(
                 f"warning: undefined phase at {args.axis} = {row.axis_value:.12g}; "
                 "phase fields left empty",

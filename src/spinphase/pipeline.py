@@ -1,15 +1,16 @@
 """End-to-end evaluation of thermal-state geometric phases for the spin model.
 
 Single parameter points and parameter families share one code path: a family
-is integrated as one batch by the engine kernel, after which the phases of
-every point are assembled at once with the engine's broadcasting operations
-over the frozen t = 0 eigenbasis.  No operation mixes points, so a point's
-values do not depend on the family it is evaluated in.
+is integrated by the engine kernel in chunks of distinct trajectories, after
+which the phases of every point are assembled at once with the engine's
+broadcasting operations over the frozen t = 0 eigenbasis.  No operation mixes
+points, so a point's values do not depend on the family it is evaluated in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from .engine import (
     shift_ensembles,
     transported_propagator,
 )
-from .errors import UndefinedPhase
+from .errors import DegenerateFrame, DegenerateSpectrum, UndefinedPhase
 from .linalg import PhaseFactor, phase_functional
 from .model import (
     ModelParams,
@@ -36,46 +37,88 @@ from .model import (
 )
 
 SWEEP_AXES = ("beta", "omega", "muB", "V")
+#: Distinct points integrated together.  Wide enough that per-step
+#: interpreter work is amortized, narrow enough that a chunk's working set
+#: stays a few MiB at any step count.
+CHUNK_POINTS = 512
+
+
+def _trajectories(
+    params_list: Sequence[ModelParams], t_final: float | Sequence[float] | None
+) -> tuple[list[tuple], list[list[int]]]:
+    """Trajectory key (V, muB, omega, T) of each point, and the point indices in chunks.
+
+    Points with equal keys differ only in beta, which enters the thermal
+    weights, not the evolution: they share one trajectory and one chunk.  A
+    chunk spans at most CHUNK_POINTS distinct trajectories.
+    """
+    if t_final is None:
+        finals = [period_tau(p) for p in params_list]
+    else:
+        finals = np.broadcast_to(np.asarray(t_final, dtype=float), (len(params_list),))
+        if np.any(finals <= 0.0):
+            raise ValueError("t_final must be positive")
+        finals = finals.tolist()
+    keys = [(p.V, p.muB, p.omega, t) for p, t in zip(params_list, finals)]
+    members: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+    groups = list(members.values())
+    chunks = [
+        [i for group in groups[lo : lo + CHUNK_POINTS] for i in group]
+        for lo in range(0, len(groups), CHUNK_POINTS)
+    ]
+    return keys, chunks
 
 
 def model_traces(
     params_list: Sequence[ModelParams],
     steps: int,
     t_final: float | Sequence[float] | None = None,
+    *,
+    full_grid: bool = False,
 ) -> list[PropagatorTrace]:
-    """Integrate the model for a family of parameter points as one batch.
+    """Integrate the model for a family of parameter points.
 
     ``t_final`` may be a scalar, one value per point, or None for each
     point's own rotating-frame period tau.  The dynamical-phase reference
     basis is the t = 0 eigenbasis of each point.  Points that differ only in
-    beta share one trace: beta enters the thermal weights, not the evolution.
+    beta share one trace.  The distinct trajectories are integrated in
+    chunks of at most CHUNK_POINTS, so the working memory depends on neither
+    the number of points nor ``steps``.  Traces are in endpoint form unless
+    ``full_grid`` asks for every step.
     """
-    n_pts = len(params_list)
-    if t_final is None:
-        finals = np.array([period_tau(p) for p in params_list])
-    else:
-        finals = np.broadcast_to(np.asarray(t_final, dtype=float), (n_pts,)).astype(float)
-        if np.any(finals <= 0.0):
-            raise ValueError("t_final must be positive")
-    keys = [(p.V, p.muB, p.omega, t) for p, t in zip(params_list, finals.tolist())]
-    distinct = dict(zip(keys, params_list))
-    points = list(distinct.values())
-    bases = np.stack([eigenbasis_matrix(eigensystem(p, 0.0)) for p in points])
-    # steps < 2 leaves fewer than five samples, which the kernel rejects.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dts = np.array([key[3] for key in distinct]) / steps
-        # Half-step sample times per point, shape (B, 2*steps+1).
-        times = 0.5 * dts[:, np.newaxis] * np.arange(2 * steps + 1)[np.newaxis, :]
-    traces = integrate_sampled_family(hamiltonian(points, times), dts, bases)
-    by_key = dict(zip(distinct, traces))
-    return [by_key[key] for key in keys]
+    keys, chunks = _trajectories(params_list, t_final)
+    traces: list[PropagatorTrace | None] = [None] * len(keys)
+    for chunk in chunks:
+        distinct = {keys[i]: params_list[i] for i in chunk}
+        points = list(distinct.values())
+        bases = np.stack([eigenbasis_matrix(eigensystem(p, 0.0)) for p in points])
+        integrated = integrate_sampled_family(
+            partial(hamiltonian, points), [key[3] for key in distinct], steps, bases,
+            full_grid=full_grid,
+        )
+        by_key = dict(zip(distinct, integrated))
+        for i in chunk:
+            traces[i] = by_key[keys[i]]
+    return traces
 
 
 def model_trace(
-    params: ModelParams, steps: int, t_final: float | None = None
+    params: ModelParams, steps: int, t_final: float | None = None, *, full_grid: bool = False
 ) -> PropagatorTrace:
     """Single-point convenience wrapper around :func:`model_traces`."""
-    return model_traces([params], steps, t_final)[0]
+    return model_traces([params], steps, t_final, full_grid=full_grid)[0]
+
+
+def degeneracy(p: ModelParams) -> DegenerateFrame | DegenerateSpectrum | None:
+    """The error that leaves ``p`` without phases (no frame period or no eigenbasis), or None."""
+    try:
+        period_tau(p)
+        eigensystem(p, 0.0)
+    except (DegenerateFrame, DegenerateSpectrum) as exc:
+        return exc
+    return None
 
 
 def thermal_companions(params: ModelParams, basis: np.ndarray) -> list[Ensemble]:
@@ -136,11 +179,12 @@ def phase_points(
 ) -> list[PhasePoint]:
     """Evaluate the diagonal and off-diagonal phases for a parameter family."""
     traces = model_traces(params_list, steps, t_final)
-    companions = [thermal_companions(p, tr.basis) for p, tr in zip(params_list, traces)]
     u_final = np.stack([tr.U[-1] for tr in traces])
     delta_final = np.stack([tr.delta[-1] for tr in traces])
     bases = np.stack([tr.basis for tr in traces])
-    weights = np.array([[e.weights for e in c] for c in companions])
+    # The thermal weights and their shifted companion, as thermal_companions builds them.
+    thermal = np.array([astuple(thermal_weights(p)) for p in params_list])
+    weights = np.stack([thermal, thermal[:, ::-1]], axis=1)
     diag_raw = diagonal_amplitude(u_final, delta_final, bases, weights[:, 0])
     u_par = transported_propagator(u_final, delta_final, bases)
     offdiag_raw = cyclic_trace(u_par, bases[:, np.newaxis], weights)
@@ -209,17 +253,21 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep output row; phase fields are None when undefined."""
+    """One sweep output row; phase fields are None when undefined.
+
+    A degenerate point keeps only ``axis_value`` and names its ``error``.
+    """
 
     axis_value: float
-    lambda1: float
-    delta1: float
-    diag_arg_re: float
-    diag_arg_im: float
-    diag_phase: float | None
-    offdiag_arg_re: float
-    offdiag_arg_im: float
-    offdiag_phase: float | None
+    lambda1: float | None = None
+    delta1: float | None = None
+    diag_arg_re: float | None = None
+    diag_arg_im: float | None = None
+    diag_phase: float | None = None
+    offdiag_arg_re: float | None = None
+    offdiag_arg_im: float | None = None
+    offdiag_phase: float | None = None
+    error: str | None = None
 
 
 def _row_from_point(value: float, point: PhasePoint) -> SweepRow:
@@ -237,7 +285,26 @@ def _row_from_point(value: float, point: PhasePoint) -> SweepRow:
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate a sweep as one batch; rows come back in axis order."""
+    """Evaluate a sweep; rows come back in axis order.
+
+    A degenerate point gets a row with only its axis value and the error;
+    the other points are computed.  If every point is degenerate, the first
+    point's error is raised.  Points are evaluated one chunk of trajectories
+    at a time, so only the rows outlive a chunk.
+    """
     values = spec.grid()
-    points = phase_points([spec.params_at(v) for v in values], spec.steps, spec.t_final)
-    return [_row_from_point(v, pt) for v, pt in zip(values, points)]
+    params = [spec.params_at(v) for v in values]
+    errors = [degeneracy(p) for p in params]
+    if all(errors):
+        raise errors[0]
+    rows = [
+        SweepRow(axis_value=float(v), error=f"{type(e).__name__}: {e}") if e else None
+        for v, e in zip(values, errors)
+    ]
+    good = [i for i, e in enumerate(errors) if e is None]
+    for chunk in _trajectories([params[i] for i in good], spec.t_final)[1]:
+        members = [good[j] for j in chunk]
+        points = phase_points([params[i] for i in members], spec.steps, spec.t_final)
+        for i, point in zip(members, points):
+            rows[i] = _row_from_point(values[i], point)
+    return rows

@@ -29,7 +29,7 @@ from .engine import (
     offdiagonal_trace,
     transported_propagator,
 )
-from .errors import DegenerateFrame, DegenerateSpectrum, InconsistentClassification
+from .errors import InconsistentClassification
 from .model import (
     Convention,
     ModelParams,
@@ -39,7 +39,7 @@ from .model import (
     period_tau,
     reference_closed_forms,
 )
-from .pipeline import model_trace, model_traces, thermal_companions
+from .pipeline import degeneracy, model_trace, model_traces, thermal_companions
 
 EQUATION_IDS = (
     "U11_Eq15",
@@ -202,15 +202,13 @@ def verify_grid(params_list, steps: int = 8192) -> list[VerifyReport]:
     reports: list[VerifyReport | None] = [None] * len(params_list)
     good: list[int] = []
     for i, p in enumerate(params_list):
-        try:
-            period_tau(p)
-            eigensystem(p, 0.0)
-        except (DegenerateFrame, DegenerateSpectrum) as exc:
+        exc = degeneracy(p)
+        if exc is None:
+            good.append(i)
+        else:
             reports[i] = VerifyReport(
                 params=p, items=(), summary={}, error=f"{type(exc).__name__}: {exc}"
             )
-            continue
-        good.append(i)
     if good:
         traces = model_traces([params_list[i] for i in good], steps)
         for i, trace in zip(good, traces):

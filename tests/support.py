@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from spinphase.engine import Ensemble, integrate_sampled_family
-
 
 def random_unitary(n, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -41,51 +39,28 @@ def piecewise_constant_h(segments, seg_len):
     return h_of_t
 
 
-def smooth_random_family(n, count, steps, t_final, rng):
-    """Random smooth Hermitian generator families H(t) = A + C cos(nu t) + S sin(nu t).
+class SmoothFamily:
+    """Smooth Hermitian generators H_j(t) = A_j + C_j cos(nu_j t) + S_j sin(nu_j t).
 
-    Returns (h_samples, dt, sample_times) ready for the batched integrator.
+    A sampler for the batched integrator: calling it with times of shape
+    (B, T) gives generators of shape (B, T, N, N).  Slicing selects members.
     """
-    a = np.stack([random_hermitian(n, rng, 0.6) for _ in range(count)])
-    c = np.stack([random_hermitian(n, rng, 0.6) for _ in range(count)])
-    s = np.stack([random_hermitian(n, rng, 0.6) for _ in range(count)])
-    nu = rng.uniform(0.3, 2.0, size=count)
-    dt = np.full(count, t_final / steps)
-    times = 0.5 * dt[:, None] * np.arange(2 * steps + 1)[None, :]
-    cos = np.cos(nu[:, None] * times)[..., None, None]
-    sin = np.sin(nu[:, None] * times)[..., None, None]
-    h = a[:, None] + c[:, None] * cos + s[:, None] * sin
-    return h, dt, times
+
+    def __init__(self, a, c, s, nu):
+        self.a, self.c, self.s, self.nu = a, c, s, nu
+
+    def __getitem__(self, members):
+        return SmoothFamily(self.a[members], self.c[members], self.s[members], self.nu[members])
+
+    def __call__(self, times):
+        phase = self.nu[:, None] * times
+        cos = np.cos(phase)[..., None, None]
+        sin = np.sin(phase)[..., None, None]
+        return self.a[:, None] + self.c[:, None] * cos + self.s[:, None] * sin
 
 
-def random_ensembles(n, count, rng):
-    bases = np.stack([random_unitary(n, rng) for _ in range(count)])
-    weights = np.stack([distinct_weights(n, rng) for _ in range(count)])
-    return bases, weights
+def smooth_random_family(n, count, rng):
+    """A random :class:`SmoothFamily` of ``count`` N x N generators."""
+    a, c, s = (np.stack([random_hermitian(n, rng, 0.6) for _ in range(count)]) for _ in range(3))
+    return SmoothFamily(a, c, s, rng.uniform(0.3, 2.0, size=count))
 
-
-def family_phase_args(h_samples, dt, bases, weights):
-    """Diagonal and off-diagonal phase arguments for a random family."""
-    from spinphase.engine import (
-        diagonal_phase_argument,
-        offdiagonal_trace,
-        shift_ensembles,
-    )
-    from spinphase.linalg import phase_functional
-
-    traces = integrate_sampled_family(h_samples, dt, bases)
-    out = []
-    for trace, basis, w in zip(traces, bases, weights):
-        ensemble = Ensemble(basis=basis, weights=w)
-        companions = shift_ensembles(ensemble)
-        diag = diagonal_phase_argument(trace, ensemble)
-        off = offdiagonal_trace(trace, companions, len(companions))
-        out.append(
-            (
-                phase_functional(diag).arg,
-                phase_functional(off).arg,
-                abs(diag),
-                abs(off),
-            )
-        )
-    return np.array(out)

@@ -51,7 +51,7 @@ GOLDEN_CLASSIFICATIONS = {
 
 def test_criterion_1_oracle_equivalence(acceptance):
     started = time.perf_counter()
-    trace = model_trace(FLAGSHIP, steps=8192)
+    trace = model_trace(FLAGSHIP, steps=8192, full_grid=True)
     sample_idx = np.linspace(0, 8192, 64).astype(int)
     sup_dist = max(
         np.linalg.norm(
@@ -113,7 +113,7 @@ def test_criterion_2_exact_identities(acceptance):
 
 
 def test_criterion_3_parallel_transport(acceptance):
-    trace = model_trace(FLAGSHIP, steps=4096)
+    trace = model_trace(FLAGSHIP, steps=4096, full_grid=True)
     residual = parallel_transport_residual(parallel_transported(trace))
     ok = residual <= 1e-7
     acceptance(3, "parallel transport residual", ok, f"max residual {residual:.2e}")
@@ -240,12 +240,12 @@ def test_criterion_6_verification_ledger(acceptance):
 def test_criterion_7_invariance_suites(acceptance, dim):
     count, steps, t_final = 100, 2048, 3.0
     rng = np.random.default_rng(4000 + dim)
-    h, dt, times = smooth_random_family(dim, count, steps, t_final, rng)
+    h = smooth_random_family(dim, count, rng)
     bases = np.stack([random_unitary(dim, rng) for _ in range(count)])
     weights = np.stack([distinct_weights(dim, rng) for _ in range(count)])
 
-    def family_args(h_samples, basis_set):
-        traces = integrate_sampled_family(h_samples, dt, basis_set)
+    def family_args(h_of_t, basis_set):
+        traces = integrate_sampled_family(h_of_t, np.full(count, t_final), steps, basis_set)
         args = []
         smallest = math.inf
         for trace, basis, w in zip(traces, basis_set, weights):
@@ -266,8 +266,11 @@ def test_criterion_7_invariance_suites(acceptance, dim):
     c0 = rng.uniform(-1.0, 1.0, size=count)
     c1 = rng.uniform(-1.0, 1.0, size=count)
     nu = rng.uniform(0.3, 2.0, size=count)
-    scalar = c0[:, None] + c1[:, None] * np.cos(nu[:, None] * times)
-    shifted = h + scalar[..., None, None] * np.eye(dim)
+
+    def shifted(times):
+        scalar = c0[:, None] + c1[:, None] * np.cos(nu[:, None] * times)
+        return h(times) + scalar[..., None, None] * np.eye(dim)
+
     shift_args, _ = family_args(shifted, bases)
     shift_dev = float(np.max(circular_distance(shift_args - reference, 0.0)))
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -337,6 +338,84 @@ class TestUnitarityLossExit:
         assert code == 6
         assert out == ""
         assert "increase --steps" in err
+
+    @pytest.mark.parametrize(
+        "argv, t_final, norm",
+        [
+            # Near resonance tau = pi / muB, at |H| = E1 = 1/2.
+            (["phases", "--V", "1", "--mu-B", "1e-11", "--omega", "1", "--steps", "1024"],
+             math.pi * 1e11, 0.5),
+            (["propagate", "--t", "1e300", "--steps", "64"], 1e300, math.sqrt(0.5)),
+        ],
+        ids=["near-resonance", "huge-time"],
+    )
+    def test_step_past_stability_bound_names_a_step_count(self, capsys, argv, t_final, norm):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 6
+        assert out == ""
+        assert "nan" not in err.lower()
+        needed = float(re.search(r"stability bound .*; needs at least (\S+) steps", err)[1])
+        # RK4 on i dU/dt = H U is stable while dt |H| <= 2 sqrt(2).
+        assert needed == pytest.approx(t_final * norm / (2 * math.sqrt(2)), rel=1e-2)
+
+    def test_non_finite_hamiltonian_is_a_usage_error(self, capsys):
+        # omega t overflows to inf, so H(t) has no finite value.
+        code, out, err = run_cli(
+            capsys, "propagate", "--t", "1e300", "--omega", "1e10", "--steps", "64"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: generator samples must be finite\n"
+
+    def test_huge_splitting_within_the_bound_runs(self, capsys):
+        # |H|_F^2 overflows at V = 1e160, but dt |H| is small over tau.
+        code, out, _ = run_cli(capsys, "propagate", "--V", "1e160", "--steps", "1024")
+        assert code == 0
+        assert "numeric U(t)" in out
+
+
+class TestDegenerateSweepPoints:
+    ARGV = ["sweep", "--axis", "V", "--start", "-1", "--stop", "1", "--points", "3",
+            "--mu-B", "0", "--steps", "256"]
+    WARNING = "warning: degenerate point at V = 0 (DegenerateSpectrum"
+
+    def test_csv_row_keeps_only_axis_value(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 4
+        assert lines[2] == "V,0" + "," * 8
+        for line in (lines[1], lines[3]):
+            assert "" not in line.split(",")
+        assert err.count("warning") == 1
+        assert err.startswith(self.WARNING)
+
+    def test_json_row_is_null_but_axis_value(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGV, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [r["axis_value"] for r in rows] == [-1.0, 0.0, 1.0]
+        assert all(v is None for k, v in rows[1].items() if k != "axis_value")
+        assert all(v is not None for r in (rows[0], rows[2]) for v in r.values())
+        assert err.startswith(self.WARNING)
+
+    def test_other_rows_match_a_regular_sweep(self, capsys):
+        _, out, _ = run_cli(capsys, *self.ARGV)
+        _, alone, _ = run_cli(
+            capsys, "sweep", "--axis", "V", "--start", "-1", "--stop", "1", "--points", "2",
+            "--mu-B", "0", "--steps", "256",
+        )
+        lines, regular = out.splitlines(), alone.splitlines()
+        assert [lines[1], lines[3]] == regular[1:]
+
+    def test_every_point_degenerate_exits_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "V", "--start", "0", "--stop", "1e-13", "--points", "2",
+            "--mu-B", "0", "--steps", "256",
+        )
+        assert code == 3
+        assert out == ""
+        assert "eigenbasis undefined" in err
 
 
 class TestImport:

@@ -115,7 +115,7 @@ class TestIntegrator:
         assert np.linalg.norm(trace.U[-1] - closed) <= 1e-6
 
     def test_trace_invariants(self):
-        trace = model_trace(FLAGSHIP, steps=1024)
+        trace = model_trace(FLAGSHIP, steps=1024, full_grid=True)
         np.testing.assert_array_equal(trace.U[0], np.eye(2))
         assert np.all(np.diff(trace.grid) > 0)
         gram = np.einsum("mji,mjk->mik", trace.U.conj(), trace.U) - np.eye(2)
@@ -137,16 +137,13 @@ class TestIntegrator:
     def test_family_matches_single_runs(self):
         points = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0)]
         taus = [period_tau(p) for p in points]
-        singles = [model_trace(p, 512) for p in points]
-        dts = np.array([t / 512 for t in taus])
-        samples = np.stack(
-            [
-                hamiltonian(p, 0.5 * dt * np.arange(2 * 512 + 1))
-                for p, dt in zip(points, dts)
-            ]
-        )
+        singles = [model_trace(p, 512, full_grid=True) for p in points]
+
+        def per_point_h(times):
+            return np.stack([hamiltonian(p, row) for p, row in zip(points, times)])
+
         bases = np.stack([s.basis for s in singles])
-        family = integrate_sampled_family(samples, dts, bases)
+        family = integrate_sampled_family(per_point_h, taus, 512, bases, full_grid=True)
         for single, member in zip(singles, family):
             np.testing.assert_array_equal(single.U, member.U)
             np.testing.assert_array_equal(single.delta, member.delta)
@@ -154,11 +151,13 @@ class TestIntegrator:
 
     def test_three_level_family_matches_single_runs(self):
         rng = np.random.default_rng(33)
-        h, dt, _ = smooth_random_family(3, 5, 256, 3.0, rng)
+        h = smooth_random_family(3, 5, rng)
         bases = np.stack([random_unitary(3, rng) for _ in range(5)])
-        family = integrate_sampled_family(h, dt, bases)
+        family = integrate_sampled_family(h, np.full(5, 3.0), 256, bases, full_grid=True)
         for j, member in enumerate(family):
-            single = integrate_sampled_family(h[j : j + 1], dt[j : j + 1], bases[j : j + 1])[0]
+            single = integrate_sampled_family(
+                h[j : j + 1], [3.0], 256, bases[j : j + 1], full_grid=True
+            )[0]
             np.testing.assert_array_equal(single.U, member.U)
             np.testing.assert_array_equal(single.delta, member.delta)
 
@@ -173,11 +172,11 @@ class TestIntegrator:
             np.testing.assert_array_equal(single.U, family[j].U)
             np.testing.assert_array_equal(single.delta, family[j].delta)
 
-    @pytest.mark.parametrize("samples", [0, 1, 3])
-    def test_family_rejects_fewer_than_two_steps(self, samples):
-        h = np.zeros((2, samples, 2, 2), dtype=complex)
+    @pytest.mark.parametrize("steps", [-1, 0, 1])
+    def test_family_rejects_fewer_than_two_steps(self, steps):
+        h = constant_h(np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="steps must be >= 2"):
-            integrate_sampled_family(h, np.array([0.1, 0.1]))
+            integrate_sampled_family(h, [0.1, 0.1], steps)
 
 
 class TestCumulativeSimpson:
@@ -209,7 +208,7 @@ class TestCumulativeSimpson:
 class TestDynamicalPhase:
     def test_decoupled_levels(self):
         p = ModelParams(V=1.3, muB=0.0, omega=0.7, beta=0.0)
-        trace = model_trace(p, 1024, t_final=2.0)
+        trace = model_trace(p, 1024, t_final=2.0, full_grid=True)
         assert dynamical_phase(trace, model_h(p), 0) == pytest.approx(
             -0.5 * p.V * 2.0, abs=1e-9
         )
@@ -218,13 +217,13 @@ class TestDynamicalPhase:
         )
 
     def test_traceless_sum(self):
-        trace = model_trace(FLAGSHIP, 1024)
+        trace = model_trace(FLAGSHIP, 1024, full_grid=True)
         d1 = dynamical_phase(trace, model_h(FLAGSHIP), 0)
         d2 = dynamical_phase(trace, model_h(FLAGSHIP), 1)
         assert abs(d1 + d2) <= 1e-9
 
     def test_agrees_with_running_delta(self):
-        trace = model_trace(FLAGSHIP, 1024)
+        trace = model_trace(FLAGSHIP, 1024, full_grid=True)
         d1 = dynamical_phase(trace, model_h(FLAGSHIP), 0)
         assert d1 == pytest.approx(float(trace.delta[-1, 0]), abs=1e-12)
 
@@ -265,7 +264,7 @@ class TestParallelTransport:
 
     def test_decoupled_model_transports_to_identity(self):
         p = ModelParams(V=1.3, muB=0.0, omega=0.7, beta=0.0)
-        trace = model_trace(p, 1024, t_final=3.0)
+        trace = model_trace(p, 1024, t_final=3.0, full_grid=True)
         par = parallel_transported(trace)
         defect = np.linalg.norm(par.U - np.eye(2), axis=(1, 2)).max()
         assert defect <= 1e-9
@@ -280,12 +279,12 @@ class TestParallelTransport:
         assert np.linalg.norm(actual - expected) <= 1e-8
 
     def test_endpoint_matches_full_grid(self):
-        trace = model_trace(FLAGSHIP, 512)
+        trace = model_trace(FLAGSHIP, 512, full_grid=True)
         endpoint = transported_propagator(trace.U[-1], trace.delta[-1], trace.basis)
         np.testing.assert_allclose(endpoint, parallel_transported(trace).U[-1], atol=1e-15)
 
     def test_interior_residual(self):
-        trace = model_trace(FLAGSHIP, 4096)
+        trace = model_trace(FLAGSHIP, 4096, full_grid=True)
         assert parallel_transport_residual(parallel_transported(trace)) <= 1e-7
 
 
@@ -424,13 +423,13 @@ class TestInvariances:
     def test_gauge_invariance_sample(self):
         rng = np.random.default_rng(21)
         for n in (2, 3):
-            h, dt, _ = smooth_random_family(n, 4, 512, 3.0, rng)
+            h = smooth_random_family(n, 4, rng)
             bases = np.stack([random_unitary(n, rng) for _ in range(4)])
             weights = np.stack([distinct_weights(n, rng) for _ in range(4)])
             thetas = rng.uniform(-math.pi, math.pi, size=(4, n))
             rotated = bases * np.exp(1j * thetas)[:, None, :]
             for b_set in (bases, rotated):
-                traces = integrate_sampled_family(h, dt, b_set)
+                traces = integrate_sampled_family(h, np.full(4, 3.0), 512, b_set)
                 args = []
                 for trace, basis, w in zip(traces, b_set, weights):
                     e = Ensemble(basis=basis, weights=w)
@@ -451,16 +450,19 @@ class TestInvariances:
     def test_identity_shift_invariance_sample(self):
         rng = np.random.default_rng(22)
         n, count, steps = 2, 4, 1024
-        h, dt, times = smooth_random_family(n, count, steps, 3.0, rng)
+        h = smooth_random_family(n, count, rng)
         bases = np.stack([random_unitary(n, rng) for _ in range(count)])
         weights = np.stack([distinct_weights(n, rng) for _ in range(count)])
         c0 = rng.uniform(-1, 1, size=count)
         c1 = rng.uniform(-1, 1, size=count)
         nu = rng.uniform(0.3, 2.0, size=count)
-        scalar = c0[:, None] + c1[:, None] * np.cos(nu[:, None] * times)
-        shifted = h + scalar[..., None, None] * np.eye(n)
+
+        def shifted(times):
+            scalar = c0[:, None] + c1[:, None] * np.cos(nu[:, None] * times)
+            return h(times) + scalar[..., None, None] * np.eye(n)
+
         for h_set, store in ((h, "ref"), (shifted, "cmp")):
-            traces = integrate_sampled_family(h_set, dt, bases)
+            traces = integrate_sampled_family(h_set, np.full(count, 3.0), steps, bases)
             args = np.array(
                 [
                     (

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spinphase.model import ModelParams, period_tau
 from spinphase.pipeline import (
+    CHUNK_POINTS,
     SweepSpec,
     model_trace,
     model_traces,
@@ -48,6 +50,49 @@ class TestModelTraces:
         np.testing.assert_array_equal(
             trace.basis, eigenbasis_matrix(eigensystem(FLAGSHIP, 0.0))
         )
+
+
+class TestStreaming:
+    """Endpoint traces and point chunks change no value, not even in the last bit."""
+
+    @pytest.mark.parametrize("steps", [2, 65, 128, 1025])
+    def test_endpoint_is_last_row_of_full_grid(self, steps):
+        pts = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0)]
+        ends = model_traces(pts, steps, t_final=0.1)
+        fulls = model_traces(pts, steps, t_final=0.1, full_grid=True)
+        for end, full in zip(ends, fulls):
+            assert full.U.shape[0] == steps + 1
+            assert end.U.shape[0] == 2
+            for name in ("grid", "U", "delta"):
+                rows = getattr(full, name)[[0, -1]]
+                assert getattr(end, name).tobytes() == rows.tobytes(), name
+            assert end.basis.tobytes() == full.basis.tobytes()
+
+    def test_family_wider_than_a_chunk_matches_single_points(self):
+        n = CHUNK_POINTS + 3
+        pts = [ModelParams(V=1.0, muB=0.5, omega=0.1 + 1.9 * i / n, beta=1.0) for i in range(n)]
+        family = model_traces(pts, 64)
+        for p, member in zip(pts, family):
+            alone = model_traces([p], 64)[0]
+            assert member.U.tobytes() == alone.U.tobytes()
+            assert member.delta.tobytes() == alone.delta.tobytes()
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_points(self):
+        def peak(points):
+            spec = SweepSpec(
+                axis="omega", start=0.1, stop=2.0, points=points, fixed=FLAGSHIP, steps=64
+            )
+            tracemalloc.start()
+            try:
+                run_sweep(spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(1000), peak(4000)
+        assert large < 1.2 * small, (small, large)
 
 
 class TestPhasePoint:
