@@ -1,7 +1,8 @@
 """Definitional machinery for mixed-state geometric phases of unitary paths.
 
 The operations here are oracle-grade and model-agnostic: a classical RK4
-integrator for i dU/dt = H(t) U with periodic re-unitarization, running
+integrator for i dU/dt = H(t) U, each step composed into one step matrix and
+applied to the reference basis, with periodic re-unitarization; running
 dynamical phases by Simpson quadrature, the parallel-transported evolution,
 and the diagonal and off-diagonal mixed-state phase functionals for any
 N-level unitary evolution over a fixed orthonormal reference basis.
@@ -30,6 +31,8 @@ PROJECTION_INTERVAL = 64
 DRIFT_LIMIT = 1e-6
 #: RK4 is stable for i dU/dt = H U only while dt |H| <= 2 sqrt(2).
 RK4_STABILITY = 2.0 * math.sqrt(2.0)
+#: Estimated RK4 error of U(T), Frobenius norm, beyond which integration aborts.
+ACCURACY_LIMIT = 1e-6
 #: Minimum pairwise weight separation for shifted-companion construction.
 WEIGHT_GAP = 1e-9
 
@@ -168,13 +171,20 @@ def integrate_sampled_family(
 
     Classical fixed-step RK4 in blocks of 64 steps, with polar
     re-unitarization at the end of each full block.  H is sampled once per
-    block on the block's half-step grid.  The dynamical-phase integrand is
-    summed per block by Simpson's rule; each block's quadrature reaches back
-    one panel, so the sum equals one cumulative Simpson pass over the whole
-    grid.  Only U and the running phases cross a block edge, so memory does
-    not grow with ``steps``.  The traces are in endpoint form unless
-    ``full_grid`` asks for every step.  No operation mixes members, so a
-    member's result does not depend on the batch it is integrated in.
+    block on the block's half-step grid, and the block's step matrices are
+    built from those samples at once: with A = -i dt H at a step's start,
+    middle and end, S = I + (A0 + 2 (K2 + K3) + K4) / 6 for K2 = Am (I +
+    A0/2), K3 = Am (I + K2/2), K4 = A1 (I + K3), so one RK4 step is one
+    matrix product.  The kernel steps V = U B from V(0) = B, the reference
+    basis carried along: V is unitary exactly when U is, its columns give
+    the dynamical-phase integrand, and U = V B^dag is formed only for the
+    returned rows.  The integrand is summed per block by Simpson's rule;
+    each block's quadrature reaches back one panel, so the sum equals one
+    cumulative Simpson pass over the whole grid.  Only V and the running
+    phases cross a block edge, so memory does not grow with ``steps``.  The
+    traces are in endpoint form unless ``full_grid`` asks for every step.
+    No operation mixes members, so a member's result does not depend on the
+    batch it is integrated in.
 
     Raises
     ------
@@ -182,9 +192,10 @@ def integrate_sampled_family(
         If there are fewer than 2 steps, a final time is not positive or a
         generator sample is not finite.
     UnitarityLoss
-        If dt |H| exceeds RK4's stability bound 2 sqrt(2), the message giving
-        the least step count that bound allows, or if the drift found at a
-        re-unitarization checkpoint exceeds 1e-6.
+        If dt |H| exceeds RK4's stability bound 2 sqrt(2) or the estimated
+        error of U(T) exceeds 1e-6, the message giving the least step count
+        either bound allows, or if the drift found at a re-unitarization
+        checkpoint exceeds 1e-6.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
@@ -196,7 +207,6 @@ def integrate_sampled_family(
     # Fold -i into the step so the stage updates stay plain contractions.
     step = -1j * dt
     half = 0.5 * step
-    sixth = step / 6.0
 
     u_rows, delta_rows = [], []
     # Simpson carry: the two integrand rows before the block and the phase
@@ -216,43 +226,54 @@ def integrate_sampled_family(
                 if bases is None:
                     bases = np.broadcast_to(np.eye(n, dtype=complex), (b, n, n))
                 bases = np.asarray(bases, dtype=complex)
-                basis_last = bases.transpose(1, 2, 0)[:, :, np.newaxis]
-                u = np.broadcast_to(np.eye(n, dtype=complex)[..., np.newaxis], (n, n, b))
-                u_rows.append(u[:, :, np.newaxis])
+                adjoint_last = bases.conj().transpose(2, 1, 0)
+                v = bases.transpose(1, 2, 0)
+                u_rows.append(np.broadcast_to(np.eye(n, dtype=complex)[..., None, None], (n, n, 1, b)))
                 delta_rows.append(np.zeros((1, n, b)))
+            # The block's step matrices S = I + (A0 + 2 (K2 + K3) + K4) / 6, built in
+            # place: block-sized temporaries set the peak memory of a wide chunk.
+            a = step * h[:, :, 1::2]
+            k = _contract(a, half * h[:, :, :-1:2])
+            k += a
+            s = 2.0 * k
+            s += step * h[:, :, :-1:2]
+            k *= 0.5
+            k = _contract(a, k)
+            k += a
+            s += 2.0 * k
+            a = step * h[:, :, 2::2]
+            k = _contract(a, k)
+            s += k
+            s += a
+            del a, k
+            s /= 6.0
+            s[range(n), range(n)] += 1.0
+            # The basis V = U B is propagated; its columns give the phase integrand.
             block = np.empty((n, n, stop - start + 1, b), dtype=complex)
-            block[:, :, 0] = u
-            # The views h[:, :, t], listed once: a list index costs ~30 ns
-            # against ~200 ns for an array index, three times per step.
-            hs = list(h.transpose(2, 0, 1, 3))
-            for i in range(stop - start):
-                hm = hs[2 * i + 1]
-                k1 = _contract(hs[2 * i], u)
-                k2 = _contract(hm, u + half * k1)
-                k3 = _contract(hm, u + half * k2)
-                k4 = _contract(hs[2 * i + 2], u + step * k3)
-                u = u + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-                block[:, :, i + 1] = u
-            u_end = block[:, :, -1].transpose(2, 0, 1)
-            drift = unitarity_defect(u_end)
+            block[:, :, 0] = v
+            for i, s_i in enumerate(s.transpose(2, 0, 1, 3), 1):
+                v = _contract(s_i, v)
+                block[:, :, i] = v
+            del s
+            v_end = block[:, :, -1].transpose(2, 0, 1)
+            drift = unitarity_defect(v_end)
             if not drift <= DRIFT_LIMIT:  # NaN from a diverged run fails too
                 raise UnitarityLoss(f"unitarity drift {drift:.3e} > {DRIFT_LIMIT:.0e}")
             if stop % PROJECTION_INTERVAL == 0:
-                block[:, :, -1] = polar_project(u_end).transpose(1, 2, 0)
-            u = block[:, :, -1]
-            # -<psi_k| U^dag H U |psi_k> = -Re sum_i conj((U B)_ik) (H U B)_ik
-            ub = _contract(block, basis_last)
-            hub = _contract(h[:, :, ::2], ub)
-            integrand = -np.real(np.einsum("ik...,ik...->k...", ub.conj(), hub)).transpose(1, 0, 2)
+                block[:, :, -1] = polar_project(v_end).transpose(1, 2, 0)
+            v = block[:, :, -1]
+            # -<psi_k| U^dag H U |psi_k> = -Re sum_i conj(V_ik) (H V)_ik
+            hv = _contract(h[:, :, ::2], block)
+            integrand = -np.real(np.einsum("ik...,ik...->k...", block.conj(), hv)).transpose(1, 0, 2)
             if start:
                 integrand = np.concatenate([lead, integrand])
             delta = cumulative_simpson(integrand, dt, lead_delta)
             lead, lead_delta = integrand[-3:-1], delta[-3]
             if full_grid:
-                u_rows.append(block[:, :, 1:])
+                u_rows.append(_contract(block[:, :, 1:], adjoint_last[:, :, np.newaxis]))
                 delta_rows.append(delta[-(stop - start) :])
     if not full_grid:
-        u_rows.append(u[:, :, np.newaxis])
+        u_rows.append(_contract(v, adjoint_last)[:, :, np.newaxis])
         delta_rows.append(delta[-1:])
     index = np.arange(steps + 1) if full_grid else np.array([0, steps])
     u_all = np.ascontiguousarray(np.concatenate(u_rows, axis=2).transpose(3, 2, 0, 1))
@@ -264,11 +285,13 @@ def integrate_sampled_family(
 
 
 def _check_step(h: np.ndarray, dt: np.ndarray, steps: int) -> None:
-    """Reject a block whose step is past RK4's stability bound, before stepping.
+    """Reject a block whose step is too long, before stepping.
 
     ``h`` is one block of samples, (N, N, time, B), contiguous.  |H|_F /
     sqrt(N) is a lower bound on the spectral norm, so a step rejected here
-    would have diverged.
+    would have diverged (past RK4's stability bound) or would miss U(T) by
+    more than ACCURACY_LIMIT: RK4 misses each eigenphase by about
+    (dt |H|)^5 / 120 per step, steps sqrt(N) (dt |H|)^5 / 120 in all.
     """
     n = h.shape[0]
     parts = h.view(float)  # real and imaginary parts alternate along the batch axis
@@ -278,7 +301,13 @@ def _check_step(h: np.ndarray, dt: np.ndarray, steps: int) -> None:
         frobenius = np.hypot.reduce(np.abs(h).reshape(n * n, *h.shape[2:]), axis=0).max(axis=0)
     ratio = float(np.max(dt * frobenius)) / math.sqrt(n)
     if ratio <= RK4_STABILITY:
-        return
+        error = steps * math.sqrt(n) * ratio**5 / 120.0
+        if error <= ACCURACY_LIMIT:
+            return
+        needed = math.ceil(steps * (error / ACCURACY_LIMIT) ** 0.25)
+        raise UnitarityLoss(
+            f"RK4 error estimate {error:.3g} > {ACCURACY_LIMIT:.0e}; needs at least {needed} steps"
+        )
     if math.isnan(ratio):
         raise ValueError("generator samples must be finite")
     needed = min(steps * ratio / RK4_STABILITY, np.finfo(float).max)

@@ -153,12 +153,13 @@ def level_gap_shift(V: float, muB: float):
     """Upper level energy E1 and the shift D = V/2 - E1, computed stably.
 
     For V >= 0 the direct subtraction cancels catastrophically at small
-    coupling, so D is evaluated as -muB^2 / (V/2 + E1).
+    coupling, so D is evaluated as -muB (muB / (V/2 + E1)); the ratio is at
+    most 1, so nothing overflows.
     """
     e1 = math.hypot(0.5 * V, muB)
     if V >= 0.0:
         denom = 0.5 * V + e1
-        d = -(muB * muB) / denom if denom > 0.0 else 0.0
+        d = -muB * (muB / denom) if denom > 0.0 else 0.0
     else:
         d = 0.5 * V - e1
     return e1, d

@@ -64,3 +64,24 @@ def smooth_random_family(n, count, rng):
     a, c, s = (np.stack([random_hermitian(n, rng, 0.6) for _ in range(count)]) for _ in range(3))
     return SmoothFamily(a, c, s, rng.uniform(0.3, 2.0, size=count))
 
+
+
+def rk4_reference(h_of_t, t_final, steps):
+    """Classical four-stage RK4 for i dU/dt = H(t) U from U(0) = I, stage by stage.
+
+    ``h_of_t(t)`` gives one (N, N) generator at a scalar time.  Returns the
+    propagator at every grid time, shape (steps + 1, N, N).  No
+    re-unitarization: a reference for runs shorter than one projection block.
+    """
+    dt = t_final / steps
+    u = np.eye(h_of_t(0.0).shape[-1], dtype=complex)
+    rows = [u]
+    for m in range(steps):
+        t = m * dt
+        k1 = -1j * h_of_t(t) @ u
+        k2 = -1j * h_of_t(t + 0.5 * dt) @ (u + 0.5 * dt * k1)
+        k3 = -1j * h_of_t(t + 0.5 * dt) @ (u + 0.5 * dt * k2)
+        k4 = -1j * h_of_t(t + dt) @ (u + dt * k3)
+        u = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rows.append(u)
+    return np.array(rows)

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -358,6 +359,17 @@ class TestUnitarityLossExit:
         # RK4 on i dU/dt = H U is stable while dt |H| <= 2 sqrt(2).
         assert needed == pytest.approx(t_final * norm / (2 * math.sqrt(2)), rel=1e-2)
 
+    def test_step_past_accuracy_estimate_names_a_sufficient_step_count(self, capsys):
+        # Exact resonance with a weak field: tau ~ 1600, dt |H| ~ 0.05 at 1024 steps.
+        point = ["--V", "0.0625", "--mu-B", "0.001953125", "--omega", "0.0625"]
+        code, out, err = run_cli(capsys, "phases", *point, "--steps", "1024")
+        assert code == 6
+        assert out == ""
+        needed = re.search(r"RK4 error estimate .*; needs at least (\d+) steps; increase", err)[1]
+        code, out, _ = run_cli(capsys, "propagate", *point, "--steps", needed)
+        assert code == 0
+        assert float(re.search(r"\|numeric - ode\|_F += (\S+)", out)[1]) <= 1e-6
+
     def test_non_finite_hamiltonian_is_a_usage_error(self, capsys):
         # omega t overflows to inf, so H(t) has no finite value.
         code, out, err = run_cli(
@@ -372,6 +384,38 @@ class TestUnitarityLossExit:
         code, out, _ = run_cli(capsys, "propagate", "--V", "1e160", "--steps", "1024")
         assert code == 0
         assert "numeric U(t)" in out
+
+
+class TestHugeCoupling:
+    # muB^2 overflows at muB = 1e199; the level shift D must not square it.
+    HUGE = ["--V", "1e200", "--mu-B", "1e199", "--steps", "64"]
+
+    def run_quietly(self, capsys, *argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_cli(capsys, *argv)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return result
+
+    def test_phases_at_infinite_temperature_match_a_smaller_scale(self, capsys):
+        json_at_zero_beta = ["--beta", "0", "--format", "json"]
+        code, out, _ = self.run_quietly(capsys, "phases", *self.HUGE, *json_at_zero_beta)
+        assert code == 0
+        smaller = ["--V", "1e100", "--mu-B", "1e99", "--steps", "64"]
+        _, expected, _ = self.run_quietly(capsys, "phases", *smaller, *json_at_zero_beta)
+        doc, ref = json.loads(out), json.loads(expected)
+        for key in ("diag", "offdiag"):
+            assert doc[key]["arg"] == pytest.approx(ref[key]["arg"], abs=1e-12)
+
+    def test_default_temperature_exits_4(self, capsys):
+        code, out, err = self.run_quietly(capsys, "phases", *self.HUGE)
+        assert code == 4
+        assert "visibility" in err
+
+    def test_propagate_runs(self, capsys):
+        code, out, _ = self.run_quietly(capsys, "propagate", *self.HUGE)
+        assert code == 0
+        assert float(re.search(r"\|numeric - ode\|_F += (\S+)", out)[1]) <= 1e-6
 
 
 class TestDegenerateSweepPoints:

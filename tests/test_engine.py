@@ -9,9 +9,11 @@ from support import (
     piecewise_constant_h,
     random_hermitian,
     random_unitary,
+    rk4_reference,
     smooth_random_family,
 )
 
+from spinphase import engine
 from spinphase.engine import (
     Ensemble,
     PropagatorTrace,
@@ -177,6 +179,51 @@ class TestIntegrator:
         h = constant_h(np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="steps must be >= 2"):
             integrate_sampled_family(h, [0.1, 0.1], steps)
+
+
+class TestComposedStep:
+    """One RK4 step is one step matrix S = P(A) for constant A = -i dt H."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 5, 17])
+    def test_constant_generator_is_a_power_of_the_step_polynomial(self, n, k):
+        h = random_hermitian(n, np.random.default_rng(10 * n + k))
+        dt = 0.02
+        a = -1j * dt * h
+        p = np.eye(n) + a + a @ a / 2 + a @ a @ a / 6 + a @ a @ a @ a / 24
+        trace = integrate_propagator(constant_h(h), k * dt, k)
+        assert np.linalg.norm(trace.U[-1] - np.linalg.matrix_power(p, k)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("steps", [2, 3, 4, 5])
+    def test_matches_four_stage_reference_in_a_rotated_basis(self, n, steps):
+        rng = np.random.default_rng(100 * n + steps)
+        family = smooth_random_family(n, 1, rng)
+        basis = random_unitary(n, rng)
+        t_final = 0.1
+        trace = integrate_propagator(lambda times: family(times[np.newaxis])[0], t_final, steps, basis)
+        reference = rk4_reference(lambda t: family(np.array([[t]]))[0, 0], t_final, steps)
+        np.testing.assert_array_equal(trace.U[0], np.eye(n))
+        assert np.abs(trace.U - reference).max() <= 1e-14
+        # The running phases from the reference rows, by the same quadrature.
+        ub = reference @ basis
+        h_grid = family(trace.grid[np.newaxis])[0]
+        integrand = -np.real(np.einsum("mik,mik->mk", ub.conj(), h_grid @ ub))
+        delta = cumulative_simpson(integrand, t_final / steps)
+        assert np.abs(trace.delta - delta).max() <= 1e-14
+
+    def test_one_contraction_per_step(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return np.einsum("ij...,jk...->ik...", a, b)
+
+        monkeypatch.setattr(engine, "_contract", counting)
+        steps = 640
+        model_trace(FLAGSHIP, steps)
+        blocks = steps // engine.PROJECTION_INTERVAL
+        assert len(calls) <= steps + 5 * blocks
 
 
 class TestCumulativeSimpson:

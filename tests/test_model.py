@@ -14,6 +14,7 @@ from spinphase.model import (
     eigenbasis_matrix,
     eigensystem,
     hamiltonian,
+    level_gap_shift,
     period_tau,
     reference_closed_forms,
     rotating_frame,
@@ -255,6 +256,11 @@ class TestEigensystem:
         assert frame.E1 == pytest.approx(0.6)
         h = hamiltonian(ModelParams(V=-1.2, muB=0, omega=0.3, beta=0), 0.0)
         assert np.linalg.norm(h @ frame.psi1 - frame.E1 * frame.psi1) <= 1e-12
+
+    def test_level_gap_shift_does_not_overflow(self):
+        e1, d = level_gap_shift(1e300, 1e300)
+        assert math.isfinite(e1) and math.isfinite(d)
+        assert d == pytest.approx(0.5e300 - e1, rel=1e-14)
 
     def test_basis_matrix_is_unitary(self):
         b = eigenbasis_matrix(eigensystem(FLAGSHIP, 0.0))
