@@ -6,9 +6,9 @@ sweep to CSV or JSON), ``verify`` (closed-form verification ledger), and
 
 Exit codes are a stable contract: 0 success, 2 usage error, 3 degenerate
 frame or spectrum, 4 undefined phase, 5 inconsistent verification, 6 the
-integration lost unitarity or accuracy (too few steps for the final time).
-Number formatting is locale independent; sweep output uses 17 significant
-digits with a lowercase exponent so repeated runs are byte identical.
+integration lost unitarity (too few steps for the final time).  Number
+formatting is locale independent; sweep output uses 17 significant digits
+with a lowercase exponent so repeated runs are byte identical.
 """
 
 from __future__ import annotations

@@ -65,7 +65,6 @@ def smooth_random_family(n, count, rng):
     return SmoothFamily(a, c, s, rng.uniform(0.3, 2.0, size=count))
 
 
-
 def rk4_reference(h_of_t, t_final, steps):
     """Classical four-stage RK4 for i dU/dt = H(t) U from U(0) = I, stage by stage.
 

@@ -359,17 +359,6 @@ class TestUnitarityLossExit:
         # RK4 on i dU/dt = H U is stable while dt |H| <= 2 sqrt(2).
         assert needed == pytest.approx(t_final * norm / (2 * math.sqrt(2)), rel=1e-2)
 
-    def test_step_past_accuracy_estimate_names_a_sufficient_step_count(self, capsys):
-        # Exact resonance with a weak field: tau ~ 1600, dt |H| ~ 0.05 at 1024 steps.
-        point = ["--V", "0.0625", "--mu-B", "0.001953125", "--omega", "0.0625"]
-        code, out, err = run_cli(capsys, "phases", *point, "--steps", "1024")
-        assert code == 6
-        assert out == ""
-        needed = re.search(r"RK4 error estimate .*; needs at least (\d+) steps; increase", err)[1]
-        code, out, _ = run_cli(capsys, "propagate", *point, "--steps", needed)
-        assert code == 0
-        assert float(re.search(r"\|numeric - ode\|_F += (\S+)", out)[1]) <= 1e-6
-
     def test_non_finite_hamiltonian_is_a_usage_error(self, capsys):
         # omega t overflows to inf, so H(t) has no finite value.
         code, out, err = run_cli(
