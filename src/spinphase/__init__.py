@@ -10,18 +10,13 @@ a parameter-sweep pipeline.  ``spinphase.cli`` provides the command line.
 from .engine import (
     Ensemble,
     PropagatorTrace,
-    diagonal_mixed_phase,
     diagonal_phase_argument,
-    dynamical_phase,
     integrate_propagator,
     integrate_sampled_family,
-    offdiag_trace_expansion,
-    offdiagonal_mixed_phase,
     offdiagonal_trace,
     parallel_transport_residual,
     parallel_transported,
     shift_ensembles,
-    shift_operator,
 )
 from .errors import (
     DegenerateFrame,
@@ -64,7 +59,6 @@ from .verify import (
     VerifyItem,
     VerifyReport,
     random_generic_params,
-    reading_diagnostic,
     report_table,
     report_to_dict,
     verify_grid,

@@ -6,15 +6,18 @@ sweep to CSV or JSON), ``verify`` (closed-form verification ledger), and
 
 Exit codes are a stable contract: 0 success, 2 usage error, 3 degenerate
 frame or spectrum, 4 undefined phase, 5 inconsistent verification, 6 the
-integration lost unitarity (too few steps for the final time).  Number
-formatting is locale independent; sweep output uses 17 significant digits
-with a lowercase exponent so repeated runs are byte identical.
+integration lost unitarity (too few steps for the final time).  A sweep
+leaves a degenerate or refused point's row empty and exits 3 or 6 only when
+no point is left.  Number formatting is locale independent; sweep output
+uses 17 significant digits with a lowercase exponent so repeated runs are
+byte identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -209,8 +212,9 @@ def _cmd_sweep(args, parser) -> int:
     rows = run_sweep(spec)
     for row in rows:
         if row.error is not None:
+            kind = "refused" if row.error.startswith(UnitarityLoss.__name__) else "degenerate"
             print(
-                f"warning: degenerate point at {args.axis} = {row.axis_value:.12g} "
+                f"warning: {kind} point at {args.axis} = {row.axis_value:.12g} "
                 f"({row.error}); fields left empty",
                 file=sys.stderr,
             )
@@ -231,6 +235,8 @@ def _cmd_sweep(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     params = _params_from(args, parser)
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     if args.grid is not None:
         if args.grid < 1:
             parser.error("--grid must be >= 1")
@@ -266,8 +272,8 @@ def _matrix_lines(name: str, m) -> list[str]:
 def _cmd_propagate(args, parser) -> int:
     params = _params_from(args, parser)
     t = args.t if args.t is not None else period_tau(params)
-    if t < 0:
-        parser.error("--t must be >= 0")
+    if not (math.isfinite(t) and t >= 0):
+        parser.error("--t must be finite and >= 0")
     if t == 0.0:
         numeric = np.eye(2, dtype=complex)
     else:

@@ -15,7 +15,6 @@ grow with the number of steps.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -23,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateWeights, UnitarityLoss
-from .linalg import PhaseFactor, phase_functional, polar_project, unitarity_defect
+from .linalg import polar_project, unitarity_defect
 
 #: Steps between polar re-unitarizations of the running propagator.
 PROJECTION_INTERVAL = 64
@@ -55,12 +54,15 @@ class PropagatorTrace:
         delta_k(t) = -int_0^t <psi_k| U^dag H U |psi_k> dt'.
     basis : ndarray, shape (N, N)
         Orthonormal reference basis (columns) the phases refer to.
+    refusal : UnitarityLoss or None
+        Why the integrator refused this evolution; U and delta are then NaN.
     """
 
     grid: np.ndarray
     U: np.ndarray
     delta: np.ndarray
     basis: np.ndarray
+    refusal: UnitarityLoss | None = None
 
     @property
     def dim(self) -> int:
@@ -145,10 +147,12 @@ def integrate_propagator(
     computational basis.
     """
     bases = None if basis is None else [basis]
-    traces = integrate_sampled_family(
+    (trace,) = integrate_sampled_family(
         lambda times: h_of_t(times[0])[np.newaxis], [t_final], steps, bases, full_grid=True
     )
-    return traces[0]
+    if trace.refusal is not None:
+        raise trace.refusal
+    return trace
 
 
 def integrate_sampled_family(
@@ -182,23 +186,32 @@ def integrate_sampled_family(
     ``full_grid`` asks for every step.  No operation mixes members, so a
     member's result does not depend on the batch it is integrated in.
 
+    A member whose dt |H| exceeds RK4's stability bound 2 sqrt(2), or whose
+    drift at a re-unitarization checkpoint exceeds 1e-6, is refused: its
+    trace has NaN rows and a :class:`UnitarityLoss` as ``refusal``, for the
+    bound naming the least step count it allows.  It then steps by the
+    identity from its basis, so the other members' results do not change.
+
     Raises
     ------
     ValueError
-        If there are fewer than 2 steps, a final time is not positive or a
-        generator sample is not finite.
-    UnitarityLoss
-        If dt |H| exceeds RK4's stability bound 2 sqrt(2), the message giving
-        the least step count that bound allows, or if the drift found at a
-        re-unitarization checkpoint exceeds 1e-6.
+        If there are fewer than 2 steps, a final time is not positive and
+        finite or a generator sample is not finite.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     t_final = np.asarray(t_final, dtype=float)
-    if not np.all(t_final > 0.0):
-        raise ValueError("t_final must be positive")
+    if not np.all(np.isfinite(t_final) & (t_final > 0.0)):
+        raise ValueError("t_final must be positive and finite")
     dt = t_final / steps
     b = dt.shape[0]
+    refusals: list[UnitarityLoss | None] = [None] * b
+    refused = np.zeros(b, dtype=bool)
+
+    def refuse(mask, message):
+        for j in np.flatnonzero(mask & ~refused):
+            refusals[j] = UnitarityLoss(message(j))
+        refused[mask] = True
     # Fold -i into the step so the stage updates stay plain contractions.
     step = -1j * dt
     half = 0.5 * step
@@ -215,14 +228,15 @@ def integrate_sampled_family(
             stop = min(start + PROJECTION_INTERVAL, steps)
             times = 0.5 * dt[:, np.newaxis] * np.arange(2 * start, 2 * stop + 1)
             h = np.ascontiguousarray(np.asarray(h_of_t(times), dtype=complex).transpose(2, 3, 1, 0))
-            _check_step(h, dt, steps)
+            ratio = _step_ratio(h, dt)
+            refuse(ratio > RK4_STABILITY, lambda j: _stability_message(ratio[j], steps))
             if start == 0:  # the first samples give the dimension
                 n = h.shape[0]
                 if bases is None:
                     bases = np.broadcast_to(np.eye(n, dtype=complex), (b, n, n))
                 bases = np.asarray(bases, dtype=complex)
                 adjoint_last = bases.conj().transpose(2, 1, 0)
-                v = bases.transpose(1, 2, 0)
+                v = v0 = bases.transpose(1, 2, 0)
                 u_rows.append(np.broadcast_to(np.eye(n, dtype=complex)[..., None, None], (n, n, 1, b)))
                 delta_rows.append(np.zeros((1, n, b)))
             # The block's step matrices S = I + (A0 + 2 (K2 + K3) + K4) / 6, summed in
@@ -237,6 +251,7 @@ def integrate_sampled_family(
             del a, k
             s /= 6.0
             s[range(n), range(n)] += 1.0
+            s[..., refused] = np.eye(n)[..., np.newaxis, np.newaxis]
             block = np.empty((n, n, stop - start + 1, b), dtype=complex)
             block[:, :, 0] = v
             for i, s_i in enumerate(s.transpose(2, 0, 1, 3), 1):
@@ -245,8 +260,9 @@ def integrate_sampled_family(
             del s
             v_end = block[:, :, -1].transpose(2, 0, 1)
             drift = unitarity_defect(v_end)
-            if not drift <= DRIFT_LIMIT:  # NaN from a diverged run fails too
-                raise UnitarityLoss(f"unitarity drift {drift:.3e} > {DRIFT_LIMIT:.0e}")
+            drifted = ~(drift <= DRIFT_LIMIT)  # NaN from a diverged run fails too
+            refuse(drifted, lambda j: f"unitarity drift {drift[j]:.3e} > {DRIFT_LIMIT:.0e}")
+            block[:, :, -1, refused] = v0[..., refused]  # a refused member restarts from its basis
             if stop % PROJECTION_INTERVAL == 0:
                 block[:, :, -1] = polar_project(v_end).transpose(1, 2, 0)
             v = block[:, :, -1]
@@ -266,18 +282,22 @@ def integrate_sampled_family(
     index = np.arange(steps + 1) if full_grid else np.array([0, steps])
     u_all = np.ascontiguousarray(np.concatenate(u_rows, axis=2).transpose(3, 2, 0, 1))
     delta_all = np.ascontiguousarray(np.moveaxis(np.concatenate(delta_rows), -1, 0))
+    u_all[refused] = delta_all[refused] = np.nan
     return [
-        PropagatorTrace(grid=dt[j] * index, U=u_all[j], delta=delta_all[j], basis=bases[j])
+        PropagatorTrace(
+            grid=dt[j] * index, U=u_all[j], delta=delta_all[j], basis=bases[j], refusal=refusals[j]
+        )
         for j in range(b)
     ]
 
 
-def _check_step(h: np.ndarray, dt: np.ndarray, steps: int) -> None:
-    """Reject a block whose step is past RK4's stability bound, before stepping.
+def _step_ratio(h: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """dt |H|_F / sqrt(N) of each member over one block of samples.
 
     ``h`` is one block of samples, (N, N, time, B), contiguous.  |H|_F /
-    sqrt(N) is a lower bound on the spectral norm, so a step rejected here
-    would have diverged.
+    sqrt(N) is a lower bound on the spectral norm, so a step whose ratio is
+    past RK4's stability bound would have diverged.  Raises ValueError if a
+    sample is not finite.
     """
     n = h.shape[0]
     parts = h.view(float)  # real and imaginary parts alternate along the batch axis
@@ -285,37 +305,19 @@ def _check_step(h: np.ndarray, dt: np.ndarray, steps: int) -> None:
     frobenius = np.sqrt(square[:, ::2] + square[:, 1::2]).max(axis=0)
     if not np.all(np.isfinite(frobenius)):  # the squares overflowed, or H is not finite
         frobenius = np.hypot.reduce(np.abs(h).reshape(n * n, *h.shape[2:]), axis=0).max(axis=0)
-    ratio = float(np.max(dt * frobenius)) / math.sqrt(n)
-    if ratio <= RK4_STABILITY:
-        return
-    if math.isnan(ratio):
+    ratio = dt * frobenius / math.sqrt(n)
+    if np.isnan(ratio).any():
         raise ValueError("generator samples must be finite")
+    return ratio
+
+
+def _stability_message(ratio: float, steps: int) -> str:
     needed = min(steps * ratio / RK4_STABILITY, np.finfo(float).max)
     count = f"{math.ceil(needed)}" if needed < 1e15 else f"{needed:.3g}"
-    raise UnitarityLoss(
+    return (
         f"dt*|H| = {ratio:.3g} exceeds the RK4 stability bound {RK4_STABILITY:.3g}; "
         f"needs at least {count} steps"
     )
-
-
-def dynamical_phase(
-    trace: PropagatorTrace,
-    h_of_t: Callable[[np.ndarray], np.ndarray],
-    k: int,
-) -> float:
-    """Dynamical phase delta_k(T) = -int_0^T <psi_k|U^dag H U|psi_k> dt.
-
-    Simpson quadrature of the integrand re-sampled from ``h_of_t`` on the
-    grid of a full-grid trace, independent of the trace's running phases.
-    The integrand is real because U^dag dU/dt = -i U^dag H U with Hermitian H.
-    """
-    if not 0 <= k < trace.dim:
-        raise IndexError(f"basis index {k} out of range for dimension {trace.dim}")
-    h_grid = np.asarray(h_of_t(trace.grid), dtype=complex)
-    ub = trace.U @ trace.basis
-    integrand = -np.real(np.einsum("mik,mik->mk", ub.conj(), h_grid @ ub))
-    dt = float(trace.grid[1] - trace.grid[0])
-    return float(cumulative_simpson(integrand[:, k], dt)[-1])
 
 
 def transported_propagator(u: np.ndarray, delta: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -384,27 +386,6 @@ def diagonal_phase_argument(trace: PropagatorTrace, ensemble: Ensemble) -> compl
     return complex(diagonal_amplitude(u, delta, ensemble.basis, ensemble.weights))
 
 
-def diagonal_mixed_phase(trace: PropagatorTrace, ensemble: Ensemble) -> PhaseFactor:
-    """Mixed-state geometric phase of the surviving-basis interference sum.
-
-    gamma = Phi[sum_k lambda_k <psi_k|U(T)|psi_k> e^{-i delta_k(T)}]; the raw
-    argument is retained on the returned factor for sensitivity analysis.
-
-    Raises
-    ------
-    UndefinedPhase
-        If the interference amplitude (the visibility) vanishes.
-    """
-    return phase_functional(diagonal_phase_argument(trace, ensemble))
-
-
-def shift_operator(basis: np.ndarray) -> np.ndarray:
-    """Cyclic shift W = sum_k |psi_{k+1 mod N}><psi_k| over the given basis."""
-    basis = np.asarray(basis, dtype=complex)
-    # column k of the rolled matrix is |psi_{k+1 mod N}>
-    return np.roll(basis, -1, axis=1) @ basis.conj().T
-
-
 def shift_ensembles(ensemble: Ensemble, *, require_distinct: bool = True) -> list[Ensemble]:
     """The N mutually non-interfering companions rho_n = W^{n-1} rho (W^dag)^{n-1}.
 
@@ -470,48 +451,3 @@ def offdiagonal_trace(
     bases = np.stack([e.basis for e in ensembles])
     weights = np.stack([e.weights for e in ensembles])
     return complex(cyclic_trace(u_par, bases, weights))
-
-
-def offdiagonal_mixed_phase(
-    trace: PropagatorTrace,
-    ensembles: Sequence[Ensemble],
-    l: int | None = None,
-) -> PhaseFactor:
-    """Off-diagonal mixed-state phase gamma^(l) = Phi[Tr prod_a U_par(T) rho_a^{1/l}].
-
-    Raises
-    ------
-    UndefinedPhase
-        If the trace of the product vanishes.
-    """
-    return phase_functional(offdiagonal_trace(trace, ensembles, l))
-
-
-def offdiag_trace_expansion(
-    trace: PropagatorTrace,
-    ensembles: Sequence[Ensemble],
-    l: int | None = None,
-) -> complex:
-    """Scalar expansion of the off-diagonal trace over matrix elements.
-
-    Independent cross-check route for :func:`offdiagonal_mixed_phase`: the
-    trace of the cyclic product written out as nested sums of propagator
-    matrix elements and weight roots in the shared basis.
-    """
-    if l is None:
-        l = len(ensembles)
-    if l != len(ensembles):
-        raise ValueError(f"l = {l} does not match {len(ensembles)} ensembles")
-    _require_shared_basis(trace, ensembles)
-    b = trace.basis
-    n = trace.dim
-    m_par = b.conj().T @ transported_propagator(trace.U[-1], trace.delta[-1], b) @ b
-    roots = [e.weights ** (1.0 / l) for e in ensembles]
-    total = 0.0 + 0.0j
-    for path in itertools.product(range(n), repeat=l):
-        term = 1.0 + 0.0j
-        for a in range(l):
-            nxt = path[(a + 1) % l]
-            term *= m_par[path[a], nxt] * roots[a][nxt]
-        total += term
-    return complex(total)

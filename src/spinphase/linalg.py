@@ -100,10 +100,10 @@ def rotation_z(theta: float) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Frobenius distance of ``u^dagger u`` from the identity; the largest over a batch."""
+    """Frobenius distance of ``u^dagger u`` from the identity, per matrix of a batch."""
     u = np.asarray(u, dtype=complex)
     gram = np.conj(np.swapaxes(u, -1, -2)) @ u
-    return float(np.max(np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1))))
+    return np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1))
 
 
 def polar_project(u: np.ndarray, iterations: int = 2) -> np.ndarray:

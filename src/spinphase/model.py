@@ -14,6 +14,11 @@ generator and its return period, the closed-form propagator in both operator
 orderings, the instantaneous eigensystem, thermal occupation weights, and the
 closed-form reference expressions for the matrix elements, dynamical phases
 and geometric phases at one full rotating-frame period.
+
+:class:`PointFamily` holds a family of points as arrays and computes every
+per-point quantity for all of them with numpy; the scalar functions are
+families of one.  A family's H(t) samples are laid out (2, 2, T, B), the
+order the engine's kernel steps in.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateFrame, DegenerateSpectrum
+from .errors import DegenerateFrame, DegenerateSpectrum, SpinPhaseError
 from .linalg import SIGMA_X, SIGMA_Z, rotation_z, su2_exponential
 
 #: Effective frequencies at or below this are treated as degenerate.
@@ -80,30 +86,142 @@ class Convention(enum.Enum):
     ODE = "ode"
 
 
-def hamiltonian(
-    p: ModelParams | Sequence[ModelParams], times: float | np.ndarray
-) -> np.ndarray:
-    """Lab-frame H(t), traceless and Hermitian; shape times.shape + (2, 2).
+@dataclass(frozen=True)
+class PointFamily:
+    """Array form of a family of parameter points: 1-D arrays of length B.
 
-    ``times`` is a scalar or an array.  ``p`` is one :class:`ModelParams`,
-    or a sequence of B of them with ``times`` of shape (B, T), one row of
-    sample times per point.
+    Every per-point quantity is computed here for the whole family with
+    elementwise numpy operations, and the scalar functions of this module
+    evaluate a family of one, so each formula exists once and a point's
+    values do not depend on its family.  Degenerate points are flagged by
+    the masks and named by the error methods, not rejected.
+    """
+
+    V: np.ndarray
+    muB: np.ndarray
+    omega: np.ndarray
+    beta: np.ndarray
+
+    @classmethod
+    def of(cls, points: Sequence[ModelParams]) -> PointFamily:
+        columns = np.array([(p.V, p.muB, p.omega, p.beta) for p in points], dtype=float)
+        return cls(*columns.reshape(-1, 4).T.copy())
+
+    def __getitem__(self, index) -> PointFamily:
+        return PointFamily(self.V[index], self.muB[index], self.omega[index], self.beta[index])
+
+    @cached_property
+    def omega_eff(self) -> np.ndarray:
+        """Rotating-frame frequency Omega = sqrt((2 muB)^2 + (V - omega)^2)."""
+        return np.hypot(2.0 * self.muB, self.V - self.omega)
+
+    @cached_property
+    def tau(self) -> np.ndarray:
+        """Rotating-frame return period 2 pi / Omega (inf where Omega = 0)."""
+        with np.errstate(divide="ignore"):
+            return 2.0 * math.pi / self.omega_eff
+
+    @cached_property
+    def gap(self) -> tuple[np.ndarray, np.ndarray]:
+        """Upper level energy E1 and the shift D = V/2 - E1, computed stably.
+
+        For V >= 0 the subtraction cancels at small coupling, so D is
+        -muB (muB / (V/2 + E1)); that ratio is at most 1 and cannot overflow.
+        """
+        half = 0.5 * self.V
+        e1 = np.hypot(half, self.muB)
+        denom = half + e1
+        with np.errstate(all="ignore"):  # the branch np.where discards may divide by 0
+            stable = np.where(denom > 0.0, -self.muB * (self.muB / denom), 0.0)
+        return e1, np.where(self.V >= 0.0, stable, half - e1)
+
+    @cached_property
+    def norm(self) -> np.ndarray:
+        """Eigenvector normalization N = sqrt(D^2 + muB^2); 0 where muB = 0 < V."""
+        return np.hypot(self.gap[1], self.muB)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Thermal weights (lambda1, lambda2), shape (B, 2), overflow-safe.
+
+        lambda1 = e^{-2 beta E1} / (1 + e^{-2 beta E1}) is e^{-beta E1} / Z
+        with the largest exponent subtracted; lambda2 is its complement.
+        """
+        w = np.exp(-2.0 * self.beta * self.gap[0])
+        lam1 = w / (1.0 + w)
+        return np.stack([lam1, 1.0 - lam1], axis=1)
+
+    @property
+    def frame_degenerate(self) -> np.ndarray:
+        """Points without a rotating-frame period: Omega <= 1e-12."""
+        return self.omega_eff <= FRAME_EPSILON
+
+    @property
+    def spectrum_degenerate(self) -> np.ndarray:
+        """Points without an eigenbasis: E1 <= 1e-12."""
+        return self.gap[0] <= 1e-12
+
+    def degeneracy(self, i: int, frame=True, spectrum=True) -> SpinPhaseError | None:
+        """The error that leaves point ``i`` without a period (``frame``), else an eigenbasis."""
+        if frame and self.frame_degenerate[i]:
+            return DegenerateFrame(
+                f"effective frequency {self.omega_eff[i]:.3e} <= {FRAME_EPSILON:.0e}; no period"
+            )
+        if spectrum and self.spectrum_degenerate[i]:
+            return DegenerateSpectrum(f"E1 = {self.gap[0][i]:.3e} <= 1e-12; eigenbasis undefined")
+        return None
+
+    def require(self, frame=True, spectrum=True) -> None:
+        """Raise :meth:`degeneracy` of the first point it names, if any."""
+        mask = frame & self.frame_degenerate | spectrum & self.spectrum_degenerate
+        flagged = np.flatnonzero(mask)
+        if flagged.size:
+            raise self.degeneracy(flagged[0], frame, spectrum)
+
+    def eigenbasis(self, t=0.0) -> np.ndarray:
+        """Eigenvectors of H(t) at a scalar or per-point ``t`` as columns, (B, 2, 2).
+
+        psi1 = (muB, -e^{+i omega t} D) / N and psi2 = (e^{-i omega t} D, muB)
+        / N, with the exact standard basis where N vanishes (muB = 0 < V).
+        Meaningless where the spectrum is degenerate.
+        """
+        phase = np.exp(1j * self.omega * t)
+        d, norm = self.gap[1], self.norm
+        basis = np.empty(self.V.shape + (2, 2), dtype=complex)
+        basis[:, 0, 0] = basis[:, 1, 1] = self.muB
+        basis[:, 1, 0] = -phase * d
+        basis[:, 0, 1] = np.conj(phase) * d
+        exact = norm == 0.0
+        basis /= np.where(exact, 1.0, norm)[:, np.newaxis, np.newaxis]
+        basis[exact] = np.eye(2)
+        return basis
+
+
+def hamiltonian(
+    p: ModelParams | Sequence[ModelParams] | PointFamily, times: float | np.ndarray
+) -> np.ndarray:
+    """Lab-frame H(t), traceless and Hermitian.
+
+    For one :class:`ModelParams`, ``times`` is a scalar or an array and the
+    shape is times.shape + (2, 2).  For a family of B points, ``times`` is
+    (B, T), one row per point, and the result (B, T, 2, 2) is a view of an
+    array laid out (2, 2, T, B), each matrix element one contiguous (T, B)
+    row: the engine's kernel reads it in that order without a copy.
     """
     times = np.asarray(times, dtype=float)
     if isinstance(p, ModelParams):
-        V, muB, omega = p.V, p.muB, p.omega
-    else:
-        V, muB, omega = (
-            np.array([getattr(q, name) for q in p])[:, np.newaxis]
-            for name in ("V", "muB", "omega")
-        )
-    phase = np.exp(-1j * omega * times)
-    out = np.empty(times.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 0.5 * V
-    out[..., 1, 1] = -0.5 * V
-    out[..., 0, 1] = muB * phase
-    out[..., 1, 0] = muB * np.conj(phase)
-    return out
+        samples = hamiltonian(PointFamily.of([p]), times.reshape(1, -1))[0]
+        return samples.reshape(times.shape + (2, 2))
+    family = p if isinstance(p, PointFamily) else PointFamily.of(p)
+    rows = times.T
+    out = np.empty((2, 2) + rows.shape, dtype=complex)
+    out[0, 0] = 0.5 * family.V
+    out[1, 1] = -0.5 * family.V
+    phase = np.multiply(-1j * family.omega, rows, out=np.empty(rows.shape, dtype=complex))
+    np.exp(phase, out=phase)
+    np.multiply(family.muB, phase, out=out[0, 1])
+    np.multiply(family.muB, np.conjugate(phase, out=phase), out=out[1, 0])
+    return out.transpose(3, 2, 0, 1)
 
 
 def rotating_frame(p: ModelParams):
@@ -113,8 +231,7 @@ def rotating_frame(p: ModelParams):
     and Omega = sqrt((2 muB)^2 + (V - omega)^2).
     """
     h_rot = p.muB * SIGMA_X + 0.5 * (p.V - p.omega) * SIGMA_Z
-    omega_eff = math.hypot(2.0 * p.muB, p.V - p.omega)
-    return h_rot, omega_eff
+    return h_rot, float(PointFamily.of([p]).omega_eff[0])
 
 
 def period_tau(p: ModelParams) -> float:
@@ -125,12 +242,9 @@ def period_tau(p: ModelParams) -> float:
     DegenerateFrame
         If Omega <= 1e-12 (resonant drive with vanishing coupling).
     """
-    _, omega_eff = rotating_frame(p)
-    if omega_eff <= FRAME_EPSILON:
-        raise DegenerateFrame(
-            f"effective frequency {omega_eff:.3e} <= {FRAME_EPSILON:.0e}; no period"
-        )
-    return 2.0 * math.pi / omega_eff
+    family = PointFamily.of([p])
+    family.require(spectrum=False)
+    return float(family.tau[0])
 
 
 def closed_form_propagator(
@@ -150,19 +264,9 @@ def closed_form_propagator(
 
 
 def level_gap_shift(V: float, muB: float):
-    """Upper level energy E1 and the shift D = V/2 - E1, computed stably.
-
-    For V >= 0 the direct subtraction cancels catastrophically at small
-    coupling, so D is evaluated as -muB (muB / (V/2 + E1)); the ratio is at
-    most 1, so nothing overflows.
-    """
-    e1 = math.hypot(0.5 * V, muB)
-    if V >= 0.0:
-        denom = 0.5 * V + e1
-        d = -muB * (muB / denom) if denom > 0.0 else 0.0
-    else:
-        d = 0.5 * V - e1
-    return e1, d
+    """Upper level energy E1 and the shift D = V/2 - E1; see :attr:`PointFamily.gap`."""
+    e1, d = PointFamily(*np.array([[V], [muB], [0.0], [0.0]])).gap
+    return float(e1[0]), float(d[0])
 
 
 @dataclass(frozen=True)
@@ -184,34 +288,19 @@ class SpectralFrame:
 
 
 def eigensystem(p: ModelParams, t: float) -> SpectralFrame:
-    """Instantaneous eigenvalues and eigenvectors of H(t).
-
-    Implements the closed-form components
-
-        psi1 = (muB, -e^{+i omega t} D) / N,
-        psi2 = (e^{-i omega t} D,  muB) / N,   D = V/2 - E1,
-        N = sqrt(D^2 + muB^2),
-
-    with the exact standard basis where the closed form loses rank (muB = 0
-    with V > 0 makes N vanish).
+    """Instantaneous eigenvalues and eigenvectors of H(t); see :meth:`PointFamily.eigenbasis`.
 
     Raises
     ------
     DegenerateSpectrum
         If E1 <= 1e-12 (V and muB both vanishing).
     """
-    e1, d = level_gap_shift(p.V, p.muB)
-    if e1 <= 1e-12:
-        raise DegenerateSpectrum(f"E1 = {e1:.3e} <= 1e-12; eigenbasis undefined")
-    norm_n = math.hypot(d, p.muB)
-    if norm_n == 0.0:
-        # muB = 0 < V: H(t) = diag(V/2, -V/2) at every t, so the basis is exact.
-        basis = np.eye(2, dtype=complex)
-        return SpectralFrame(t=t, E1=e1, E2=-e1, psi1=basis[:, 0], psi2=basis[:, 1], normN=1.0)
-    phase = np.exp(1j * p.omega * t)
-    psi1 = np.array([p.muB, -phase * d], dtype=complex) / norm_n
-    psi2 = np.array([np.conj(phase) * d, p.muB], dtype=complex) / norm_n
-    return SpectralFrame(t=t, E1=e1, E2=-e1, psi1=psi1, psi2=psi2, normN=norm_n)
+    family = PointFamily.of([p])
+    family.require(frame=False)
+    e1 = float(family.gap[0][0])
+    basis = family.eigenbasis(t)[0]
+    norm_n = float(family.norm[0]) or 1.0
+    return SpectralFrame(t=t, E1=e1, E2=-e1, psi1=basis[:, 0], psi2=basis[:, 1], normN=norm_n)
 
 
 def eigenbasis_matrix(frame: SpectralFrame) -> np.ndarray:
@@ -228,16 +317,9 @@ class ThermalWeights:
 
 
 def thermal_weights(p: ModelParams) -> ThermalWeights:
-    """Thermal weights lambda_k = e^{-beta E_k} / Z, overflow-safe.
-
-    The largest exponent is subtracted before exponentiation, which reduces
-    to lambda1 = e^{-2 beta E1} / (1 + e^{-2 beta E1}); lambda2 is the exact
-    complement so the weights sum to one.
-    """
-    e1, _ = level_gap_shift(p.V, p.muB)
-    w = math.exp(-2.0 * p.beta * e1)
-    lam1 = w / (1.0 + w)
-    return ThermalWeights(lambda1=lam1, lambda2=1.0 - lam1)
+    """Thermal weights lambda_k = e^{-beta E_k} / Z; see :attr:`PointFamily.weights`."""
+    lam1, lam2 = PointFamily.of([p]).weights[0].tolist()
+    return ThermalWeights(lambda1=lam1, lambda2=lam2)
 
 
 @dataclass(frozen=True)
@@ -283,10 +365,10 @@ def reference_closed_forms(p: ModelParams) -> ReferenceForms:
     DegenerateSpectrum
         If both V and muB vanish.
     """
-    tau = period_tau(p)
-    e1, d = level_gap_shift(p.V, p.muB)
-    if e1 <= 1e-12:
-        raise DegenerateSpectrum(f"E1 = {e1:.3e} <= 1e-12; eigenbasis undefined")
+    family = PointFamily.of([p])
+    family.require()
+    tau = float(family.tau[0])
+    d = float(family.gap[1][0])
     n_sq = d * d + p.muB * p.muB
     if n_sq > 0.0:
         frac_b = p.muB * p.muB / n_sq
@@ -305,8 +387,7 @@ def reference_closed_forms(p: ModelParams) -> ReferenceForms:
     delta1 = tau * (2.0 * d * frac_b + (frac_d - frac_b) * (0.5 * p.V - p.omega))
     delta2 = -delta1
 
-    weights = thermal_weights(p)
-    lam1, lam2 = weights.lambda1, weights.lambda2
+    lam1, lam2 = family.weights[0].tolist()
     root = math.sqrt(lam1 * lam2)
     wt = p.omega * tau
     offdiag_arg = 2.0 * (

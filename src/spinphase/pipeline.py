@@ -1,15 +1,18 @@
 """End-to-end evaluation of thermal-state geometric phases for the spin model.
 
 Single parameter points and parameter families share one code path: a family
-is integrated by the engine kernel in chunks of distinct trajectories, after
-which the phases of every point are assembled at once with the engine's
-broadcasting operations over the frozen t = 0 eigenbasis.  No operation mixes
-points, so a point's values do not depend on the family it is evaluated in.
+is taken into its array form (:class:`PointFamily`), integrated by the engine
+kernel in chunks of distinct trajectories, and the phases of every point are
+assembled at once with the engine's broadcasting operations over the frozen
+t = 0 eigenbasis.  No operation mixes points, so a point's values do not
+depend on the family it is evaluated in, and a degenerate or refused point
+is reported per point.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+import math
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -24,17 +27,9 @@ from .engine import (
     shift_ensembles,
     transported_propagator,
 )
-from .errors import DegenerateFrame, DegenerateSpectrum, UndefinedPhase
+from .errors import SpinPhaseError, UndefinedPhase, UnitarityLoss
 from .linalg import PhaseFactor, phase_functional
-from .model import (
-    ModelParams,
-    eigenbasis_matrix,
-    eigensystem,
-    hamiltonian,
-    period_tau,
-    rotating_frame,
-    thermal_weights,
-)
+from .model import ModelParams, PointFamily, hamiltonian, thermal_weights
 
 SWEEP_AXES = ("beta", "omega", "muB", "V")
 #: Distinct points integrated together.  Wide enough that per-step
@@ -44,7 +39,7 @@ CHUNK_POINTS = 512
 
 
 def _trajectories(
-    params_list: Sequence[ModelParams], t_final: float | Sequence[float] | None
+    family: PointFamily, t_final: float | Sequence[float] | None
 ) -> tuple[list[tuple], list[list[int]]]:
     """Trajectory key (V, muB, omega, T) of each point, and the point indices in chunks.
 
@@ -53,13 +48,13 @@ def _trajectories(
     chunk spans at most CHUNK_POINTS distinct trajectories.
     """
     if t_final is None:
-        finals = [period_tau(p) for p in params_list]
+        family.require(spectrum=False)
+        finals = family.tau
     else:
-        finals = np.broadcast_to(np.asarray(t_final, dtype=float), (len(params_list),))
-        if np.any(finals <= 0.0):
-            raise ValueError("t_final must be positive")
-        finals = finals.tolist()
-    keys = [(p.V, p.muB, p.omega, t) for p, t in zip(params_list, finals)]
+        finals = np.broadcast_to(np.asarray(t_final, dtype=float), family.V.shape)
+        if not np.all(np.isfinite(finals) & (finals > 0.0)):
+            raise ValueError("t_final must be positive and finite")
+    keys = list(zip(family.V.tolist(), family.muB.tolist(), family.omega.tolist(), finals.tolist()))
     members: dict[tuple, list[int]] = {}
     for i, key in enumerate(keys):
         members.setdefault(key, []).append(i)
@@ -86,19 +81,23 @@ def model_traces(
     beta share one trace.  The distinct trajectories are integrated in
     chunks of at most CHUNK_POINTS, so the working memory depends on neither
     the number of points nor ``steps``.  Traces are in endpoint form unless
-    ``full_grid`` asks for every step.
+    ``full_grid`` asks for every step.  A trace the integrator refused
+    carries its ``refusal``; the others do not depend on it.
     """
-    keys, chunks = _trajectories(params_list, t_final)
+    family = PointFamily.of(params_list)
+    keys, chunks = _trajectories(family, t_final)
     traces: list[PropagatorTrace | None] = [None] * len(keys)
     for chunk in chunks:
-        distinct = {keys[i]: params_list[i] for i in chunk}
-        points = list(distinct.values())
-        bases = np.stack([eigenbasis_matrix(eigensystem(p, 0.0)) for p in points])
+        first: dict[tuple, int] = {}
+        for i in chunk:
+            first.setdefault(keys[i], i)
+        points = family[list(first.values())]
+        points.require(frame=False)
         integrated = integrate_sampled_family(
-            partial(hamiltonian, points), [key[3] for key in distinct], steps, bases,
+            partial(hamiltonian, points), [key[3] for key in first], steps, points.eigenbasis(),
             full_grid=full_grid,
         )
-        by_key = dict(zip(distinct, integrated))
+        by_key = dict(zip(first, integrated))
         for i in chunk:
             traces[i] = by_key[keys[i]]
     return traces
@@ -107,18 +106,11 @@ def model_traces(
 def model_trace(
     params: ModelParams, steps: int, t_final: float | None = None, *, full_grid: bool = False
 ) -> PropagatorTrace:
-    """Single-point convenience wrapper around :func:`model_traces`."""
-    return model_traces([params], steps, t_final, full_grid=full_grid)[0]
-
-
-def degeneracy(p: ModelParams) -> DegenerateFrame | DegenerateSpectrum | None:
-    """The error that leaves ``p`` without phases (no frame period or no eigenbasis), or None."""
-    try:
-        period_tau(p)
-        eigensystem(p, 0.0)
-    except (DegenerateFrame, DegenerateSpectrum) as exc:
-        return exc
-    return None
+    """Single-point wrapper around :func:`model_traces` that raises the point's refusal."""
+    trace = model_traces([params], steps, t_final, full_grid=full_grid)[0]
+    if trace.refusal is not None:
+        raise trace.refusal
+    return trace
 
 
 def thermal_companions(params: ModelParams, basis: np.ndarray) -> list[Ensemble]:
@@ -176,24 +168,30 @@ def phase_points(
     params_list: Sequence[ModelParams],
     steps: int = 8192,
     t_final: float | None = None,
-) -> list[PhasePoint]:
-    """Evaluate the diagonal and off-diagonal phases for a parameter family."""
+) -> list[PhasePoint | UnitarityLoss]:
+    """Evaluate the diagonal and off-diagonal phases for a parameter family.
+
+    A point the integrator refused comes back as its :class:`UnitarityLoss`
+    in place of a :class:`PhasePoint`.
+    """
     traces = model_traces(params_list, steps, t_final)
+    family = PointFamily.of(params_list)
+    family.require(spectrum=False)
     u_final = np.stack([tr.U[-1] for tr in traces])
     delta_final = np.stack([tr.delta[-1] for tr in traces])
     bases = np.stack([tr.basis for tr in traces])
     # The thermal weights and their shifted companion, as thermal_companions builds them.
-    thermal = np.array([astuple(thermal_weights(p)) for p in params_list])
-    weights = np.stack([thermal, thermal[:, ::-1]], axis=1)
+    weights = np.stack([family.weights, family.weights[:, ::-1]], axis=1)
     diag_raw = diagonal_amplitude(u_final, delta_final, bases, weights[:, 0])
     u_par = transported_propagator(u_final, delta_final, bases)
     offdiag_raw = cyclic_trace(u_par, bases[:, np.newaxis], weights)
     return [
-        PhasePoint(
+        trace.refusal
+        or PhasePoint(
             params=p,
             t_final=trace.t_final,
-            tau=period_tau(p),
-            omega_eff=rotating_frame(p)[1],
+            tau=tau,
+            omega_eff=omega_eff,
             lambda1=lam1,
             lambda2=lam2,
             delta1=d1,
@@ -203,9 +201,9 @@ def phase_points(
             diag=_phase_or_none(d),
             offdiag=_phase_or_none(o),
         )
-        for p, trace, (lam1, lam2), (d1, d2), d, o in zip(
-            params_list, traces, weights[:, 0].tolist(), delta_final.tolist(),
-            diag_raw.tolist(), offdiag_raw.tolist(),
+        for p, trace, tau, omega_eff, (lam1, lam2), (d1, d2), d, o in zip(
+            params_list, traces, family.tau.tolist(), family.omega_eff.tolist(),
+            family.weights.tolist(), delta_final.tolist(), diag_raw.tolist(), offdiag_raw.tolist(),
         )
     ]
 
@@ -213,8 +211,11 @@ def phase_points(
 def phase_point(
     params: ModelParams, steps: int = 8192, t_final: float | None = None
 ) -> PhasePoint:
-    """Evaluate one parameter point; see :class:`PhasePoint`."""
-    return phase_points([params], steps, t_final)[0]
+    """Evaluate one parameter point; see :class:`PhasePoint`.  Raises its refusal."""
+    point = phase_points([params], steps, t_final)[0]
+    if isinstance(point, UnitarityLoss):
+        raise point
+    return point
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError("start and stop must be finite")
         if not self.start < self.stop:
             raise ValueError("start must be < stop")
         if self.points < 2:
@@ -240,22 +243,22 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
 
+    def family(self) -> PointFamily:
+        """The grid's points in array form."""
+        columns = {name: np.full(self.points, float(v)) for name, v in vars(self.fixed).items()}
+        columns[self.axis] = self.grid()
+        return PointFamily(**columns)
+
     def params_at(self, value: float) -> ModelParams:
-        fields = {
-            "V": self.fixed.V,
-            "muB": self.fixed.muB,
-            "omega": self.fixed.omega,
-            "beta": self.fixed.beta,
-        }
-        fields[self.axis] = float(value)
-        return ModelParams(**fields)
+        return ModelParams(**{**vars(self.fixed), self.axis: float(value)})
 
 
 @dataclass(frozen=True)
 class SweepRow:
     """One sweep output row; phase fields are None when undefined.
 
-    A degenerate point keeps only ``axis_value`` and names its ``error``.
+    A degenerate or refused point keeps only ``axis_value`` and names its
+    ``error``.
     """
 
     axis_value: float
@@ -270,7 +273,9 @@ class SweepRow:
     error: str | None = None
 
 
-def _row_from_point(value: float, point: PhasePoint) -> SweepRow:
+def _row_from_point(value: float, point: PhasePoint | SpinPhaseError) -> SweepRow:
+    if not isinstance(point, PhasePoint):
+        return SweepRow(axis_value=float(value), error=f"{type(point).__name__}: {point}")
     return SweepRow(
         axis_value=float(value),
         lambda1=point.lambda1,
@@ -287,24 +292,29 @@ def _row_from_point(value: float, point: PhasePoint) -> SweepRow:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate a sweep; rows come back in axis order.
 
-    A degenerate point gets a row with only its axis value and the error;
-    the other points are computed.  If every point is degenerate, the first
-    point's error is raised.  Points are evaluated one chunk of trajectories
-    at a time, so only the rows outlive a chunk.
+    A degenerate point, or one the integrator refused, gets a row with only
+    its axis value and the error; the other points are computed.  If every
+    point is degenerate, the first point's error is raised; if every other
+    point is refused, the first refusal is.  Points are evaluated one chunk
+    of trajectories at a time, so only the rows outlive a chunk.
     """
     values = spec.grid()
-    params = [spec.params_at(v) for v in values]
-    errors = [degeneracy(p) for p in params]
-    if all(errors):
-        raise errors[0]
-    rows = [
-        SweepRow(axis_value=float(v), error=f"{type(e).__name__}: {e}") if e else None
-        for v, e in zip(values, errors)
-    ]
-    good = [i for i, e in enumerate(errors) if e is None]
-    for chunk in _trajectories([params[i] for i in good], spec.t_final)[1]:
-        members = [good[j] for j in chunk]
-        points = phase_points([params[i] for i in members], spec.steps, spec.t_final)
+    family = spec.family()
+    degenerate = family.frame_degenerate | family.spectrum_degenerate
+    rows: list[SweepRow | None] = [None] * len(values)
+    for i in np.flatnonzero(degenerate):
+        rows[i] = _row_from_point(values[i], family.degeneracy(i))
+    if all(rows):
+        raise family.degeneracy(0)
+    good = np.flatnonzero(~degenerate)
+    refusals = []
+    for chunk in _trajectories(family[good], spec.t_final)[1]:
+        members = good[chunk]
+        params = [spec.params_at(v) for v in values[members]]
+        points = phase_points(params, spec.steps, spec.t_final)
+        refusals += [point for point in points if isinstance(point, UnitarityLoss)]
         for i, point in zip(members, points):
             rows[i] = _row_from_point(values[i], point)
+    if len(refusals) == len(good):
+        raise refusals[0]
     return rows

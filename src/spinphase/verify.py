@@ -33,13 +33,12 @@ from .errors import InconsistentClassification
 from .model import (
     Convention,
     ModelParams,
+    PointFamily,
     closed_form_propagator,
-    eigenbasis_matrix,
-    eigensystem,
     period_tau,
     reference_closed_forms,
 )
-from .pipeline import degeneracy, model_trace, model_traces, thermal_companions
+from .pipeline import model_trace, model_traces, thermal_companions
 
 EQUATION_IDS = (
     "U11_Eq15",
@@ -191,30 +190,28 @@ def verify_point(p: ModelParams, steps: int = 8192) -> VerifyReport:
 def verify_grid(params_list, steps: int = 8192) -> list[VerifyReport]:
     """Independent verification of each grid point, with a consistency gate.
 
-    Degenerate points produce an error-marked report and do not abort the
-    grid.  Classifications of the remaining points must agree equation by
-    equation; a flip across generic points raises InconsistentClassification.
+    Degenerate points, and points the integrator refused, produce an
+    error-marked report and do not abort the grid.  Classifications of the
+    remaining points must agree equation by equation; a flip across generic
+    points raises InconsistentClassification.
     """
     if not params_list:
         raise ValueError("grid must be nonempty")
     if steps < MIN_VERIFY_STEPS:
         raise ValueError(f"steps must be >= {MIN_VERIFY_STEPS}, got {steps}")
-    reports: list[VerifyReport | None] = [None] * len(params_list)
-    good: list[int] = []
+    family = PointFamily.of(params_list)
+    good = np.flatnonzero(~(family.frame_degenerate | family.spectrum_degenerate)).tolist()
+    traces = dict(zip(good, model_traces([params_list[i] for i in good], steps)))
+    reports = []
     for i, p in enumerate(params_list):
-        exc = degeneracy(p)
-        if exc is None:
-            good.append(i)
+        error = traces[i].refusal if i in traces else family.degeneracy(i)
+        if error is None:
+            reports.append(_assemble_report(p, traces[i]))
         else:
-            reports[i] = VerifyReport(
-                params=p, items=(), summary={}, error=f"{type(exc).__name__}: {exc}"
-            )
-    if good:
-        traces = model_traces([params_list[i] for i in good], steps)
-        for i, trace in zip(good, traces):
-            reports[i] = _assemble_report(params_list[i], trace)
-    _check_consistency([r for r in reports if r is not None and r.error is None])
-    return [r for r in reports if r is not None]
+            error = f"{type(error).__name__}: {error}"
+            reports.append(VerifyReport(params=p, items=(), summary={}, error=error))
+    _check_consistency([r for r in reports if r.error is None])
+    return reports
 
 
 def _check_consistency(reports: list[VerifyReport]) -> None:
@@ -238,35 +235,6 @@ def random_generic_params(n: int, seed: int) -> list[ModelParams]:
         ModelParams(**{name: float(rng.uniform(*r)) for name, r in GENERIC_RANGES.items()})
         for _ in range(n)
     ]
-
-
-def reading_diagnostic(p: ModelParams, tol: float = 1e-9) -> dict:
-    """Which propagator ordering and eigenbasis time reproduce the references.
-
-    Evaluates the exact closed-form propagator in both orderings, takes its
-    matrix elements in the t = 0 and t = tau eigenbases, and lists the
-    readings that reproduce the reference U11 and (repaired) U12 values.
-    """
-    tau = period_tau(p)
-    rc = reference_closed_forms(p)
-    bases = {
-        "t0": eigenbasis_matrix(eigensystem(p, 0.0)),
-        "tau": eigenbasis_matrix(eigensystem(p, tau)),
-    }
-    propagators = {
-        "literal": closed_form_propagator(p, tau, Convention.LITERAL),
-        "ode": closed_form_propagator(p, tau, Convention.ODE),
-    }
-    out = {"U11_Eq15": [], "U12_Eq16_repaired": []}
-    for conv_name, u in propagators.items():
-        for basis_name, b in bases.items():
-            m = b.conj().T @ u @ b
-            label = f"{conv_name}@{basis_name}"
-            if abs(m[0, 0] - rc.u11) <= tol:
-                out["U11_Eq15"].append(label)
-            if abs(m[0, 1] - rc.u12) <= tol:
-                out["U12_Eq16_repaired"].append(label)
-    return out
 
 
 def _value_to_jsonable(value):

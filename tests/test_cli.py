@@ -375,6 +375,88 @@ class TestUnitarityLossExit:
         assert "numeric U(t)" in out
 
 
+    def test_sweep_keeps_the_points_under_the_bound(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "muB", "--start", "0.1", "--stop", "100",
+            "--points", "5", "--steps", "64", "--t", "10",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 6
+        assert "" not in lines[1].split(",")
+        assert lines[2:] == [f"muB,{v}" + "," * 8 for v in
+                             ("25.075000000000003", "50.050000000000004", "75.025000000000006", "100")]
+        assert err.count("warning: refused point at muB = ") == 4
+        assert "needs at least 354 steps" in err.splitlines()[-1]
+
+
+class TestNonFiniteInput:
+    """Non-finite times and bounds are usage errors, caught before numpy warns."""
+
+    def run_strictly(self, capsys, *argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return run_cli(capsys, *argv)
+            except SystemExit as exc:
+                captured = capsys.readouterr()
+                return exc.code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["phases", "--steps", "64"], [*SWEEP_FLAGS, "--steps", "64"]],
+        ids=["phases", "sweep"],
+    )
+    @pytest.mark.parametrize("t_final", ["inf", "nan"])
+    def test_final_time(self, capsys, argv, t_final):
+        code, out, err = self.run_strictly(capsys, *argv, "--t", t_final)
+        assert (code, out) == (2, "")
+        assert err == "error: t_final must be positive and finite\n"
+
+    @pytest.mark.parametrize("t_final", ["inf", "nan"])
+    def test_propagate_time(self, capsys, t_final):
+        code, out, err = self.run_strictly(capsys, "propagate", "--t", t_final)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: --t must be finite and >= 0\n")
+
+    @pytest.mark.parametrize("start, stop", [("0", "inf"), ("nan", "1"), ("1", "nan")])
+    def test_sweep_bounds(self, capsys, start, stop):
+        code, out, err = self.run_strictly(
+            capsys, "sweep", "--axis", "V", "--start", start, "--stop", stop, "--points", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith("error: start and stop must be finite\n")
+
+
+class TestSamePointSameNumbers:
+    """A point's numbers do not depend on the command or the batch that computes them."""
+
+    def test_phases_equals_its_sweep_row(self, capsys):
+        flags = ["--V", "1", "--mu-B", "0.5", "--beta", "1", "--steps", "512"]
+        _, out, _ = run_cli(capsys, "phases", *flags, "--omega", "0.6", "--format", "json")
+        point = json.loads(out)
+        _, out, _ = run_cli(
+            capsys, "sweep", *flags, "--axis", "omega", "--start", "0.2", "--stop", "0.6",
+            "--points", "3", "--format", "json",
+        )
+        row = json.loads(out)["rows"][-1]
+        assert row["axis_value"] == 0.6
+        assert row["lambda1"] == point["lambda1"]
+        assert row["delta1"] == point["delta1"]
+        for key in ("diag", "offdiag"):
+            assert [row[f"{key}_arg_re"], row[f"{key}_arg_im"]] == point[key]["raw"]
+            assert row[f"{key}_phase"] == point[key]["arg"]
+
+    def test_phases_equals_its_verify_oracle(self, capsys):
+        flags = ["--V", "1", "--mu-B", "0.5", "--omega", "0.6", "--beta", "1", "--steps", "1024"]
+        _, out, _ = run_cli(capsys, "phases", *flags, "--format", "json")
+        point = json.loads(out)
+        _, out, _ = run_cli(capsys, "verify", *flags, "--format", "json")
+        oracle = {it["equation_id"]: it["oracle_value"] for it in json.loads(out)["items"]}
+        assert oracle["delta1_Eq17"] == point["delta1"]
+        assert oracle["diag_Eq24"] == point["diag"]["raw"]
+
+
 class TestHugeCoupling:
     # muB^2 overflows at muB = 1e199; the level shift D must not square it.
     HUGE = ["--V", "1e200", "--mu-B", "1e199", "--steps", "64"]
@@ -463,6 +545,14 @@ class TestImport:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+class TestVerifySeed:
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--grid", "2", "--seed", "-1", "--steps", "1024"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: --seed must be >= 0\n")
 
 
 class TestInconsistentClassificationExit:

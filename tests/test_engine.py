@@ -1,15 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from support import (
     circular_distance,
+    diagonal_mixed_phase,
     distinct_weights,
+    dynamical_phase,
+    offdiag_trace_expansion,
+    offdiagonal_mixed_phase,
     piecewise_constant_h,
     random_hermitian,
     random_unitary,
     rk4_reference,
+    shift_operator,
     smooth_random_family,
 )
 
@@ -18,18 +24,13 @@ from spinphase.engine import (
     Ensemble,
     PropagatorTrace,
     cumulative_simpson,
-    diagonal_mixed_phase,
     diagonal_phase_argument,
-    dynamical_phase,
     integrate_propagator,
     integrate_sampled_family,
-    offdiag_trace_expansion,
-    offdiagonal_mixed_phase,
     offdiagonal_trace,
     parallel_transport_residual,
     parallel_transported,
     shift_ensembles,
-    shift_operator,
     transported_propagator,
 )
 from spinphase.errors import DegenerateWeights, UndefinedPhase, UnitarityLoss
@@ -179,6 +180,49 @@ class TestIntegrator:
         h = constant_h(np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="steps must be >= 2"):
             integrate_sampled_family(h, [0.1, 0.1], steps)
+
+
+class TestPerMemberVerdict:
+    """A refused member gets its own verdict and leaves the others bit-identical."""
+
+    def check_others_unchanged(self, h, t_final, refused):
+        steps = 128
+        family = integrate_sampled_family(h, t_final, steps)
+        for j, member in enumerate(family):
+            if j in refused:
+                assert isinstance(member.refusal, UnitarityLoss)
+                assert np.all(np.isnan(member.U[-1])) and np.all(np.isnan(member.delta[-1]))
+                continue
+            assert member.refusal is None
+            alone = integrate_sampled_family(h[[j]], t_final[[j]], steps)[0]
+            assert member.U.tobytes() == alone.U.tobytes()
+            assert member.delta.tobytes() == alone.delta.tobytes()
+        return family
+
+    def test_member_past_the_stability_bound(self):
+        rng = np.random.default_rng(7)
+        h = smooth_random_family(2, 4, rng)
+        h.a[2] *= 1e3  # dt |H| far past 2 sqrt(2)
+        family = self.check_others_unchanged(h, np.full(4, 2.0), refused={2})
+        assert re.search(r"stability bound .*; needs at least \d+ steps", str(family[2].refusal))
+
+    def test_member_that_drifts(self):
+        # dt |H| = 2 is under the bound, but RK4 shrinks |U| by far more than 1e-6.
+        h = smooth_random_family(3, 3, np.random.default_rng(8))
+        h.a[1], h.c[1], h.s[1] = np.diag([2.0, 0.0, -2.0]) * 64, 0.0, 0.0
+        family = self.check_others_unchanged(h, np.full(3, 2.0), refused={1})
+        assert "unitarity drift" in str(family[1].refusal)
+
+    def test_single_runs_still_raise(self):
+        h = constant_h(np.diag([128.0, -128.0]).astype(complex))
+        with pytest.raises(UnitarityLoss, match="unitarity drift"):
+            integrate_propagator(h, 2.0, 128)
+
+    @pytest.mark.parametrize("t_final", [math.inf, math.nan, 0.0])
+    def test_final_time_must_be_positive_and_finite(self, t_final):
+        h = constant_h(np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match="t_final must be positive and finite"):
+            integrate_sampled_family(h, [1.0, t_final], 64)
 
 
 class TestComposedStep:

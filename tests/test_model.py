@@ -10,6 +10,7 @@ from spinphase.linalg import SIGMA_X, SIGMA_Z, unitarity_defect
 from spinphase.model import (
     Convention,
     ModelParams,
+    PointFamily,
     closed_form_propagator,
     eigenbasis_matrix,
     eigensystem,
@@ -103,6 +104,83 @@ class TestHamiltonian:
         assert stacked.shape == (2, 23, 2, 2)
         for p, row, samples in zip(points, times, stacked):
             np.testing.assert_array_equal(samples, hamiltonian(p, row))
+
+
+class TestPointFamily:
+    """The array form and the scalar functions are one computation, bit for bit."""
+
+    EDGES = [
+        ModelParams(V=1.3, muB=0.0, omega=0.4, beta=2.0),  # muB = 0 < V: exact basis
+        ModelParams(V=-0.8, muB=0.3, omega=0.2, beta=1.0),  # V < 0 branch of D
+        ModelParams(V=-1.2, muB=0.0, omega=0.3, beta=0.5),  # V < 0 without coupling
+        ModelParams(V=1e200, muB=1e199, omega=0.6, beta=0.0),  # muB^2 would overflow
+        ModelParams(V=1.4, muB=0.4, omega=0.1, beta=600.0),  # lambda1 underflows to 0
+        ModelParams(V=1.0, muB=0.0, omega=1.0, beta=1.0),  # degenerate frame
+        ModelParams(V=0.0, muB=0.0, omega=0.5, beta=1.0),  # degenerate spectrum
+        ModelParams(V=0.0, muB=0.0, omega=0.0, beta=1.0),  # both: the frame is named
+    ]
+
+    @staticmethod
+    def family_points():
+        rng = np.random.default_rng(2024)
+        drawn = [
+            ModelParams(V=float(v), muB=float(m), omega=float(w), beta=float(b))
+            for v, m, w, b in zip(
+                rng.uniform(-3, 3, 200), rng.uniform(0, 2, 200),
+                rng.uniform(-3, 3, 200), rng.uniform(0, 20, 200),
+            )
+        ]
+        return drawn[:100] + TestPointFamily.EDGES + drawn[100:]
+
+    @staticmethod
+    def same_bits(a, b):
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_array_form_matches_scalar_wrappers(self):
+        points = self.family_points()
+        family = PointFamily.of(points)
+        e1, d = family.gap
+        bases = family.eigenbasis()
+        for i, p in enumerate(points):
+            assert self.same_bits(family.omega_eff[i], rotating_frame(p)[1])
+            assert self.same_bits([e1[i], d[i]], level_gap_shift(p.V, p.muB))
+            w = thermal_weights(p)
+            assert self.same_bits(family.weights[i], [w.lambda1, w.lambda2])
+            if family.frame_degenerate[i]:
+                with pytest.raises(DegenerateFrame) as caught:
+                    period_tau(p)
+                assert str(caught.value) == str(family.degeneracy(i, spectrum=False))
+            else:
+                assert family.degeneracy(i, spectrum=False) is None
+                assert self.same_bits(family.tau[i], period_tau(p))
+            if family.spectrum_degenerate[i]:
+                with pytest.raises(DegenerateSpectrum) as caught:
+                    eigensystem(p, 0.0)
+                assert str(caught.value) == str(family.degeneracy(i, frame=False))
+            else:
+                assert family.degeneracy(i, frame=False) is None
+                assert self.same_bits(bases[i], eigenbasis_matrix(eigensystem(p, 0.0)))
+
+    def test_edge_points_get_the_right_masks(self):
+        family = PointFamily.of(self.EDGES)
+        np.testing.assert_array_equal(family.frame_degenerate, [0, 0, 0, 0, 0, 1, 0, 1])
+        np.testing.assert_array_equal(family.spectrum_degenerate, [0, 0, 0, 0, 0, 0, 1, 1])
+        assert isinstance(family.degeneracy(7), DegenerateFrame)
+        assert isinstance(family.degeneracy(6), DegenerateSpectrum)
+        bases = family.eigenbasis()
+        np.testing.assert_array_equal(bases[0], np.eye(2))  # exact, not 0/0
+        np.testing.assert_array_equal(bases[2], [[0, -1], [1, 0]])  # upper level is |1>
+        assert family.weights[4, 0] == 0.0 and family.weights[4, 1] == 1.0
+        assert np.all(np.isfinite(family.gap[1][:5]))
+
+    def test_sampler_is_laid_out_for_the_kernel(self):
+        points = [FLAGSHIP, ModelParams(V=0.3, muB=1.2, omega=-0.4, beta=2.0)]
+        times = 0.01 * np.arange(2)[:, np.newaxis] * np.arange(129)
+        h = hamiltonian(PointFamily.of(points), times)
+        assert h.shape == (2, 129, 2, 2)
+        kernel_order = h.transpose(2, 3, 1, 0)
+        assert kernel_order.flags.c_contiguous
+        assert np.ascontiguousarray(kernel_order) is kernel_order
 
 
 class TestRotatingFrame:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spinphase.errors import UnitarityLoss
 from spinphase.model import ModelParams, period_tau
 from spinphase.pipeline import (
     CHUNK_POINTS,
@@ -159,6 +160,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(axis="beta", start=0, stop=1, points=1, fixed=FLAGSHIP)
 
+    @pytest.mark.parametrize("start, stop", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_rejects_non_finite_bounds(self, start, stop):
+        with pytest.raises(ValueError, match="start and stop must be finite"):
+            SweepSpec(axis="V", start=start, stop=stop, points=3, fixed=FLAGSHIP)
+
     def test_params_at_overrides_only_axis(self):
         spec = SweepSpec(axis="omega", start=0.1, stop=2.0, points=5, fixed=FLAGSHIP)
         p = spec.params_at(1.7)
@@ -188,3 +194,44 @@ class TestRunSweep:
             assert row.lambda1 == point.lambda1
             assert row.delta1 == point.delta1
             assert row.diag_phase == point.diag.arg
+
+    def test_family_matches_params_at(self):
+        spec = SweepSpec(axis="muB", start=0.0, stop=2.0, points=7, fixed=FLAGSHIP)
+        family = spec.family()
+        for i, value in enumerate(spec.grid()):
+            p = spec.params_at(value)
+            assert (family.V[i], family.muB[i], family.omega[i], family.beta[i]) == (
+                p.V, p.muB, p.omega, p.beta
+            )
+
+
+class TestRefusedPoints:
+    """Points past RK4's stability bound get their own verdict, as degenerate ones do."""
+
+    SPEC = dict(axis="muB", start=0.1, stop=100.0, points=5, fixed=FLAGSHIP, steps=64, t_final=10.0)
+
+    def test_refused_rows_are_empty_and_the_others_computed(self):
+        rows = run_sweep(SweepSpec(**self.SPEC))
+        assert rows[0].error is None
+        alone = phase_point(ModelParams(V=1.0, muB=0.1, omega=0.6, beta=1.0), 64, 10.0)
+        assert rows[0].delta1 == alone.delta1
+        assert rows[0].diag_arg_re == alone.diag_raw.real
+        for row in rows[1:]:
+            assert row.error.startswith("UnitarityLoss: dt*|H| = ")
+            assert row.lambda1 is None and row.diag_phase is None
+
+    def test_every_point_refused_raises_the_first(self):
+        spec = SweepSpec(**{**self.SPEC, "start": 30.0})
+        with pytest.raises(UnitarityLoss, match="needs at least 107 steps"):
+            run_sweep(spec)
+
+    def test_phase_points_return_the_refusal_in_place(self):
+        ok = ModelParams(V=1.0, muB=0.1, omega=0.6, beta=1.0)
+        refused = ModelParams(V=1.0, muB=50.0, omega=0.6, beta=1.0)
+        mixed = phase_points([ok, refused], 64, 10.0)
+        assert isinstance(mixed[1], UnitarityLoss)
+        assert mixed[0] == phase_point(ok, 64, 10.0)
+        with pytest.raises(UnitarityLoss):
+            phase_point(refused, 64, 10.0)
+        with pytest.raises(UnitarityLoss):
+            model_trace(refused, 64, 10.0)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from support import reading_diagnostic
+
 from spinphase.errors import InconsistentClassification
 from spinphase.model import ModelParams
 from spinphase.verify import (
@@ -11,7 +13,6 @@ from spinphase.verify import (
     VerifyReport,
     _check_consistency,
     random_generic_params,
-    reading_diagnostic,
     report_table,
     report_to_dict,
     verify_grid,
@@ -101,6 +102,14 @@ class TestVerifyGrid:
         assert reports[0].error is None
         assert reports[1].error is not None
         assert "DegenerateFrame" in reports[1].error
+        assert reports[1].items == ()
+
+    def test_refused_point_is_marked_and_others_proceed(self):
+        # Near resonance tau = pi / muB is so long that 1024 steps are past RK4's bound.
+        refused = ModelParams(V=1.0, muB=1e-6, omega=1.0, beta=1.0)
+        reports = verify_grid([FLAGSHIP, refused], steps=1024)
+        assert report_to_dict(reports[0]) == report_to_dict(verify_grid([FLAGSHIP], steps=1024)[0])
+        assert reports[1].error.startswith("UnitarityLoss: dt*|H| = ")
         assert reports[1].items == ()
 
     def test_seeded_grid_uniform_classifications(self):
