@@ -26,7 +26,15 @@ class DegenerateWeights(SpinPhaseError):
 
 
 class UnitarityLoss(SpinPhaseError):
-    """Integrator drifted too far from the unitary group; increase the step count."""
+    """Integrator drifted too far from the unitary group; increase the step count.
+
+    ``steps_needed`` is the least step count RK4's stability bound allows,
+    when the bound was the reason, else None.
+    """
+
+    def __init__(self, message: str, steps_needed: float | None = None):
+        super().__init__(message)
+        self.steps_needed = steps_needed
 
 
 class InconsistentClassification(SpinPhaseError):

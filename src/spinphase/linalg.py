@@ -23,10 +23,21 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
+#: Arguments within this many ulp of -pi (1.4e-14 rad) are reported as +pi.
+PI_ULPS = 32
+
+
 def principal_arg(z: complex) -> float:
-    """Argument of ``z`` in the half-open interval (-pi, pi]."""
+    """Argument of ``z`` in the half-open interval (-pi, pi].
+
+    An argument within 32 ulp (1.4e-14 rad) of -pi is returned as +pi, an
+    error of at most 1.4e-14 on the circle.  A negative real ``z`` whose
+    imaginary part is a rounding residue of either sign then has the one
+    argument pi, not pi or -pi by the sign of the residue; the quantized
+    off-diagonal phases carry residues of up to about 1e-14 relative.
+    """
     a = math.atan2(z.imag, z.real)
-    if a == -math.pi:
+    if a <= -math.pi + PI_ULPS * math.ulp(math.pi):
         a = math.pi
     return a
 

@@ -295,8 +295,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     A degenerate point, or one the integrator refused, gets a row with only
     its axis value and the error; the other points are computed.  If every
     point is degenerate, the first point's error is raised; if every other
-    point is refused, the first refusal is.  Points are evaluated one chunk
-    of trajectories at a time, so only the rows outlive a chunk.
+    point is refused, the refusal naming the most steps is (the first if
+    none names a count).  Points are evaluated one chunk of trajectories at
+    a time, so only the rows outlive a chunk.
     """
     values = spec.grid()
     family = spec.family()
@@ -316,5 +317,5 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         for i, point in zip(members, points):
             rows[i] = _row_from_point(values[i], point)
     if len(refusals) == len(good):
-        raise refusals[0]
+        raise max(refusals, key=lambda refusal: refusal.steps_needed or 0.0)
     return rows

@@ -203,6 +203,18 @@ class TestSweep:
             assert fields[9] != ""  # off-diagonal phase still defined here
         assert "undefined phase" in err
 
+    def test_quantized_offdiag_phase_never_prints_as_minus_pi(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--axis", "omega", "--start", "0.1", "--stop", "2.0",
+            "--points", "2000", "--steps", "512", "--V", "1.0", "--mu-B", "0.5", "--beta", "1.0",
+        )
+        assert code == 0
+        column = SWEEP_CSV_HEADER.split(",").index("offdiag_phase")
+        phases = [float(line.split(",")[column]) for line in out.splitlines()[1:]]
+        assert len(phases) == 2000
+        # Quantized to {0, pi}: a rounding residue must not flip pi to -pi.
+        assert min(abs(p + math.pi) for p in phases) > 1e-14
+
     def test_invalid_spec_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(
@@ -388,6 +400,20 @@ class TestUnitarityLossExit:
                              ("25.075000000000003", "50.050000000000004", "75.025000000000006", "100")]
         assert err.count("warning: refused point at muB = ") == 4
         assert "needs at least 354 steps" in err.splitlines()[-1]
+
+    def test_every_point_refused_names_a_count_all_points_pass(self, capsys):
+        argv = ["sweep", "--axis", "muB", "--start", "30", "--stop", "100", "--points", "3",
+                "--t", "10"]
+        code, out, err = run_cli(capsys, *argv, "--steps", "64")
+        assert (code, out) == (6, "")
+        needed = re.search(r"needs at least (\d+) steps", err)[1]
+        assert needed == "354"  # the muB = 100 point's count, not the first point's 107
+        code, _, err = run_cli(capsys, *argv, "--steps", needed)
+        # Rerun at that count, no point is past the stability bound any more.
+        # These points then fail the drift check: the bound is necessary for
+        # RK4, not sufficient for a 1e-6 unitarity drift.
+        assert "stability bound" not in err
+        assert err.count("unitarity drift") == 1
 
 
 class TestNonFiniteInput:

@@ -47,6 +47,7 @@ from spinphase.model import (
     rotating_frame,
 )
 from spinphase.pipeline import model_trace, model_traces, thermal_companions
+from spinphase.verify import random_generic_params
 
 FLAGSHIP = ModelParams(V=1.0, muB=0.5, omega=0.6, beta=1.0)
 
@@ -164,6 +165,19 @@ class TestIntegrator:
             np.testing.assert_array_equal(single.U, member.U)
             np.testing.assert_array_equal(single.delta, member.delta)
 
+    def test_three_level_family_matches_single_runs_in_segments(self):
+        # 1500 steps: three segments of 500, one wave for the family and alone.
+        rng = np.random.default_rng(34)
+        h = smooth_random_family(3, 5, rng)
+        bases = np.stack([random_unitary(3, rng) for _ in range(5)])
+        family = integrate_sampled_family(h, np.full(5, 3.0), 1500, bases, full_grid=True)
+        for j, member in enumerate(family):
+            single = integrate_sampled_family(
+                h[j : j + 1], [3.0], 1500, bases[j : j + 1], full_grid=True
+            )[0]
+            np.testing.assert_array_equal(single.U, member.U)
+            np.testing.assert_array_equal(single.delta, member.delta)
+
     def test_model_member_independent_of_batch_width(self):
         points = [
             ModelParams(V=0.5 + 0.01 * i, muB=0.5, omega=0.1 + 0.015 * i, beta=0.05 * i)
@@ -213,6 +227,26 @@ class TestPerMemberVerdict:
         family = self.check_others_unchanged(h, np.full(3, 2.0), refused={1})
         assert "unitarity drift" in str(family[1].refusal)
 
+    def test_member_that_overflows(self):
+        # One of 16 levels carries |H|: dt |H|_F / 4 = 2.8 is under the bound,
+        # but |S| is about 640, so the run overflows and its drift is NaN.
+        n = 16
+        spectra = np.zeros((2, n))
+        spectra[0, 0] = 11.2
+        spectra[1] = np.linspace(-0.01, 0.01, n)
+        generators = np.stack([np.diag(s) for s in spectra]).astype(complex)
+
+        def sampler(members):
+            return lambda times: np.broadcast_to(generators[members, None], times.shape + (n, n))
+
+        family = integrate_sampled_family(sampler([0, 1]), [64.0, 64.0], 64)
+        assert str(family[0].refusal) == "unitarity drift nan > 1e-06"
+        assert np.all(np.isnan(family[0].U[-1]))
+        alone = integrate_sampled_family(sampler([1]), [64.0], 64)[0]
+        assert family[1].refusal is None
+        assert family[1].U.tobytes() == alone.U.tobytes()
+        assert family[1].delta.tobytes() == alone.delta.tobytes()
+
     def test_single_runs_still_raise(self):
         h = constant_h(np.diag([128.0, -128.0]).astype(complex))
         with pytest.raises(UnitarityLoss, match="unitarity drift"):
@@ -223,6 +257,93 @@ class TestPerMemberVerdict:
         h = constant_h(np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="t_final must be positive and finite"):
             integrate_sampled_family(h, [1.0, t_final], 64)
+
+
+class TestTimeSegments:
+    """Long trajectories run as time segments side by side, and the endpoints compose."""
+
+    POINTS = random_generic_params(33, 4)
+
+    def assert_same_bytes(self, a, b):
+        assert a.U.tobytes() == b.U.tobytes()
+        assert a.delta.tobytes() == b.delta.tobytes()
+
+    @pytest.mark.parametrize(
+        "steps, expected",
+        [
+            (2, [2]), (511, [511]), (512, [512]), (513, [256, 257]), (640, [320, 320]),
+            (1025, [342, 342, 341]), (8192, [512] * 16), (4097, [456] * 5 + [454] * 3 + [455]),
+        ],
+    )
+    def test_layout_depends_on_steps_alone(self, steps, expected):
+        assert engine._segment_lengths(steps) == expected
+
+    def test_point_alone_equals_point_in_a_family(self):
+        steps = 16384  # 32 segments; 25 points run in waves of 2 segments
+        family = model_traces(self.POINTS[:25], steps)
+        for j in (0, 13, 24):
+            self.assert_same_bytes(model_traces([self.POINTS[j]], steps)[0], family[j])
+
+    def test_point_next_to_a_refused_member(self):
+        steps = 4096
+        point = self.POINTS[3]
+        refused = ModelParams(V=1.0, muB=1e3, omega=0.6, beta=1.0)
+        pair = model_traces([point, refused], steps, t_final=[period_tau(point), 100.0])
+        assert pair[0].refusal is None
+        assert isinstance(pair[1].refusal, UnitarityLoss)
+        self.assert_same_bytes(model_traces([point], steps)[0], pair[0])
+
+    def test_across_a_wave_edge(self):
+        # 33 points: every wave holds one segment; alone, one wave holds all four.
+        steps = 2048
+        family = model_traces(self.POINTS, steps)
+        for j in (0, 32):
+            self.assert_same_bytes(model_traces([self.POINTS[j]], steps)[0], family[j])
+
+    def test_matches_closed_forms_at_16384_steps(self):
+        tau = period_tau(FLAGSHIP)
+        end = model_trace(FLAGSHIP, steps=16384)
+        closed = closed_form_propagator(FLAGSHIP, tau, Convention.ODE)
+        assert np.linalg.norm(end.U[-1] - closed) <= 1e-10
+        full = model_trace(FLAGSHIP, steps=16384, full_grid=True)
+        for k in range(2):
+            assert abs(end.delta[-1, k] - dynamical_phase(full, model_h(FLAGSHIP), k)) <= 1e-9
+
+    def test_late_refusal_names_the_largest_ratio(self):
+        # |H| grows as t^8: dt |H| passes 2 sqrt(2) only in the last of four segments.
+        steps, t_final = 2048, 2.0
+
+        def ramps(*slopes):
+            def h_of_t(times):
+                scale = 10.0 + np.array(slopes)[:, None] * (times / t_final) ** 8
+                return scale[..., None, None] * np.diag([1.0, -1.0]).astype(complex)
+
+            return h_of_t
+
+        family = integrate_sampled_family(ramps(0.0, 3990.0), [t_final, t_final], steps)
+        assert family[0].refusal is None
+        assert np.all(np.isnan(family[1].U[-1])) and np.all(np.isnan(family[1].delta[-1]))
+        # The largest ratio is at t = T: dt |H|_F / sqrt(2) = (2 / 2048) * 4000.
+        needed = math.ceil(steps * (t_final / steps * 4000.0) / (2 * math.sqrt(2)))
+        assert needed == 2829
+        assert f"needs at least {needed} steps" in str(family[1].refusal)
+        alone = integrate_sampled_family(ramps(0.0), [t_final], steps)[0]
+        self.assert_same_bytes(alone, family[0])
+
+    def test_contractions_per_trajectory(self, monkeypatch):
+        calls = []
+        contract = engine._contract
+
+        def counting(a, b):
+            calls.append(1)
+            return contract(a, b)
+
+        monkeypatch.setattr(engine, "_contract", counting)
+        steps = 8192
+        model_trace(FLAGSHIP, steps)
+        segments, waves = steps // engine.SEGMENT_STEPS, 1  # 16 segments of one point fill one wave
+        blocks = engine.SEGMENT_STEPS // engine.PROJECTION_INTERVAL
+        assert len(calls) <= engine.SEGMENT_STEPS + 5 * blocks * waves + 2 * segments
 
 
 class TestComposedStep:

@@ -76,6 +76,13 @@ class TestPhaseFunctional:
     def test_negative_real_with_negative_zero_imag(self):
         assert principal_arg(complex(-1.0, -0.0)) == math.pi
 
+    @pytest.mark.parametrize("z", [-1 - 1e-17j, -1 - 2e-16j, complex(-1.0, -1.4e-14)])
+    def test_rounding_residue_below_minus_pi_gives_pi(self, z):
+        assert principal_arg(z) == math.pi
+
+    def test_arguments_past_32_ulp_keep_their_sign(self):
+        assert -math.pi < principal_arg(complex(-1.0, -1.5e-14)) < -math.pi + 1.6e-14
+
 
 class TestSu2Exponential:
     def test_zero_generator(self):

@@ -6,6 +6,7 @@ import pytest
 
 from spinphase.errors import UnitarityLoss
 from spinphase.model import ModelParams, period_tau
+from spinphase.verify import random_generic_params
 from spinphase.pipeline import (
     CHUNK_POINTS,
     SweepSpec,
@@ -56,7 +57,7 @@ class TestModelTraces:
 class TestStreaming:
     """Endpoint traces and point chunks change no value, not even in the last bit."""
 
-    @pytest.mark.parametrize("steps", [2, 65, 128, 1025])
+    @pytest.mark.parametrize("steps", [2, 65, 128, 1025, 513, 640, 1536, 4097])
     def test_endpoint_is_last_row_of_full_grid(self, steps):
         pts = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0)]
         ends = model_traces(pts, steps, t_final=0.1)
@@ -94,6 +95,18 @@ class TestMemory:
 
         small, large = peak(1000), peak(4000)
         assert large < 1.2 * small, (small, large)
+
+    def test_peak_of_long_trajectories_stays_small(self):
+        # 25 points x 16384 steps: 32 segments each, in waves of 2 segments (50 members).
+        points = random_generic_params(25, 4)
+        model_traces(points[:1], 1024)  # leave one-time allocations out of the peak
+        tracemalloc.start()
+        try:
+            model_traces(points, 16384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
 
 
 class TestPhasePoint:
@@ -220,9 +233,10 @@ class TestRefusedPoints:
             assert row.error.startswith("UnitarityLoss: dt*|H| = ")
             assert row.lambda1 is None and row.diag_phase is None
 
-    def test_every_point_refused_raises_the_first(self):
+    def test_every_point_refused_raises_the_largest_count(self):
+        # muB = 30, 65 and 100 need 107, 231 and 354 steps.
         spec = SweepSpec(**{**self.SPEC, "start": 30.0})
-        with pytest.raises(UnitarityLoss, match="needs at least 107 steps"):
+        with pytest.raises(UnitarityLoss, match="needs at least 354 steps"):
             run_sweep(spec)
 
     def test_phase_points_return_the_refusal_in_place(self):
