@@ -6,7 +6,6 @@ import pytest
 
 from spinphase.errors import UnitarityLoss
 from spinphase.model import ModelParams, period_tau
-from spinphase.verify import random_generic_params
 from spinphase.pipeline import (
     CHUNK_POINTS,
     SweepSpec,
@@ -17,6 +16,7 @@ from spinphase.pipeline import (
     run_sweep,
     thermal_companions,
 )
+from spinphase.verify import random_generic_params
 
 FLAGSHIP = ModelParams(V=1.0, muB=0.5, omega=0.6, beta=1.0)
 
