@@ -1,10 +1,11 @@
 """Mixed-state geometric phases for a spin precessing in a rotating field.
 
 Public surface: the model (:class:`ModelParams`, Hamiltonian, closed-form
-propagator, eigensystem, thermal weights), the definitional phase engine
-(propagator traces, dynamical phases, parallel transport, diagonal and
-off-diagonal mixed-state phases), the closed-form verification ledger, and
-a parameter-sweep pipeline.  ``spinphase.cli`` provides the command line.
+propagator, thermal weights, and :class:`PointFamily` for eigenbases), the
+definitional phase engine (propagator traces, dynamical phases, parallel
+transport, diagonal and off-diagonal mixed-state phases), the closed-form
+verification ledger, and a parameter-sweep pipeline.  ``spinphase.cli``
+provides the command line.
 """
 
 from .engine import (
@@ -21,7 +22,6 @@ from .engine import (
 from .errors import (
     DegenerateFrame,
     DegenerateSpectrum,
-    DegenerateWeights,
     InconsistentClassification,
     SpinPhaseError,
     UndefinedPhase,
@@ -35,15 +35,13 @@ from .linalg import (
 from .model import (
     Convention,
     ModelParams,
+    PointFamily,
     ReferenceForms,
-    SpectralFrame,
     ThermalWeights,
     closed_form_propagator,
-    eigensystem,
     hamiltonian,
     period_tau,
     reference_closed_forms,
-    rotating_frame,
     thermal_weights,
 )
 from .pipeline import (
@@ -53,7 +51,6 @@ from .pipeline import (
     phase_point,
     phase_points,
     run_sweep,
-    thermal_companions,
 )
 from .verify import (
     VerifyItem,

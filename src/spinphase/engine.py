@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateWeights, UnitarityLoss
+from .errors import UnitarityLoss
 from .linalg import polar_project, unitarity_defect
 
 #: Steps between polar re-unitarizations of the running propagator.
@@ -43,8 +43,6 @@ RK4_STABILITY = 2.0 * math.sqrt(2.0)
 SEGMENT_STEPS = 512
 #: Kernel width a wave of segments fills; a wave holds at least one segment.
 WAVE_MEMBERS = 64
-#: Minimum pairwise weight separation for shifted-companion construction.
-WEIGHT_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -477,6 +475,7 @@ def _step_ratio(h: np.ndarray, dt: np.ndarray) -> np.ndarray:
 
 
 def _stability_refusal(ratio: float, steps: int) -> UnitarityLoss:
+    """Names the least step count the bound allows: necessary, not sufficient against drift."""
     needed = min(steps * ratio / RK4_STABILITY, np.finfo(float).max)
     count = f"{math.ceil(needed)}" if needed < 1e15 else f"{needed:.3g}"
     return UnitarityLoss(
@@ -552,29 +551,16 @@ def diagonal_phase_argument(trace: PropagatorTrace, ensemble: Ensemble) -> compl
     return complex(diagonal_amplitude(u, delta, ensemble.basis, ensemble.weights))
 
 
-def shift_ensembles(ensemble: Ensemble, *, require_distinct: bool = True) -> list[Ensemble]:
+def shift_ensembles(ensemble: Ensemble) -> list[Ensemble]:
     """The N mutually non-interfering companions rho_n = W^{n-1} rho (W^dag)^{n-1}.
 
     Conjugation by the cyclic shift permutes the weights against the fixed
-    basis: companion n carries weights rolled by n-1 positions.
-
-    Raises
-    ------
-    DegenerateWeights
-        If any two weights are closer than 1e-9 (with ``require_distinct``).
-        The companion construction presumes a non-degenerate spectrum; the
-        equal-weight limit remains evaluable by building ensembles directly.
+    basis: companion n carries weights rolled by n-1 positions.  Equal
+    weights are admitted: the off-diagonal trace has a well-defined
+    equal-weight limit.
     """
-    w = ensemble.weights
-    if require_distinct:
-        gaps = np.abs(w[:, np.newaxis] - w[np.newaxis, :])
-        off_diag = gaps[~np.eye(len(w), dtype=bool)]
-        if off_diag.size and float(off_diag.min()) <= WEIGHT_GAP:
-            raise DegenerateWeights(
-                f"minimum weight gap {float(off_diag.min()):.3e} <= {WEIGHT_GAP:.0e}"
-            )
     return [
-        Ensemble(basis=ensemble.basis, weights=np.roll(w, n))
+        Ensemble(basis=ensemble.basis, weights=np.roll(ensemble.weights, n))
         for n in range(ensemble.dim)
     ]
 

@@ -21,10 +21,6 @@ class DegenerateFrame(SpinPhaseError):
     """Effective rotating-frame frequency vanishes; the return period is undefined."""
 
 
-class DegenerateWeights(SpinPhaseError):
-    """Ensemble weights are not pairwise distinct; shifted companions are undefined."""
-
-
 class UnitarityLoss(SpinPhaseError):
     """Integrator drifted too far from the unitary group; increase the step count.
 

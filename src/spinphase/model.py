@@ -9,16 +9,18 @@ magnetic moment and the field strength) define the Hamiltonian
             [ muB e^{+i omega t},  -V/2         ]]
 
 which is solved exactly by transforming into the frame co-rotating with the
-field.  This module provides the Hamiltonian, the constant rotating-frame
-generator and its return period, the closed-form propagator in both operator
-orderings, the instantaneous eigensystem, thermal occupation weights, and the
-closed-form reference expressions for the matrix elements, dynamical phases
-and geometric phases at one full rotating-frame period.
+field.  This module provides the Hamiltonian, the rotating-frame return
+period, the closed-form propagator in both operator orderings, thermal
+occupation weights, and the closed-form reference expressions for the matrix
+elements, dynamical phases and geometric phases at one full rotating-frame
+period.
 
 :class:`PointFamily` holds a family of points as arrays and computes every
-per-point quantity for all of them with numpy; the scalar functions are
-families of one.  A family's H(t) samples are laid out (2, 2, T, B), the
-order the engine's kernel steps in.
+per-point quantity for all of them with numpy: the rotating-frame frequency,
+the level energy, the instantaneous eigenbasis, the thermal weights and the
+degeneracy masks.  It is the only source of eigenbases and thermal weights;
+the scalar functions are families of one.  A family's H(t) samples are laid
+out (2, 2, T, B), the order the engine's kernel steps in.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFrame, DegenerateSpectrum, SpinPhaseError
-from .linalg import SIGMA_X, SIGMA_Z, rotation_z, su2_exponential
+from .linalg import rotation_z, su2_exponential
 
 #: Effective frequencies at or below this are treated as degenerate.
 FRAME_EPSILON = 1e-12
@@ -136,18 +138,15 @@ class PointFamily:
         return e1, np.where(self.V >= 0.0, stable, half - e1)
 
     @cached_property
-    def norm(self) -> np.ndarray:
-        """Eigenvector normalization N = sqrt(D^2 + muB^2); 0 where muB = 0 < V."""
-        return np.hypot(self.gap[1], self.muB)
-
-    @cached_property
     def weights(self) -> np.ndarray:
         """Thermal weights (lambda1, lambda2), shape (B, 2), overflow-safe.
 
         lambda1 = e^{-2 beta E1} / (1 + e^{-2 beta E1}) is e^{-beta E1} / Z
         with the largest exponent subtracted; lambda2 is its complement.
+        Past the float range, -2 beta E1 is -inf and lambda1 is exactly 0.
         """
-        w = np.exp(-2.0 * self.beta * self.gap[0])
+        with np.errstate(over="ignore"):
+            w = np.exp(-2.0 * self.beta * self.gap[0])
         lam1 = w / (1.0 + w)
         return np.stack([lam1, 1.0 - lam1], axis=1)
 
@@ -182,11 +181,12 @@ class PointFamily:
         """Eigenvectors of H(t) at a scalar or per-point ``t`` as columns, (B, 2, 2).
 
         psi1 = (muB, -e^{+i omega t} D) / N and psi2 = (e^{-i omega t} D, muB)
-        / N, with the exact standard basis where N vanishes (muB = 0 < V).
-        Meaningless where the spectrum is degenerate.
+        / N with N = sqrt(D^2 + muB^2), and the exact standard basis where N
+        vanishes (muB = 0 < V).  Meaningless where the spectrum is degenerate.
         """
         phase = np.exp(1j * self.omega * t)
-        d, norm = self.gap[1], self.norm
+        d = self.gap[1]
+        norm = np.hypot(d, self.muB)
         basis = np.empty(self.V.shape + (2, 2), dtype=complex)
         basis[:, 0, 0] = basis[:, 1, 1] = self.muB
         basis[:, 1, 0] = -phase * d
@@ -224,16 +224,6 @@ def hamiltonian(
     return out.transpose(3, 2, 0, 1)
 
 
-def rotating_frame(p: ModelParams):
-    """Constant co-rotating generator and effective frequency.
-
-    Returns (H_rot, Omega) with H_rot = muB sigma_x + (V - omega)/2 sigma_z
-    and Omega = sqrt((2 muB)^2 + (V - omega)^2).
-    """
-    h_rot = p.muB * SIGMA_X + 0.5 * (p.V - p.omega) * SIGMA_Z
-    return h_rot, float(PointFamily.of([p]).omega_eff[0])
-
-
 def period_tau(p: ModelParams) -> float:
     """Rotating-frame return period tau = 2 pi / Omega.
 
@@ -261,51 +251,6 @@ def closed_form_propagator(
     if convention is Convention.LITERAL:
         return rot @ rotation_z(-half)
     return rotation_z(half) @ rot
-
-
-def level_gap_shift(V: float, muB: float):
-    """Upper level energy E1 and the shift D = V/2 - E1; see :attr:`PointFamily.gap`."""
-    e1, d = PointFamily(*np.array([[V], [muB], [0.0], [0.0]])).gap
-    return float(e1[0]), float(d[0])
-
-
-@dataclass(frozen=True)
-class SpectralFrame:
-    """Instantaneous eigensystem of H(t).
-
-    ``psi1``/``psi2`` are unit eigenvectors for the energies ``E1 = -E2 =
-    +sqrt((V/2)^2 + muB^2)``; ``normN`` is the normalization divisor applied
-    to the closed-form components (1.0 when the zero-coupling branch returns
-    exact basis vectors).
-    """
-
-    t: float
-    E1: float
-    E2: float
-    psi1: np.ndarray
-    psi2: np.ndarray
-    normN: float
-
-
-def eigensystem(p: ModelParams, t: float) -> SpectralFrame:
-    """Instantaneous eigenvalues and eigenvectors of H(t); see :meth:`PointFamily.eigenbasis`.
-
-    Raises
-    ------
-    DegenerateSpectrum
-        If E1 <= 1e-12 (V and muB both vanishing).
-    """
-    family = PointFamily.of([p])
-    family.require(frame=False)
-    e1 = float(family.gap[0][0])
-    basis = family.eigenbasis(t)[0]
-    norm_n = float(family.norm[0]) or 1.0
-    return SpectralFrame(t=t, E1=e1, E2=-e1, psi1=basis[:, 0], psi2=basis[:, 1], normN=norm_n)
-
-
-def eigenbasis_matrix(frame: SpectralFrame) -> np.ndarray:
-    """Eigenvectors as the columns of a 2x2 unitary matrix."""
-    return np.column_stack([frame.psi1, frame.psi2])
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@
 Single parameter points and parameter families share one code path: a family
 is taken into its array form (:class:`PointFamily`), integrated by the engine
 kernel in chunks of distinct trajectories, and the phases of every point are
-assembled at once with the engine's broadcasting operations over the frozen
-t = 0 eigenbasis.  No operation mixes points, so a point's values do not
-depend on the family it is evaluated in, and a degenerate or refused point
-is reported per point.
+assembled at once by :func:`thermal_phases` over the frozen t = 0 eigenbasis;
+verification assembles its oracle values there too.  No operation mixes
+points, so a point's values do not depend on the family it is evaluated in,
+and a degenerate or refused point is reported per point.
 """
 
 from __future__ import annotations
@@ -19,17 +19,15 @@ from typing import Sequence
 import numpy as np
 
 from .engine import (
-    Ensemble,
     PropagatorTrace,
     cyclic_trace,
     diagonal_amplitude,
     integrate_sampled_family,
-    shift_ensembles,
     transported_propagator,
 )
 from .errors import SpinPhaseError, UndefinedPhase, UnitarityLoss
 from .linalg import PhaseFactor, phase_functional
-from .model import ModelParams, PointFamily, hamiltonian, thermal_weights
+from .model import ModelParams, PointFamily, hamiltonian
 
 SWEEP_AXES = ("beta", "omega", "muB", "V")
 #: Distinct points integrated together.  Wide enough that per-step
@@ -113,18 +111,6 @@ def model_trace(
     return trace
 
 
-def thermal_companions(params: ModelParams, basis: np.ndarray) -> list[Ensemble]:
-    """The thermal state over ``basis`` followed by its weight-shifted companion.
-
-    Equal weights (beta = 0) are admitted: the off-diagonal trace has a
-    well-defined equal-weight limit even though shifted companions of a
-    degenerate ensemble are conceptually ill-defined.
-    """
-    w = thermal_weights(params)
-    ensemble = Ensemble(basis=basis, weights=np.array([w.lambda1, w.lambda2]))
-    return shift_ensembles(ensemble, require_distinct=False)
-
-
 @dataclass(frozen=True)
 class PhasePoint:
     """All phase quantities of one parameter point at one final time.
@@ -157,6 +143,25 @@ class PhasePoint:
         return tuple(names)
 
 
+def thermal_phases(
+    traces: Sequence[PropagatorTrace], weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U_par(T), the diagonal amplitude and the off-diagonal trace of each trace's thermal state.
+
+    ``weights`` (B, 2) are the thermal weights over each trace's reference
+    basis.  The off-diagonal trace pairs the thermal state with its
+    weight-shifted companion, whose weights are the reversed pair.
+    """
+    u_final = np.stack([tr.U[-1] for tr in traces])
+    delta_final = np.stack([tr.delta[-1] for tr in traces])
+    bases = np.stack([tr.basis for tr in traces])
+    u_par = transported_propagator(u_final, delta_final, bases)
+    diag_raw = diagonal_amplitude(u_final, delta_final, bases, weights)
+    companions = np.stack([weights, weights[:, ::-1]], axis=1)
+    offdiag_raw = cyclic_trace(u_par, bases[:, np.newaxis], companions)
+    return u_par, diag_raw, offdiag_raw
+
+
 def _phase_or_none(raw: complex) -> PhaseFactor | None:
     try:
         return phase_functional(raw)
@@ -177,14 +182,7 @@ def phase_points(
     traces = model_traces(params_list, steps, t_final)
     family = PointFamily.of(params_list)
     family.require(spectrum=False)
-    u_final = np.stack([tr.U[-1] for tr in traces])
-    delta_final = np.stack([tr.delta[-1] for tr in traces])
-    bases = np.stack([tr.basis for tr in traces])
-    # The thermal weights and their shifted companion, as thermal_companions builds them.
-    weights = np.stack([family.weights, family.weights[:, ::-1]], axis=1)
-    diag_raw = diagonal_amplitude(u_final, delta_final, bases, weights[:, 0])
-    u_par = transported_propagator(u_final, delta_final, bases)
-    offdiag_raw = cyclic_trace(u_par, bases[:, np.newaxis], weights)
+    _, diag_raw, offdiag_raw = thermal_phases(traces, family.weights)
     return [
         trace.refusal
         or PhasePoint(
@@ -203,7 +201,8 @@ def phase_points(
         )
         for p, trace, tau, omega_eff, (lam1, lam2), (d1, d2), d, o in zip(
             params_list, traces, family.tau.tolist(), family.omega_eff.tolist(),
-            family.weights.tolist(), delta_final.tolist(), diag_raw.tolist(), offdiag_raw.tolist(),
+            family.weights.tolist(), (tr.delta[-1].tolist() for tr in traces),
+            diag_raw.tolist(), offdiag_raw.tolist(),
         )
     ]
 

@@ -23,22 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    PropagatorTrace,
-    diagonal_phase_argument,
-    offdiagonal_trace,
-    transported_propagator,
-)
+from .engine import PropagatorTrace
 from .errors import InconsistentClassification
 from .model import (
     Convention,
     ModelParams,
     PointFamily,
     closed_form_propagator,
-    period_tau,
     reference_closed_forms,
 )
-from .pipeline import model_trace, model_traces, thermal_companions
+from .pipeline import model_trace, model_traces, thermal_phases
 
 EQUATION_IDS = (
     "U11_Eq15",
@@ -123,19 +117,27 @@ def _item(equation_id, reference, oracle, repaired=None) -> VerifyItem:
     )
 
 
-def _assemble_report(p: ModelParams, trace: PropagatorTrace) -> VerifyReport:
-    tau = period_tau(p)
+def _assemble_reports(params_list: list[ModelParams], traces: list[PropagatorTrace]):
+    """Reports of accepted points; their phases are assembled as a sweep assembles them."""
+    if not traces:
+        return []
+    u_par, diag_raw, offdiag_raw = thermal_phases(traces, PointFamily.of(params_list).weights)
+    return [
+        _assemble_report(*args)
+        for args in zip(params_list, traces, u_par, diag_raw.tolist(), offdiag_raw.tolist())
+    ]
+
+
+def _assemble_report(
+    p: ModelParams, trace: PropagatorTrace, u_par, diag_oracle: complex, offdiag_oracle: complex
+) -> VerifyReport:
     basis = trace.basis
     rc = reference_closed_forms(p)
 
     u_final = trace.U[-1]
     delta = trace.delta[-1]
     m_oracle = basis.conj().T @ u_final @ basis
-    p_oracle = basis.conj().T @ transported_propagator(u_final, delta, basis) @ basis
-
-    companions = thermal_companions(p, basis)
-    diag_oracle = diagonal_phase_argument(trace, companions[0])
-    offdiag_oracle = offdiagonal_trace(trace, companions, 2)
+    p_oracle = basis.conj().T @ u_par @ basis
 
     phase1 = np.exp(-1j * rc.delta1)
     phase2 = np.exp(-1j * rc.delta2)
@@ -162,12 +164,12 @@ def _assemble_report(p: ModelParams, trace: PropagatorTrace) -> VerifyReport:
         _item("diag_Eq24", rc.diag_arg, diag_oracle),
         _item(
             "propagator_Eq14_literal",
-            closed_form_propagator(p, tau, Convention.LITERAL),
+            closed_form_propagator(p, rc.tau, Convention.LITERAL),
             u_final,
         ),
         _item(
             "propagator_Eq14_ode",
-            closed_form_propagator(p, tau, Convention.ODE),
+            closed_form_propagator(p, rc.tau, Convention.ODE),
             u_final,
         ),
     )
@@ -184,7 +186,7 @@ def verify_point(p: ModelParams, steps: int = 8192) -> VerifyReport:
     """
     if steps < MIN_VERIFY_STEPS:
         raise ValueError(f"steps must be >= {MIN_VERIFY_STEPS}, got {steps}")
-    return _assemble_report(p, model_trace(p, steps))
+    return _assemble_reports([p], [model_trace(p, steps)])[0]
 
 
 def verify_grid(params_list, steps: int = 8192) -> list[VerifyReport]:
@@ -202,14 +204,18 @@ def verify_grid(params_list, steps: int = 8192) -> list[VerifyReport]:
     family = PointFamily.of(params_list)
     good = np.flatnonzero(~(family.frame_degenerate | family.spectrum_degenerate)).tolist()
     traces = dict(zip(good, model_traces([params_list[i] for i in good], steps)))
+    accepted = [i for i in good if traces[i].refusal is None]
+    assembled = dict(zip(accepted, _assemble_reports(
+        [params_list[i] for i in accepted], [traces[i] for i in accepted]
+    )))
     reports = []
     for i, p in enumerate(params_list):
-        error = traces[i].refusal if i in traces else family.degeneracy(i)
-        if error is None:
-            reports.append(_assemble_report(p, traces[i]))
-        else:
+        report = assembled.get(i)
+        if report is None:
+            error = traces[i].refusal if i in traces else family.degeneracy(i)
             error = f"{type(error).__name__}: {error}"
-            reports.append(VerifyReport(params=p, items=(), summary={}, error=error))
+            report = VerifyReport(params=p, items=(), summary={}, error=error)
+        reports.append(report)
     _check_consistency([r for r in reports if r.error is None])
     return reports
 
@@ -238,13 +244,13 @@ def random_generic_params(n: int, seed: int) -> list[ModelParams]:
 
 
 def _value_to_jsonable(value):
+    """A real as a number, a complex as [re, im], an array as nested lists, by dtype."""
     arr = np.asarray(value)
-    if arr.ndim == 0:
-        z = complex(arr)
-        if z.imag == 0.0:
-            return z.real
-        return [z.real, z.imag]
-    return [[_value_to_jsonable(entry) for entry in row] for row in arr]
+    if arr.ndim:
+        return [_value_to_jsonable(entry) for entry in arr]
+    if np.iscomplexobj(arr):
+        return [float(arr.real), float(arr.imag)]
+    return float(arr)
 
 
 def report_to_dict(report: VerifyReport) -> dict:

@@ -13,9 +13,8 @@ from spinphase.engine import (
 from spinphase.linalg import phase_functional
 from spinphase.model import (
     Convention,
+    PointFamily,
     closed_form_propagator,
-    eigenbasis_matrix,
-    eigensystem,
     period_tau,
     reference_closed_forms,
 )
@@ -167,10 +166,8 @@ def reading_diagnostic(p, tol=1e-9):
     """
     tau = period_tau(p)
     rc = reference_closed_forms(p)
-    bases = {
-        "t0": eigenbasis_matrix(eigensystem(p, 0.0)),
-        "tau": eigenbasis_matrix(eigensystem(p, tau)),
-    }
+    family = PointFamily.of([p])
+    bases = {"t0": family.eigenbasis(0.0)[0], "tau": family.eigenbasis(tau)[0]}
     propagators = {
         "literal": closed_form_propagator(p, tau, Convention.LITERAL),
         "ode": closed_form_propagator(p, tau, Convention.ODE),

@@ -135,7 +135,7 @@ def test_criterion_4_reality_and_quantization(acceptance):
     for p, trace in zip(points, traces):
         w = thermal_weights(p)
         ensemble = Ensemble(basis=trace.basis, weights=np.array([w.lambda1, w.lambda2]))
-        companions = shift_ensembles(ensemble, require_distinct=False)
+        companions = shift_ensembles(ensemble)
         off_raw = offdiagonal_trace(trace, companions, 2)
         worst_off_ratio = max(worst_off_ratio, abs(off_raw.imag) / abs(off_raw))
         arg = phase_functional(off_raw).arg

@@ -481,6 +481,29 @@ class TestSamePointSameNumbers:
         oracle = {it["equation_id"]: it["oracle_value"] for it in json.loads(out)["items"]}
         assert oracle["delta1_Eq17"] == point["delta1"]
         assert oracle["diag_Eq24"] == point["diag"]["raw"]
+        assert oracle["offdiag_Eq23"] == point["offdiag"]["raw"]
+
+
+class TestHugeBeta:
+    """2 beta E1 past the float range is the zero-temperature limit, computed without a warning."""
+
+    def run_strictly(self, capsys, *argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return run_cli(capsys, *argv)
+
+    def test_phases_gives_lambda1_zero(self, capsys):
+        code, out, _ = self.run_strictly(capsys, "phases", *FLAGSHIP_FLAGS[:-2], "--beta", "1e308")
+        assert code == 0
+        assert re.search(r"^lambda1 += 0$", out, re.MULTILINE)
+
+    def test_sweep_runs(self, capsys):
+        code, out, _ = self.run_strictly(
+            capsys, "sweep", "--axis", "beta", "--start", "1e307", "--stop", "1e308",
+            "--points", "3", "--steps", "64",
+        )
+        assert code == 0
+        assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["0", "0", "0"]
 
 
 class TestHugeCoupling:

@@ -33,20 +33,17 @@ from spinphase.engine import (
     shift_ensembles,
     transported_propagator,
 )
-from spinphase.errors import DegenerateWeights, UndefinedPhase, UnitarityLoss
+from spinphase.errors import UndefinedPhase, UnitarityLoss
 from spinphase.linalg import su2_exponential
 from spinphase.model import (
     Convention,
     ModelParams,
+    PointFamily,
     closed_form_propagator,
-    eigenbasis_matrix,
-    eigensystem,
     hamiltonian,
-    level_gap_shift,
     period_tau,
-    rotating_frame,
 )
-from spinphase.pipeline import model_trace, model_traces, thermal_companions
+from spinphase.pipeline import model_trace, model_traces
 from spinphase.verify import random_generic_params
 
 FLAGSHIP = ModelParams(V=1.0, muB=0.5, omega=0.6, beta=1.0)
@@ -59,7 +56,8 @@ FLAGSHIP_OFFDIAG_RAW = -0.886375454070251690
 
 
 def thermal_ensemble(p):
-    return thermal_companions(p, eigenbasis_matrix(eigensystem(p, 0.0)))[0]
+    family = PointFamily.of([p])
+    return Ensemble(basis=family.eigenbasis()[0], weights=family.weights[0])
 
 
 def constant_h(matrix):
@@ -83,12 +81,13 @@ def analytic_delta1(p):
     frame axis; over a full period only its component along that axis
     survives the time average.
     """
-    e1, d = level_gap_shift(p.V, p.muB)
+    family = PointFamily.of([p])
+    d = family.gap[1][0]
     n2 = d * d + p.muB * p.muB
     b = p.muB
     sx = -2.0 * b * d / n2
     sz = (b * b - d * d) / n2
-    _, omega_eff = rotating_frame(p)
+    omega_eff = family.omega_eff[0]
     tau = period_tau(p)
     h_rot = b * sx + 0.5 * (p.V - p.omega) * sz
     axis_z = (p.V - p.omega) / omega_eff
@@ -552,14 +551,9 @@ class TestShiftEnsembles:
         np.testing.assert_array_equal(companions[0].weights, e.weights)
         np.testing.assert_array_equal(companions[1].weights, e.weights[::-1])
 
-    def test_uniform_weights_rejected(self):
+    def test_uniform_weights_admitted(self):
         e = Ensemble(basis=np.eye(2, dtype=complex), weights=np.array([0.5, 0.5]))
-        with pytest.raises(DegenerateWeights):
-            shift_ensembles(e)
-
-    def test_uniform_weights_admitted_when_not_strict(self):
-        e = Ensemble(basis=np.eye(2, dtype=complex), weights=np.array([0.5, 0.5]))
-        companions = shift_ensembles(e, require_distinct=False)
+        companions = shift_ensembles(e)
         assert len(companions) == 2
 
     def test_three_level_cycle_matches_conjugation(self):

@@ -6,19 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinphase.errors import DegenerateFrame, DegenerateSpectrum
-from spinphase.linalg import SIGMA_X, SIGMA_Z, unitarity_defect
+from spinphase.linalg import SIGMA_X, unitarity_defect
 from spinphase.model import (
     Convention,
     ModelParams,
     PointFamily,
     closed_form_propagator,
-    eigenbasis_matrix,
-    eigensystem,
     hamiltonian,
-    level_gap_shift,
     period_tau,
     reference_closed_forms,
-    rotating_frame,
     thermal_weights,
 )
 
@@ -142,8 +138,9 @@ class TestPointFamily:
         e1, d = family.gap
         bases = family.eigenbasis()
         for i, p in enumerate(points):
-            assert self.same_bits(family.omega_eff[i], rotating_frame(p)[1])
-            assert self.same_bits([e1[i], d[i]], level_gap_shift(p.V, p.muB))
+            one = PointFamily.of([p])
+            assert self.same_bits(family.omega_eff[i], one.omega_eff[0])
+            assert self.same_bits([e1[i], d[i]], [one.gap[0][0], one.gap[1][0]])
             w = thermal_weights(p)
             assert self.same_bits(family.weights[i], [w.lambda1, w.lambda2])
             if family.frame_degenerate[i]:
@@ -155,11 +152,11 @@ class TestPointFamily:
                 assert self.same_bits(family.tau[i], period_tau(p))
             if family.spectrum_degenerate[i]:
                 with pytest.raises(DegenerateSpectrum) as caught:
-                    eigensystem(p, 0.0)
+                    one.require(frame=False)
                 assert str(caught.value) == str(family.degeneracy(i, frame=False))
             else:
                 assert family.degeneracy(i, frame=False) is None
-                assert self.same_bits(bases[i], eigenbasis_matrix(eigensystem(p, 0.0)))
+                assert self.same_bits(bases[i], one.eigenbasis()[0])
 
     def test_edge_points_get_the_right_masks(self):
         family = PointFamily.of(self.EDGES)
@@ -184,19 +181,18 @@ class TestPointFamily:
 
 
 class TestRotatingFrame:
+    @staticmethod
+    def omega_eff(p):
+        return PointFamily.of([p]).omega_eff[0]
+
     def test_resonance(self):
-        h_rot, omega_eff = rotating_frame(ModelParams(V=1, muB=0.5, omega=1, beta=0))
-        np.testing.assert_allclose(h_rot, 0.5 * SIGMA_X, atol=1e-15)
-        assert omega_eff == pytest.approx(1.0)
+        assert self.omega_eff(ModelParams(V=1, muB=0.5, omega=1, beta=0)) == pytest.approx(1.0)
 
     def test_longitudinal_only(self):
-        h_rot, omega_eff = rotating_frame(ModelParams(V=1, muB=0, omega=0, beta=0))
-        np.testing.assert_allclose(h_rot, 0.5 * SIGMA_Z, atol=1e-15)
-        assert omega_eff == pytest.approx(1.0)
+        assert self.omega_eff(ModelParams(V=1, muB=0, omega=0, beta=0)) == pytest.approx(1.0)
 
     def test_flagship_effective_frequency(self):
-        _, omega_eff = rotating_frame(FLAGSHIP)
-        assert omega_eff == pytest.approx(FLAGSHIP_OMEGA_EFF, abs=1e-14)
+        assert self.omega_eff(FLAGSHIP) == pytest.approx(FLAGSHIP_OMEGA_EFF, abs=1e-14)
 
 
 class TestPeriodTau:
@@ -291,58 +287,66 @@ class TestClosedFormPropagator:
 
 
 class TestEigensystem:
+    """The eigenbasis columns psi1, psi2 of H(t) for the energies E1 = -E2, from PointFamily."""
+
+    @staticmethod
+    def frame(p, t=0.0):
+        family = PointFamily.of([p])
+        family.require(frame=False)
+        return family.gap[0][0], family.eigenbasis(t)[0]
+
     def test_zero_coupling_falls_back_to_basis_vectors(self):
-        frame = eigensystem(ModelParams(V=1, muB=0, omega=0.4, beta=0), 0.0)
-        assert frame.E1 == pytest.approx(0.5)
-        np.testing.assert_array_equal(frame.psi1, [1, 0])
-        np.testing.assert_array_equal(frame.psi2, [0, 1])
-        assert frame.normN == 1.0
+        e1, basis = self.frame(ModelParams(V=1, muB=0, omega=0.4, beta=0))
+        assert e1 == pytest.approx(0.5)
+        np.testing.assert_array_equal(basis, np.eye(2))
 
     def test_pure_transverse(self):
-        frame = eigensystem(ModelParams(V=0, muB=0.5, omega=0.9, beta=0), 0.0)
-        assert frame.E1 == pytest.approx(0.5)
+        e1, basis = self.frame(ModelParams(V=0, muB=0.5, omega=0.9, beta=0))
+        assert e1 == pytest.approx(0.5)
         np.testing.assert_allclose(
-            np.abs(frame.psi1), np.array([1, 1]) / math.sqrt(2), atol=1e-14
+            np.abs(basis[:, 0]), np.array([1, 1]) / math.sqrt(2), atol=1e-14
         )
 
     def test_flagship_values(self):
-        frame = eigensystem(FLAGSHIP, 0.0)
-        assert frame.E1 == pytest.approx(FLAGSHIP_E1, abs=1e-14)
-        assert frame.normN**2 == pytest.approx(FLAGSHIP_NSQ, abs=1e-14)
-        shift = 0.5 - frame.E1
+        e1, basis = self.frame(FLAGSHIP)
+        assert e1 == pytest.approx(FLAGSHIP_E1, abs=1e-14)
+        shift = 0.5 - e1
+        n_sq = shift**2 + 0.25
+        assert n_sq == pytest.approx(FLAGSHIP_NSQ, abs=1e-14)
         np.testing.assert_allclose(
-            frame.psi1, np.array([0.5, -shift]) / frame.normN, atol=1e-14
+            basis[:, 0], np.array([0.5, -shift]) / math.sqrt(n_sq), atol=1e-14
         )
 
     def test_degenerate_spectrum(self):
         with pytest.raises(DegenerateSpectrum):
-            eigensystem(ModelParams(V=0, muB=0, omega=1, beta=0), 0.0)
+            self.frame(ModelParams(V=0, muB=0, omega=1, beta=0))
 
     @settings(max_examples=150)
     @given(p=generic_params, t=st.floats(min_value=0, max_value=12))
     def test_eigen_equation_and_orthonormality(self, p, t):
-        frame = eigensystem(p, t)
+        e1, basis = self.frame(p, t)
+        psi1, psi2 = basis[:, 0], basis[:, 1]
         h = hamiltonian(p, t)
-        assert np.linalg.norm(h @ frame.psi1 - frame.E1 * frame.psi1) <= 1e-10
-        assert np.linalg.norm(h @ frame.psi2 - frame.E2 * frame.psi2) <= 1e-10
-        assert abs(np.linalg.norm(frame.psi1) - 1) <= 1e-12
-        assert abs(np.linalg.norm(frame.psi2) - 1) <= 1e-12
-        assert abs(np.vdot(frame.psi1, frame.psi2)) <= 1e-12
+        assert np.linalg.norm(h @ psi1 - e1 * psi1) <= 1e-10
+        assert np.linalg.norm(h @ psi2 + e1 * psi2) <= 1e-10
+        assert abs(np.linalg.norm(psi1) - 1) <= 1e-12
+        assert abs(np.linalg.norm(psi2) - 1) <= 1e-12
+        assert abs(np.vdot(psi1, psi2)) <= 1e-12
 
     def test_negative_splitting_without_coupling(self):
-        frame = eigensystem(ModelParams(V=-1.2, muB=0, omega=0.3, beta=0), 0.0)
-        assert frame.E1 == pytest.approx(0.6)
-        h = hamiltonian(ModelParams(V=-1.2, muB=0, omega=0.3, beta=0), 0.0)
-        assert np.linalg.norm(h @ frame.psi1 - frame.E1 * frame.psi1) <= 1e-12
+        p = ModelParams(V=-1.2, muB=0, omega=0.3, beta=0)
+        e1, basis = self.frame(p)
+        assert e1 == pytest.approx(0.6)
+        h = hamiltonian(p, 0.0)
+        assert np.linalg.norm(h @ basis[:, 0] - e1 * basis[:, 0]) <= 1e-12
 
-    def test_level_gap_shift_does_not_overflow(self):
-        e1, d = level_gap_shift(1e300, 1e300)
-        assert math.isfinite(e1) and math.isfinite(d)
-        assert d == pytest.approx(0.5e300 - e1, rel=1e-14)
+    def test_gap_does_not_overflow(self):
+        e1, d = PointFamily.of([ModelParams(V=1e300, muB=1e300, omega=0)]).gap
+        assert math.isfinite(e1[0]) and math.isfinite(d[0])
+        assert d[0] == pytest.approx(0.5e300 - e1[0], rel=1e-14)
 
     def test_basis_matrix_is_unitary(self):
-        b = eigenbasis_matrix(eigensystem(FLAGSHIP, 0.0))
-        assert unitarity_defect(b) <= 1e-13
+        assert unitarity_defect(self.frame(FLAGSHIP)[1]) <= 1e-13
 
 
 class TestThermalWeights:

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spinphase.engine import Ensemble, diagonal_phase_argument, offdiagonal_trace, shift_ensembles
 from spinphase.errors import UnitarityLoss
-from spinphase.model import ModelParams, period_tau
+from spinphase.model import ModelParams, PointFamily, period_tau
 from spinphase.pipeline import (
     CHUNK_POINTS,
     SweepSpec,
@@ -14,7 +15,6 @@ from spinphase.pipeline import (
     phase_point,
     phase_points,
     run_sweep,
-    thermal_companions,
 )
 from spinphase.verify import random_generic_params
 
@@ -47,11 +47,7 @@ class TestModelTraces:
 
     def test_basis_is_frozen_initial_eigenbasis(self):
         trace = model_trace(FLAGSHIP, steps=256)
-        from spinphase.model import eigenbasis_matrix, eigensystem
-
-        np.testing.assert_array_equal(
-            trace.basis, eigenbasis_matrix(eigensystem(FLAGSHIP, 0.0))
-        )
+        np.testing.assert_array_equal(trace.basis, PointFamily.of([FLAGSHIP]).eigenbasis(0.0)[0])
 
 
 class TestStreaming:
@@ -137,13 +133,12 @@ class TestPhasePoint:
         assert point.lambda1 == 0.5
         assert point.offdiag is not None
 
-
     def test_batch_assembly_matches_per_trace_functions(self):
-        from spinphase.engine import diagonal_phase_argument, offdiagonal_trace
-
+        # Pins the per-trace functions the acceptance suite uses to the one batched path.
         pts = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0)]
-        for p, point, trace in zip(pts, phase_points(pts, steps=512), model_traces(pts, 512)):
-            companions = thermal_companions(p, trace.basis)
+        weights = PointFamily.of(pts).weights
+        for w, point, trace in zip(weights, phase_points(pts, steps=512), model_traces(pts, 512)):
+            companions = shift_ensembles(Ensemble(basis=trace.basis, weights=w))
             assert point.diag_raw == diagonal_phase_argument(trace, companions[0])
             assert point.offdiag_raw == offdiagonal_trace(trace, companions, 2)
 
@@ -151,7 +146,8 @@ class TestPhasePoint:
 class TestThermalEnsemble:
     def test_weights_and_basis(self):
         basis = model_trace(FLAGSHIP, steps=256).basis
-        e, companion = thermal_companions(FLAGSHIP, basis)
+        weights = PointFamily.of([FLAGSHIP]).weights[0]
+        e, companion = shift_ensembles(Ensemble(basis=basis, weights=weights))
         assert e.weights[0] == pytest.approx(0.195570317493, abs=1e-12)
         assert e.weights.sum() == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_array_equal(companion.weights, e.weights[::-1])

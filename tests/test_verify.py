@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from support import reading_diagnostic
@@ -12,6 +13,7 @@ from spinphase.verify import (
     VerifyItem,
     VerifyReport,
     _check_consistency,
+    _value_to_jsonable,
     random_generic_params,
     report_table,
     report_to_dict,
@@ -173,6 +175,23 @@ class TestSerialization:
                 "classification",
                 "residual",
             }
+
+    def test_complex_is_a_pair_even_when_real(self):
+        assert _value_to_jsonable(0.5 + 0j) == [0.5, 0.0]
+        assert _value_to_jsonable(-0.25) == -0.25
+        assert _value_to_jsonable(np.eye(2, dtype=complex))[0] == [[1.0, 0.0], [0.0, 0.0]]
+
+    def test_each_field_has_one_form_across_a_grid(self):
+        # At seed 7 and 1024 steps one point's off-diagonal oracle value is exactly real.
+        def form(value):
+            return [form(v) for v in value] if isinstance(value, list) else type(value).__name__
+
+        forms = {}
+        for report in verify_grid(random_generic_params(25, 7), steps=1024):
+            for it in report_to_dict(report)["items"]:
+                for field in ("reference_value", "oracle_value"):
+                    forms.setdefault((it["equation_id"], field), set()).add(str(form(it[field])))
+        assert {key: kinds for key, kinds in forms.items() if len(kinds) > 1} == {}
 
     def test_error_report_dict(self):
         report = VerifyReport(params=FLAGSHIP, items=(), summary={}, error="boom")
