@@ -118,14 +118,13 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,jk...->ik...", a, b)
 
 
-def cumulative_simpson(y: np.ndarray, dx, initial=0.0) -> np.ndarray:
-    """Cumulative Simpson integral of real or complex ``y`` along axis 0, spacing ``dx``.
+def cumulative_simpson(y: np.ndarray, dx) -> np.ndarray:
+    """Cumulative Simpson integral of real or complex ``y`` along axis 0, spacing ``dx``, from 0.
 
     Each interval integrates the parabola through three neighbouring
     samples (scipy's equal-interval h1/h2 rule), and the interval integrals
-    are summed in order onto ``initial``.  ``dx`` and ``initial`` broadcast
-    against ``y[0]``, so batch members may have their own spacing.  Needs
-    >= 3 samples.
+    are summed in order.  ``dx`` broadcasts against ``y[0]``, so batch
+    members may have their own spacing.  Needs >= 3 samples.
     """
     y = np.asarray(y)
     y = y.astype(np.result_type(y, float), copy=False)
@@ -136,7 +135,7 @@ def cumulative_simpson(y: np.ndarray, dx, initial=0.0) -> np.ndarray:
         return third * (5 * f1 / 4 + 2 * f2 - f3 / 4)
 
     out = np.empty(y.shape, dtype=y.dtype)
-    out[0] = initial
+    out[0] = 0.0
     sub = out[1:]
     sub[:-1:2] = first_interval(y[:-2:2], y[1:-1:2], y[2::2])
     sub[1::2] = first_interval(y[2::2], y[1:-1:2], y[:-2:2])
@@ -187,21 +186,19 @@ def integrate_sampled_family(
     lengths depend on ``steps`` alone (:func:`_segment_lengths`).  Every
     (member, segment) pair is integrated from the identity as one member of
     the blocked RK4 kernel (:func:`_integrate_segments`), which yields the
-    segment propagator U_s and the operator integral W_s = int U_s^dag H U_s
-    dt.  The segments run in time order, in waves of at most max(1, 64 // B)
-    segments, so the kernel is never wider than max(B, 64) members.  After
-    each wave the segment endpoints are composed in time order: with X_0 =
-    B, the reference basis, X_{s+1} = U_s X_s and delta_k(t_{s+1}) =
-    delta_k(t_s) - Re <b_k| X_s^dag W_s X_s |b_k>; finally U(T) = X_P B^dag.
-    The segments of even length pair their Simpson panels as one composite
-    rule over the whole grid would.  Memory does not grow with ``steps``.
-    The traces are in endpoint form unless ``full_grid`` asks for every
-    step; the rows inside segment s are then U_s(t) X_s B^dag and
-    delta(t_s) - diag(X_s^dag W_s(t) X_s) with W_s(t) summed cumulatively,
-    and each segment's last row is the composed endpoint itself.  No
-    operation mixes members, and the segment layout does not depend on the
-    batch, so a member's result does not depend on the batch it is
-    integrated in.
+    rows of the segment propagator U_s(t) and of the operator integral
+    W_s(t) = int U_s^dag H U_s dt.  The segments run in time order, in waves
+    of at most max(1, 64 // B) segments, so the kernel is never wider than
+    max(B, 64) members.  After each wave the segments are composed in time
+    order, every row by one formula: with X_0 = B, the reference basis, row
+    t of segment s is U_s(t) X_s B^dag with phases delta_k(t_s) - Re <b_k|
+    X_s^dag W_s(t) X_s |b_k>, and X_{s+1} = U_s X_s.  The traces are in
+    endpoint form, the last segment's last row alone, unless ``full_grid``
+    asks for every step.  The segments of even length pair their Simpson
+    panels as one composite rule over the whole grid would.  Memory does
+    not grow with ``steps``.  No operation mixes members, and the segment
+    layout does not depend on the batch, so a member's result does not
+    depend on the batch it is integrated in.
 
     A member is refused if any of its segments is.  A segment is refused if
     its dt |H| exceeds RK4's stability bound 2 sqrt(2), or its drift at a
@@ -232,36 +229,29 @@ def integrate_sampled_family(
     # A diverging run overflows; the checkpoint drift test reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for first, count in _waves(lengths, max(1, WAVE_MEMBERS // b)):
-            u_end, w_end, wave_ratio, wave_drift, rows = _integrate_segments(
+            u, w, wave_ratio, wave_drift = _integrate_segments(
                 h_of_t, dt, origins[first : first + count], lengths[first], full_grid
             )
             if first == 0:  # the first samples give the dimension
-                n = u_end.shape[0]
-                upper = np.triu_indices(n)
+                n = u.shape[0]
                 if bases is None:
                     bases = np.broadcast_to(np.eye(n, dtype=complex), (b, n, n))
                 bases = np.asarray(bases, dtype=complex)
-                adjoint = bases.conj().transpose(2, 1, 0)
-                x = bases.transpose(1, 2, 0)
-                phase = np.zeros((n, b))
+                adjoint = bases.conj().transpose(2, 1, 0)[:, :, np.newaxis]
+                x = bases.transpose(1, 2, 0)[:, :, np.newaxis]
+                phase = np.zeros((n, 1, b))
                 u_rows.append(np.broadcast_to(np.eye(n, dtype=complex)[..., None, None], (n, n, 1, b)))
-                delta_rows.append(phase[:, np.newaxis])
+                delta_rows.append(phase)
             np.maximum(ratio, wave_ratio.reshape(count, b).max(axis=0), out=ratio)
             for p in range(count):
                 members = slice(p * b, (p + 1) * b)
                 drift = np.where(drift != 0.0, drift, wave_drift[members])
-                x_next = _contract(u_end[..., members], x)
-                phase_next = phase - _phase_drop(w_end[:, members], x, upper)
-                if full_grid:
-                    u_inner, w_inner = rows[0][:, :, :-1, members], rows[1][:, :-1, members]
-                    u_rows += [_contract(_contract(u_inner, x[:, :, None]), adjoint[:, :, None]),
-                               _contract(x_next, adjoint)[:, :, None]]
-                    drop = _phase_drop(w_inner, x[:, :, None], upper)
-                    delta_rows += [phase[:, None] - drop, phase_next[:, None]]
-                x, phase = x_next, phase_next
-    if not full_grid:
-        u_rows.append(_contract(x, adjoint)[:, :, np.newaxis])
-        delta_rows.append(phase[:, np.newaxis])
+                ux = _contract(u[..., members], x)
+                delta = phase - _phase_drop(w[..., members], x)
+                if full_grid or first + p == len(lengths) - 1:  # the endpoint form: U(T) alone
+                    u_rows.append(_contract(ux, adjoint))
+                    delta_rows.append(delta)
+                x, phase = ux[:, :, -1:], delta[:, -1:]
     index = np.arange(steps + 1) if full_grid else np.array([0, steps])
     u_all = np.ascontiguousarray(np.concatenate(u_rows, axis=2).transpose(3, 2, 0, 1))
     delta_all = np.ascontiguousarray(np.concatenate(delta_rows, axis=1).transpose(2, 1, 0))
@@ -328,17 +318,9 @@ def _simpson_weights(steps: int) -> np.ndarray:
     return c
 
 
-def _phase_drop(w: np.ndarray, x: np.ndarray, upper) -> np.ndarray:
-    """Re <e_k| X^dag W X |e_k> for every column k of X.
-
-    ``w`` holds the upper triangle of the Hermitian W, (pairs, ...), in the
-    order of ``upper``, and ``x`` is (N, N, ...); trailing axes broadcast.
-    """
-    drop = 0.0
-    for p, (i, j) in enumerate(zip(*upper)):
-        term = np.real(np.conj(x[i]) * w[p] * x[j])
-        drop = drop + (term if i == j else 2.0 * term)
-    return drop
+def _phase_drop(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Re <e_k| X^dag W X |e_k> = Re sum_i conj(x_ik) (W X)_ik per column k of (N, N, ...) stacks."""
+    return np.real(np.sum(np.conj(x) * _contract(w, x), axis=0))
 
 
 def _integrate_segments(
@@ -361,15 +343,19 @@ def _integrate_segments(
     block on the block's half-step grid, and each step is composed into one
     matrix: with A = -i dt H at the step's start, middle and end, S = I +
     (A0 + 2 (K2 + K3) + K4) / 6 for K2 = Am (I + A0/2), K3 = Am (I + K2/2)
-    and K4 = A1 (I + K3).  Each block adds its Simpson-weighted sum of
-    U^dag H U to W; a sample on a block edge is counted by the earlier
-    block.  A kernel member past the stability bound, or drifting at a
-    checkpoint, steps by the identity from then on.
+    and K4 = A1 (I + K3).  W_s is the full matrix: each sample of G = U^dag
+    H U is added to it already scaled by its Simpson weight times dt / 3, so
+    the sum overflows no sooner than W_s itself; a sample on a block edge is
+    counted by the earlier block.  With ``full_grid`` the rows G dt of the
+    whole segment go through one :func:`cumulative_simpson` pass, whose last
+    row is replaced by W_s so that both forms end on the same value.  A kernel
+    member past the stability bound, or drifting at a checkpoint, steps by
+    the identity from then on.
 
-    Returns U_s(end) (N, N, M), the upper triangle of W_s (pairs, M), each
-    kernel member's largest step ratio (M,) and the drift at its first
-    failed checkpoint (M,), 0 if none, and with ``full_grid`` the rows
-    U_s(t) (N, N, length, M) and W_s(t) (pairs, length, M) after t = 0.
+    Returns the rows U_s(t) and W_s(t), each (N, N, rows, M): every step
+    after t = 0 with ``full_grid``, else only the end; then each kernel
+    member's largest step ratio (M,) and the drift at its first failed
+    checkpoint (M,), 0 if none.
     """
     b = dt.shape[0]
     m = len(origins) * b
@@ -377,12 +363,11 @@ def _integrate_segments(
     # Fold -i into the step so the stage updates stay plain contractions.
     step = -1j * dt_m
     half = 0.5 * step
-    weights = _simpson_weights(length)
+    scale = np.multiply.outer(_simpson_weights(length), dt_m / 3.0)
     ratio = np.zeros(m)
     drift = np.zeros(m)
     refused = np.zeros(m, dtype=bool)
-    u_rows, w_rows = [], []
-    lead_w = 0.0
+    u_rows, g_rows = [], []
     # Integration runs in (N, N, time, M) blocks: each matrix element is a
     # contiguous row over the members, so one contraction advances them all.
     for start in range(0, length, PROJECTION_INTERVAL):
@@ -398,8 +383,7 @@ def _integrate_segments(
         if start == 0:
             eye = np.eye(n, dtype=complex)[..., np.newaxis]
             v = np.broadcast_to(eye, (n, n, m))
-            upper = np.triu_indices(n)
-            w = np.zeros((len(upper[0]), m), dtype=complex)
+            w = np.zeros((n, n, m), dtype=complex)
         # The block's step matrices S = I + (A0 + 2 (K2 + K3) + K4) / 6, summed in
         # place: block-sized temporaries set the peak memory of a wide chunk.
         a = step * h[:, :, 1::2]
@@ -428,30 +412,27 @@ def _integrate_segments(
         if stop % PROJECTION_INTERVAL == 0:
             block[:, :, -1] = polar_project(v_end).transpose(1, 2, 0)
         v = block[:, :, -1].copy()
-        # The upper triangle of G = U^dag H U at every sample.  Sums over time
-        # run row by row, never pairwise, so they do not depend on the width.
-        hu = _contract(h[:, :, ::2], block)
-        del h
-        adjoint = np.conj(block)
-        g = np.empty((stop - start + 1, len(upper[0]), m), dtype=complex)
-        for p, (i, j) in enumerate(zip(*upper)):
-            np.einsum("ktm,ktm->tm", adjoint[:, i], hu[:, j], out=g[:, p])
-        del hu, adjoint
+        # G = U^dag H U at each sample the previous block did not count, time leading:
+        # sums over time then run row by row, never pairwise, so they do not depend on M.
         lo = 1 if start else 0
-        w += np.sum(g[lo:] * weights[start + lo : stop + 1, np.newaxis, np.newaxis], axis=0)
+        hu = _contract(h[:, :, 2 * lo :: 2], block[:, :, lo:])
+        del h
+        adjoint = np.conj(block[:, :, lo:])
+        g = np.empty((stop - start + 1 - lo, n, n, m), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                np.einsum("ktm,ktm->tm", adjoint[:, i], hu[:, j], out=g[:, i, j])
+        del hu, adjoint
+        w += np.sum(g * scale[start + lo : stop + 1, np.newaxis, np.newaxis], axis=0)
         if full_grid:
-            # The rows of W_s(t) by one cumulative Simpson pass per segment; each
-            # block reaches back one panel, so an odd last block can use the end rule.
-            if start:
-                g = np.concatenate([lead, g])
-            running = cumulative_simpson(g, dt_m, lead_w)
-            lead, lead_w = g[-3:-1], running[-3]
             u_rows.append(block[:, :, 1:])
-            w_rows.append(running[-(stop - start) :].transpose(1, 0, 2))
+            g_rows.append(g)
         del block, g  # the next block's samples and stages need the room
-    w *= dt_m / 3.0
-    rows = (np.concatenate(u_rows, axis=2), np.concatenate(w_rows, axis=1)) if full_grid else None
-    return v, w, ratio, drift, rows
+    if not full_grid:
+        return v[:, :, np.newaxis], w[:, :, np.newaxis], ratio, drift
+    running = cumulative_simpson(np.concatenate(g_rows) * dt_m, 1.0)[1:]
+    running[-1] = w
+    return np.concatenate(u_rows, axis=2), running.transpose(1, 2, 0, 3), ratio, drift
 
 
 def _step_ratio(h: np.ndarray, dt: np.ndarray) -> np.ndarray:

@@ -18,8 +18,6 @@ from .errors import UndefinedPhase
 #: Magnitudes at or below this are treated as zero by the phase functional.
 PHASE_EPSILON = 1e-12
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
@@ -117,15 +115,15 @@ def unitarity_defect(u: np.ndarray) -> float:
     return np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1))
 
 
-def polar_project(u: np.ndarray, iterations: int = 2) -> np.ndarray:
+def polar_project(u: np.ndarray) -> np.ndarray:
     """Project (a batch of) nearly-unitary matrices onto the unitary group.
 
-    Newton iteration for the unitary polar factor, X <- (X + X^{-dagger})/2;
-    two iterations take a 1e-6 defect below machine precision.  SVD-free so
+    Two Newton iterations for the unitary polar factor, X <- (X +
+    X^{-dagger})/2, take a 1e-6 defect below machine precision.  SVD-free so
     the same code path serves batched input.
     """
     x = np.asarray(u, dtype=complex)
-    for _ in range(iterations):
+    for _ in range(2):
         inv_adj = np.linalg.inv(np.conjugate(np.swapaxes(x, -2, -1)))
         x = 0.5 * (x + inv_adj)
     return x

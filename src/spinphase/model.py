@@ -96,13 +96,22 @@ class PointFamily:
     elementwise numpy operations, and the scalar functions of this module
     evaluate a family of one, so each formula exists once and a point's
     values do not depend on its family.  Degenerate points are flagged by
-    the masks and named by the error methods, not rejected.
+    the masks and named by the error methods, not rejected; a point whose
+    Omega or E1 overflows, with no period or step size, raises ValueError.
     """
 
     V: np.ndarray
     muB: np.ndarray
     omega: np.ndarray
     beta: np.ndarray
+
+    def __post_init__(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflow = np.flatnonzero(~(np.isfinite(self.omega_eff) & np.isfinite(self.gap[0])))
+        if overflow.size:
+            i = overflow[0]
+            raise ValueError(f"Omega or E1 is not finite at V = {self.V[i]:.12g}, "
+                             f"muB = {self.muB[i]:.12g}, omega = {self.omega[i]:.12g}")
 
     @classmethod
     def of(cls, points: Sequence[ModelParams]) -> PointFamily:

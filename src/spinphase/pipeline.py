@@ -238,6 +238,7 @@ class SweepSpec:
             raise ValueError("start must be < stop")
         if self.points < 2:
             raise ValueError("points must be >= 2")
+        self.family()  # a grid point whose Omega or E1 overflows is rejected here
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)

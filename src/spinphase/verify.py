@@ -32,7 +32,7 @@ from .model import (
     closed_form_propagator,
     reference_closed_forms,
 )
-from .pipeline import model_trace, model_traces, thermal_phases
+from .pipeline import model_traces, thermal_phases
 
 EQUATION_IDS = (
     "U11_Eq15",
@@ -117,17 +117,6 @@ def _item(equation_id, reference, oracle, repaired=None) -> VerifyItem:
     )
 
 
-def _assemble_reports(params_list: list[ModelParams], traces: list[PropagatorTrace]):
-    """Reports of accepted points; their phases are assembled as a sweep assembles them."""
-    if not traces:
-        return []
-    u_par, diag_raw, offdiag_raw = thermal_phases(traces, PointFamily.of(params_list).weights)
-    return [
-        _assemble_report(*args)
-        for args in zip(params_list, traces, u_par, diag_raw.tolist(), offdiag_raw.tolist())
-    ]
-
-
 def _assemble_report(
     p: ModelParams, trace: PropagatorTrace, u_par, diag_oracle: complex, offdiag_oracle: complex
 ) -> VerifyReport:
@@ -179,14 +168,33 @@ def _assemble_report(
     return VerifyReport(params=p, items=items, summary=summary)
 
 
+def _verify(params_list: list[ModelParams], steps: int) -> list:
+    """Each point's report, or its error: its degeneracy, else the integrator's refusal."""
+    if steps < MIN_VERIFY_STEPS:
+        raise ValueError(f"steps must be >= {MIN_VERIFY_STEPS}, got {steps}")
+    family = PointFamily.of(params_list)
+    results = [family.degeneracy(i) for i in range(len(params_list))]
+    good = [i for i, error in enumerate(results) if error is None]
+    for i, trace in zip(good, model_traces([params_list[i] for i in good], steps)):
+        results[i] = trace if trace.refusal is None else trace.refusal
+    accepted = [i for i in good if isinstance(results[i], PropagatorTrace)]
+    if accepted:  # their phases are assembled in one batch, as a sweep assembles them
+        traces = [results[i] for i in accepted]
+        for i, *args in zip(accepted, traces, *thermal_phases(traces, family[accepted].weights)):
+            results[i] = _assemble_report(params_list[i], *args)
+    return results
+
+
 def verify_point(p: ModelParams, steps: int = 8192) -> VerifyReport:
     """Verify every reference equation at one parameter point.
 
-    ``steps`` must be at least 1024; the stated tolerances assume it.
+    ``steps`` must be at least 1024; the stated tolerances assume it.  Raises
+    the point's degeneracy or the integrator's refusal.
     """
-    if steps < MIN_VERIFY_STEPS:
-        raise ValueError(f"steps must be >= {MIN_VERIFY_STEPS}, got {steps}")
-    return _assemble_reports([p], [model_trace(p, steps)])[0]
+    (result,) = _verify([p], steps)
+    if not isinstance(result, VerifyReport):
+        raise result
+    return result
 
 
 def verify_grid(params_list, steps: int = 8192) -> list[VerifyReport]:
@@ -199,23 +207,11 @@ def verify_grid(params_list, steps: int = 8192) -> list[VerifyReport]:
     """
     if not params_list:
         raise ValueError("grid must be nonempty")
-    if steps < MIN_VERIFY_STEPS:
-        raise ValueError(f"steps must be >= {MIN_VERIFY_STEPS}, got {steps}")
-    family = PointFamily.of(params_list)
-    good = np.flatnonzero(~(family.frame_degenerate | family.spectrum_degenerate)).tolist()
-    traces = dict(zip(good, model_traces([params_list[i] for i in good], steps)))
-    accepted = [i for i in good if traces[i].refusal is None]
-    assembled = dict(zip(accepted, _assemble_reports(
-        [params_list[i] for i in accepted], [traces[i] for i in accepted]
-    )))
-    reports = []
-    for i, p in enumerate(params_list):
-        report = assembled.get(i)
-        if report is None:
-            error = traces[i].refusal if i in traces else family.degeneracy(i)
-            error = f"{type(error).__name__}: {error}"
-            report = VerifyReport(params=p, items=(), summary={}, error=error)
-        reports.append(report)
+    reports = [
+        result if isinstance(result, VerifyReport)
+        else VerifyReport(params=p, items=(), summary={}, error=f"{type(result).__name__}: {result}")
+        for p, result in zip(params_list, _verify(params_list, steps))
+    ]
     _check_consistency([r for r in reports if r.error is None])
     return reports
 

@@ -22,6 +22,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_strictly(capsys, *argv):
+    """run_cli with every warning an error; a usage error's SystemExit gives its code."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return run_cli(capsys, *argv)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            return exc.code, captured.out, captured.err
+
+
 class TestPhases:
     def test_flagship_report(self, capsys):
         code, out, _ = run_cli(
@@ -104,6 +115,16 @@ class TestPhases:
         with pytest.raises(SystemExit) as err:
             main(["phases", "--nope", "1"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--mu-B", "muB must be >= 0, got -1.0"), ("--beta", "beta must be >= 0, got -1.0")],
+    )
+    def test_negative_coupling_or_beta_exits_2(self, capsys, flag, message):
+        code, out, err = run_strictly(capsys, "phases", flag, "-1", "--steps", "64")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ")
+        assert err.endswith(f"error: {message}\n")
 
     def test_degenerate_frame_exits_3(self, capsys):
         code, _, err = run_cli(
@@ -257,6 +278,17 @@ class TestVerifyCommand:
             for rep in doc["reports"]
         ]
         assert classifications[0] == classifications[1] == classifications[2]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--grid", "0", "--steps", "1024"], "--grid must be >= 1"),
+         (["--grid", "2", "--steps", "512"], "steps must be >= 1024, got 512")],
+        ids=["grid-0", "steps-512"],
+    )
+    def test_invalid_grid_exits_2(self, capsys, argv, message):
+        code, out, err = run_strictly(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
 
 
 class TestExplicitFinalTime:
@@ -419,15 +451,6 @@ class TestUnitarityLossExit:
 class TestNonFiniteInput:
     """Non-finite times and bounds are usage errors, caught before numpy warns."""
 
-    def run_strictly(self, capsys, *argv):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                return run_cli(capsys, *argv)
-            except SystemExit as exc:
-                captured = capsys.readouterr()
-                return exc.code, captured.out, captured.err
-
     @pytest.mark.parametrize(
         "argv",
         [["phases", "--steps", "64"], [*SWEEP_FLAGS, "--steps", "64"]],
@@ -435,19 +458,19 @@ class TestNonFiniteInput:
     )
     @pytest.mark.parametrize("t_final", ["inf", "nan"])
     def test_final_time(self, capsys, argv, t_final):
-        code, out, err = self.run_strictly(capsys, *argv, "--t", t_final)
+        code, out, err = run_strictly(capsys, *argv, "--t", t_final)
         assert (code, out) == (2, "")
         assert err == "error: t_final must be positive and finite\n"
 
     @pytest.mark.parametrize("t_final", ["inf", "nan"])
     def test_propagate_time(self, capsys, t_final):
-        code, out, err = self.run_strictly(capsys, "propagate", "--t", t_final)
+        code, out, err = run_strictly(capsys, "propagate", "--t", t_final)
         assert (code, out) == (2, "")
         assert err.endswith("error: --t must be finite and >= 0\n")
 
     @pytest.mark.parametrize("start, stop", [("0", "inf"), ("nan", "1"), ("1", "nan")])
     def test_sweep_bounds(self, capsys, start, stop):
-        code, out, err = self.run_strictly(
+        code, out, err = run_strictly(
             capsys, "sweep", "--axis", "V", "--start", start, "--stop", stop, "--points", "3"
         )
         assert (code, out) == (2, "")
@@ -536,6 +559,70 @@ class TestHugeCoupling:
         code, out, _ = self.run_quietly(capsys, "propagate", *self.HUGE)
         assert code == 0
         assert float(re.search(r"\|numeric - ode\|_F += (\S+)", out)[1]) <= 1e-6
+
+
+class TestExtremeSplitting:
+    """delta stays finite up to V near the float maximum: Simpson samples are scaled, then summed."""
+
+    @pytest.mark.parametrize("v", ["1e306", "1e307", "1.7e308"])
+    def test_phases_exits_4_at_every_magnitude(self, capsys, v):
+        code, out, err = run_strictly(capsys, "phases", "--V", v, "--mu-B", "1", "--steps", "64")
+        assert (code, out) == (4, "")
+        assert err == "error: off-diagonal interference visibility vanished\n"
+
+    def test_sweep_rows_keep_delta1(self, capsys):
+        code, out, err = run_strictly(
+            capsys, "sweep", "--axis", "V", "--start", "1e306", "--stop", "1e307",
+            "--points", "3", "--mu-B", "1", "--steps", "64",
+        )
+        assert code == 0
+        assert err.count("warning: undefined phase at V = ") == 3
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            # E1 tau -> (V/2) (2 pi / V) = pi as V grows.
+            assert float(row[3]) == pytest.approx(-math.pi, abs=1e-6)
+
+    def test_verify_prints_no_nan(self, capsys):
+        code, out, _ = run_strictly(capsys, "verify", "--V", "1e307", "--mu-B", "1", "--steps", "1024")
+        assert code == 0
+        assert "nan" not in out
+        assert re.search(r"^delta1_Eq17 +match ", out, re.MULTILINE)
+
+
+class TestOverflowingScales:
+    """A point whose Omega or E1 overflows is a usage error, named before anything is printed."""
+
+    HUGE = ["--V", "1.7e308", "--mu-B", "1.7e308"]
+    ERROR = "error: Omega or E1 is not finite at V = 1.7e+308, muB = 1.7e+308, omega = 0.6\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phases", "--beta", "0", "--steps", "64"],
+            ["propagate", "--steps", "64"],
+            ["propagate", "--t", "1", "--steps", "64"],
+            ["propagate", "--t", "0", "--steps", "64"],
+            ["verify", "--steps", "1024"],
+            ["verify", "--grid", "2", "--steps", "1024"],
+        ],
+        ids=["phases", "propagate", "propagate-t", "propagate-t0", "verify", "verify-grid"],
+    )
+    def test_exits_2_naming_the_point(self, capsys, argv):
+        code, out, err = run_strictly(capsys, *argv, *self.HUGE)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ")
+        assert err.endswith(self.ERROR)
+
+    def test_sweep_with_one_such_point_is_rejected_like_its_bounds(self, capsys):
+        # Only the last grid point, muB = 1e308, overflows: 2 muB is past the float range.
+        code, out, err = run_strictly(
+            capsys, "sweep", "--axis", "muB", "--start", "1", "--stop", "1e308",
+            "--points", "3", "--steps", "64",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ")
+        assert err.endswith("error: Omega or E1 is not finite at V = 1, muB = 1e+308, omega = 0.6\n")
 
 
 class TestDegenerateSweepPoints:

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from spinphase.errors import UndefinedPhase
 from spinphase.linalg import (
     IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Z,
     phase_functional,
     polar_project,
     principal_arg,
     su2_exponential,
     unitarity_defect,
 )
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 # Components are either exactly zero or well inside the normal range, so a
@@ -47,6 +49,11 @@ class TestPhaseFunctional:
     @pytest.mark.parametrize("z", [0.0, 1e-13 + 0j, -1e-14j])
     def test_undefined_below_threshold(self, z):
         with pytest.raises(UndefinedPhase):
+            phase_functional(z)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)])
+    def test_non_finite_is_rejected(self, z):
+        with pytest.raises(ValueError, match="finite components"):
             phase_functional(z)
 
     def test_raw_is_preserved(self):
@@ -112,7 +119,7 @@ class TestSu2Exponential:
         t=st.floats(min_value=-5, max_value=5),
     )
     def test_matches_spectral_exponential(self, a, t):
-        generator = a[0] * SIGMA_X + a[1] * np.array([[0, -1j], [1j, 0]]) + a[2] * SIGMA_Z
+        generator = a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z
         values, vectors = np.linalg.eigh(generator)
         expected = (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
         np.testing.assert_allclose(su2_exponential(a, t), expected, atol=1e-12)

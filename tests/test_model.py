@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinphase.errors import DegenerateFrame, DegenerateSpectrum
-from spinphase.linalg import SIGMA_X, unitarity_defect
+from spinphase.linalg import unitarity_defect
 from spinphase.model import (
     Convention,
     ModelParams,
@@ -65,7 +67,7 @@ class TestHamiltonian:
 
     def test_static_transverse(self):
         h = hamiltonian(ModelParams(V=0, muB=0.5, omega=0, beta=0), 17.3)
-        np.testing.assert_allclose(h, 0.5 * SIGMA_X, atol=1e-15)
+        np.testing.assert_allclose(h, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
 
     def test_half_turn_flips_coupling_sign(self):
         p = ModelParams(V=1, muB=0.5, omega=0.6, beta=0)
@@ -169,6 +171,25 @@ class TestPointFamily:
         np.testing.assert_array_equal(bases[2], [[0, -1], [1, 0]])  # upper level is |1>
         assert family.weights[4, 0] == 0.0 and family.weights[4, 1] == 1.0
         assert np.all(np.isfinite(family.gap[1][:5]))
+
+    @pytest.mark.parametrize(
+        "point",
+        [(1.7e308, 1.7e308, 0.6), (1.0, 1e308, 0.6), (1.7e308, 0.5, -1e308)],
+        ids=["both", "2muB", "V-omega"],
+    )
+    def test_overflowing_omega_or_e1_is_rejected(self, point):
+        v, mub, omega = point
+        family = [FLAGSHIP, ModelParams(V=v, muB=mub, omega=omega, beta=1.0)]
+        message = f"Omega or E1 is not finite at V = {v:.12g}, muB = {mub:.12g}, omega = {omega:.12g}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                PointFamily.of(family)
+
+    def test_largest_finite_scales_are_accepted(self):
+        # Omega = hypot(1.2e308, 1.2e308) = 1.697e308, just under the float maximum.
+        family = PointFamily.of([ModelParams(V=6e307, muB=6e307, omega=-6e307)])
+        assert np.isfinite(family.omega_eff[0]) and np.isfinite(family.gap[0][0])
 
     def test_sampler_is_laid_out_for_the_kernel(self):
         points = [FLAGSHIP, ModelParams(V=0.3, muB=1.2, omega=-0.4, beta=2.0)]

@@ -55,9 +55,16 @@ class TestStreaming:
 
     @pytest.mark.parametrize("steps", [2, 65, 128, 1025, 513, 640, 1536, 4097])
     def test_endpoint_is_last_row_of_full_grid(self, steps):
-        pts = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0)]
-        ends = model_traces(pts, steps, t_final=0.1)
-        fulls = model_traces(pts, steps, t_final=0.1, full_grid=True)
+        # The V = 1e307 point runs over a time short enough for RK4's bound.
+        pts = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0),
+               ModelParams(V=1e307, muB=1.0, omega=0.6, beta=1.0)]
+        t_final = [0.1, 0.1, 2e-308]
+        ends = model_traces(pts, steps, t_final)
+        fulls = model_traces(pts, steps, t_final, full_grid=True)
+        assert all(trace.refusal is None for trace in ends + fulls)
+        # delta_1 = -E1 t with E1 = V/2, which an unscaled Simpson sum overflows; at
+        # 2 steps RK4 shrinks |U|^2 by (dt E1)^6 / 72 = 2e-10.
+        assert ends[2].delta[-1, 0] == pytest.approx(-0.5e307 * 2e-308, rel=1e-9)
         for end, full in zip(ends, fulls):
             assert full.U.shape[0] == steps + 1
             assert end.U.shape[0] == 2
@@ -65,6 +72,16 @@ class TestStreaming:
                 rows = getattr(full, name)[[0, -1]]
                 assert getattr(end, name).tobytes() == rows.tobytes(), name
             assert end.basis.tobytes() == full.basis.tobytes()
+
+    @pytest.mark.parametrize("steps", [2, 65, 4097])
+    def test_full_grid_rows_stay_finite_near_the_float_maximum(self, steps):
+        # |H| = 8.5e307: G itself is finite, three unscaled Simpson samples are not.
+        point = [ModelParams(V=1.7e308, muB=1.0, omega=0.6, beta=1.0)]
+        (full,) = model_traces(point, steps, [2e-309], full_grid=True)
+        assert full.refusal is None
+        assert np.all(np.isfinite(full.delta))
+        # delta_1 = -E1 t; at 2 steps RK4 shrinks |U|^2 by (dt E1)^6 / 72 = 5e-9.
+        np.testing.assert_allclose(full.delta[:, 0], -0.85e308 * full.grid, rtol=1e-8)
 
     def test_family_wider_than_a_chunk_matches_single_points(self):
         n = CHUNK_POINTS + 3
@@ -173,6 +190,11 @@ class TestSweepSpec:
     def test_rejects_non_finite_bounds(self, start, stop):
         with pytest.raises(ValueError, match="start and stop must be finite"):
             SweepSpec(axis="V", start=start, stop=stop, points=3, fixed=FLAGSHIP)
+
+    def test_rejects_a_grid_point_whose_omega_overflows(self):
+        # Only the last point, muB = 1e308, has 2 muB past the float range.
+        with pytest.raises(ValueError, match=r"^Omega or E1 is not finite at V = 1, muB = 1e\+308"):
+            SweepSpec(axis="muB", start=1.0, stop=1e308, points=3, fixed=FLAGSHIP)
 
     def test_params_at_overrides_only_axis(self):
         spec = SweepSpec(axis="omega", start=0.1, stop=2.0, points=5, fixed=FLAGSHIP)

@@ -5,7 +5,12 @@ import pytest
 
 from support import reading_diagnostic
 
-from spinphase.errors import InconsistentClassification
+from spinphase.errors import (
+    DegenerateFrame,
+    DegenerateSpectrum,
+    InconsistentClassification,
+    UnitarityLoss,
+)
 from spinphase.model import ModelParams
 from spinphase.verify import (
     EQUATION_IDS,
@@ -13,6 +18,7 @@ from spinphase.verify import (
     VerifyItem,
     VerifyReport,
     _check_consistency,
+    _classify,
     _value_to_jsonable,
     random_generic_params,
     report_table,
@@ -22,6 +28,9 @@ from spinphase.verify import (
 )
 
 FLAGSHIP = ModelParams(V=1.0, muB=0.5, omega=0.6, beta=1.0)
+# (V, muB, omega) near resonance: tau = pi / muB is so long that 1024 steps
+# are past RK4's stability bound.
+REFUSED = (1.0, 1e-6, 1.0)
 
 # Golden classification ledger at the flagship point, produced by the oracle
 # on the first run and frozen here.  The oracle is the provenance: nothing in
@@ -90,6 +99,34 @@ class TestVerifyPoint:
         with pytest.raises(ValueError):
             verify_point(FLAGSHIP, steps=512)
 
+    @pytest.mark.parametrize(
+        "point, error, message",
+        [
+            ((1.0, 0.0, 1.0), DegenerateFrame, "effective frequency 0.000e+00 <= 1e-12; no period"),
+            ((0.0, 0.0, 0.5), DegenerateSpectrum, "E1 = 0.000e+00 <= 1e-12; eigenbasis undefined"),
+            (REFUSED, UnitarityLoss, "dt*|H| = 1.53e+03 exceeds the RK4 stability bound 2.83; "
+                                     "needs at least 555361 steps"),
+        ],
+        ids=["frame", "spectrum", "refused"],
+    )
+    def test_point_without_a_report_raises_its_error(self, point, error, message):
+        v, mub, omega = point
+        with pytest.raises(error) as caught:
+            verify_point(ModelParams(V=v, muB=mub, omega=omega, beta=1.0), steps=1024)
+        assert str(caught.value) == message
+
+
+class TestClassify:
+    def test_repaired_match(self):
+        # Neither the value, its conjugate nor its negation matches; the repaired form does.
+        assert _classify(1.0, 3.0, 1e-6, repaired=3.0) == ("repaired_match", 2.0)
+
+    def test_repair_comes_after_the_stated_readings(self):
+        assert _classify(1.0 + 1.0j, 1.0 - 1.0j, 1e-6, repaired=1.0 - 1.0j)[0] == "conjugate"
+
+    def test_without_repair_it_is_a_mismatch(self):
+        assert _classify(1.0, 3.0, 1e-6) == ("mismatch", 2.0)
+
 
 class TestVerifyGrid:
     def test_singleton(self):
@@ -107,12 +144,21 @@ class TestVerifyGrid:
         assert reports[1].items == ()
 
     def test_refused_point_is_marked_and_others_proceed(self):
-        # Near resonance tau = pi / muB is so long that 1024 steps are past RK4's bound.
-        refused = ModelParams(V=1.0, muB=1e-6, omega=1.0, beta=1.0)
+        refused = ModelParams(*REFUSED, beta=1.0)
         reports = verify_grid([FLAGSHIP, refused], steps=1024)
         assert report_to_dict(reports[0]) == report_to_dict(verify_grid([FLAGSHIP], steps=1024)[0])
         assert reports[1].error.startswith("UnitarityLoss: dt*|H| = ")
         assert reports[1].items == ()
+
+    @pytest.mark.parametrize(
+        "point, error",
+        [(REFUSED, "UnitarityLoss: dt*|H| = "), ((1.0, 0.0, 1.0), "DegenerateFrame: ")],
+        ids=["refused", "degenerate"],
+    )
+    def test_grid_without_an_accepted_point(self, point, error):
+        (report,) = verify_grid([ModelParams(*point, beta=1.0)], steps=1024)
+        assert report.error.startswith(error)
+        assert (report.items, report.summary) == ((), {})
 
     def test_seeded_grid_uniform_classifications(self):
         reports = verify_grid(random_generic_params(25, seed=7), steps=1024)
@@ -197,6 +243,12 @@ class TestSerialization:
         report = VerifyReport(params=FLAGSHIP, items=(), summary={}, error="boom")
         doc = report_to_dict(report)
         assert doc["error"] == "boom"
+
+    def test_error_report_table(self):
+        report = VerifyReport(params=FLAGSHIP, items=(), summary={}, error="boom")
+        header, *rest = report_table(report).splitlines()
+        assert header.startswith("equation_id") and header.endswith("oracle_value")
+        assert rest == ["error: boom"]
 
     def test_table_has_one_row_per_equation(self, flagship_report):
         table = report_table(flagship_report)
