@@ -1,7 +1,7 @@
 """Mixed-state geometric phases for a spin precessing in a rotating field.
 
 Public surface: the model (:class:`ModelParams`, Hamiltonian, closed-form
-propagator, thermal weights, and :class:`PointFamily` for eigenbases), the
+propagator, and :class:`PointFamily` for eigenbases and thermal weights), the
 definitional phase engine (propagator traces, dynamical phases, parallel
 transport, diagonal and off-diagonal mixed-state phases), the closed-form
 verification ledger, and a parameter-sweep pipeline.  ``spinphase.cli``
@@ -37,12 +37,10 @@ from .model import (
     ModelParams,
     PointFamily,
     ReferenceForms,
-    ThermalWeights,
     closed_form_propagator,
     hamiltonian,
     period_tau,
     reference_closed_forms,
-    thermal_weights,
 )
 from .pipeline import (
     PhasePoint,

@@ -10,10 +10,9 @@ magnetic moment and the field strength) define the Hamiltonian
 
 which is solved exactly by transforming into the frame co-rotating with the
 field.  This module provides the Hamiltonian, the rotating-frame return
-period, the closed-form propagator in both operator orderings, thermal
-occupation weights, and the closed-form reference expressions for the matrix
-elements, dynamical phases and geometric phases at one full rotating-frame
-period.
+period, the closed-form propagator in both operator orderings, and the
+closed-form reference expressions for the matrix elements, dynamical phases
+and geometric phases at one full rotating-frame period.
 
 :class:`PointFamily` holds a family of points as arrays and computes every
 per-point quantity for all of them with numpy: the rotating-frame frequency,
@@ -206,30 +205,28 @@ class PointFamily:
         return basis
 
 
-def hamiltonian(
-    p: ModelParams | Sequence[ModelParams] | PointFamily, times: float | np.ndarray
-) -> np.ndarray:
+def hamiltonian(p: ModelParams | PointFamily, times: float | np.ndarray) -> np.ndarray:
     """Lab-frame H(t), traceless and Hermitian.
 
     For one :class:`ModelParams`, ``times`` is a scalar or an array and the
-    shape is times.shape + (2, 2).  For a family of B points, ``times`` is
-    (B, T), one row per point, and the result (B, T, 2, 2) is a view of an
-    array laid out (2, 2, T, B), each matrix element one contiguous (T, B)
-    row: the engine's kernel reads it in that order without a copy.
+    shape is times.shape + (2, 2).  For a :class:`PointFamily` of B points,
+    ``times`` is (B, T), one row per point, and the result (B, T, 2, 2) is a
+    view of an array laid out (2, 2, T, B), each matrix element one
+    contiguous (T, B) row: the engine's kernel reads it in that order
+    without a copy.
     """
     times = np.asarray(times, dtype=float)
     if isinstance(p, ModelParams):
         samples = hamiltonian(PointFamily.of([p]), times.reshape(1, -1))[0]
         return samples.reshape(times.shape + (2, 2))
-    family = p if isinstance(p, PointFamily) else PointFamily.of(p)
     rows = times.T
     out = np.empty((2, 2) + rows.shape, dtype=complex)
-    out[0, 0] = 0.5 * family.V
-    out[1, 1] = -0.5 * family.V
-    phase = np.multiply(-1j * family.omega, rows, out=np.empty(rows.shape, dtype=complex))
+    out[0, 0] = 0.5 * p.V
+    out[1, 1] = -0.5 * p.V
+    phase = np.multiply(-1j * p.omega, rows, out=np.empty(rows.shape, dtype=complex))
     np.exp(phase, out=phase)
-    np.multiply(family.muB, phase, out=out[0, 1])
-    np.multiply(family.muB, np.conjugate(phase, out=phase), out=out[1, 0])
+    np.multiply(p.muB, phase, out=out[0, 1])
+    np.multiply(p.muB, np.conjugate(phase, out=phase), out=out[1, 0])
     return out.transpose(3, 2, 0, 1)
 
 
@@ -260,20 +257,6 @@ def closed_form_propagator(
     if convention is Convention.LITERAL:
         return rot @ rotation_z(-half)
     return rotation_z(half) @ rot
-
-
-@dataclass(frozen=True)
-class ThermalWeights:
-    """Boltzmann occupation weights of the two instantaneous levels."""
-
-    lambda1: float
-    lambda2: float
-
-
-def thermal_weights(p: ModelParams) -> ThermalWeights:
-    """Thermal weights lambda_k = e^{-beta E_k} / Z; see :attr:`PointFamily.weights`."""
-    lam1, lam2 = PointFamily.of([p]).weights[0].tolist()
-    return ThermalWeights(lambda1=lam1, lambda2=lam2)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """End-to-end evaluation of thermal-state geometric phases for the spin model.
 
 Single parameter points and parameter families share one code path: a family
-is taken into its array form (:class:`PointFamily`), integrated by the engine
-kernel in chunks of distinct trajectories, and the phases of every point are
-assembled at once by :func:`thermal_phases` over the frozen t = 0 eigenbasis;
-verification assembles its oracle values there too.  No operation mixes
+is carried in its array form (:class:`PointFamily`) from the sweep to the
+engine kernel, integrated in chunks of distinct trajectories, and the phases
+of every point are assembled at once by :func:`thermal_phases` over the
+frozen t = 0 eigenbasis; verification assembles its oracle values there too.
+A single point is a family of one, built by :func:`model_trace` and
+:func:`phase_point`.  No operation mixes
 points, so a point's values do not depend on the family it is evaluated in,
 and a degenerate or refused point is reported per point.
 """
@@ -38,12 +40,12 @@ CHUNK_POINTS = 512
 
 def _trajectories(
     family: PointFamily, t_final: float | Sequence[float] | None
-) -> tuple[list[tuple], list[list[int]]]:
-    """Trajectory key (V, muB, omega, T) of each point, and the point indices in chunks.
+) -> tuple[np.ndarray, list[list[list[int]]]]:
+    """Each point's final time, and its indices grouped by trajectory, in chunks.
 
-    Points with equal keys differ only in beta, which enters the thermal
-    weights, not the evolution: they share one trajectory and one chunk.  A
-    chunk spans at most CHUNK_POINTS distinct trajectories.
+    Points with equal (V, muB, omega, final time) differ only in beta, which
+    enters the thermal weights, not the evolution: they form one group and
+    share one trajectory.  A chunk holds at most CHUNK_POINTS groups.
     """
     if t_final is None:
         family.require(spectrum=False)
@@ -52,52 +54,47 @@ def _trajectories(
         finals = np.broadcast_to(np.asarray(t_final, dtype=float), family.V.shape)
         if not np.all(np.isfinite(finals) & (finals > 0.0)):
             raise ValueError("t_final must be positive and finite")
-    keys = list(zip(family.V.tolist(), family.muB.tolist(), family.omega.tolist(), finals.tolist()))
-    members: dict[tuple, list[int]] = {}
+    keys = zip(family.V.tolist(), family.muB.tolist(), family.omega.tolist(), finals.tolist())
+    by_trajectory: dict[tuple, list[int]] = {}
     for i, key in enumerate(keys):
-        members.setdefault(key, []).append(i)
-    groups = list(members.values())
-    chunks = [
-        [i for group in groups[lo : lo + CHUNK_POINTS] for i in group]
-        for lo in range(0, len(groups), CHUNK_POINTS)
-    ]
-    return keys, chunks
+        by_trajectory.setdefault(key, []).append(i)
+    groups = list(by_trajectory.values())
+    return finals, [groups[lo : lo + CHUNK_POINTS] for lo in range(0, len(groups), CHUNK_POINTS)]
 
 
 def model_traces(
-    params_list: Sequence[ModelParams],
+    family: PointFamily,
     steps: int,
     t_final: float | Sequence[float] | None = None,
     *,
     full_grid: bool = False,
 ) -> list[PropagatorTrace]:
-    """Integrate the model for a family of parameter points.
+    """Integrate the model for each point of ``family``.
 
     ``t_final`` may be a scalar, one value per point, or None for each
     point's own rotating-frame period tau.  The dynamical-phase reference
     basis is the t = 0 eigenbasis of each point.  Points that differ only in
-    beta share one trace.  The distinct trajectories are integrated in
-    chunks of at most CHUNK_POINTS, so the working memory depends on neither
-    the number of points nor ``steps``.  Traces are in endpoint form unless
-    ``full_grid`` asks for every step.  A trace the integrator refused
-    carries its ``refusal``; the others do not depend on it.
+    beta share one trace: the first point of each trajectory group is
+    integrated and its trace handed to the rest.  The distinct trajectories
+    are integrated in chunks of at most CHUNK_POINTS, so the working memory
+    depends on neither the number of points nor ``steps``.  Traces are in
+    endpoint form unless ``full_grid`` asks for every step.  A trace the
+    integrator refused carries its ``refusal``; the others do not depend on
+    it.
     """
-    family = PointFamily.of(params_list)
-    keys, chunks = _trajectories(family, t_final)
-    traces: list[PropagatorTrace | None] = [None] * len(keys)
-    for chunk in chunks:
-        first: dict[tuple, int] = {}
-        for i in chunk:
-            first.setdefault(keys[i], i)
-        points = family[list(first.values())]
+    finals, chunks = _trajectories(family, t_final)
+    traces: list[PropagatorTrace | None] = [None] * len(finals)
+    for groups in chunks:
+        firsts = [group[0] for group in groups]
+        points = family[firsts]
         points.require(frame=False)
         integrated = integrate_sampled_family(
-            partial(hamiltonian, points), [key[3] for key in first], steps, points.eigenbasis(),
+            partial(hamiltonian, points), finals[firsts], steps, points.eigenbasis(),
             full_grid=full_grid,
         )
-        by_key = dict(zip(first, integrated))
-        for i in chunk:
-            traces[i] = by_key[keys[i]]
+        for group, trace in zip(groups, integrated):
+            for i in group:
+                traces[i] = trace
     return traces
 
 
@@ -105,7 +102,7 @@ def model_trace(
     params: ModelParams, steps: int, t_final: float | None = None, *, full_grid: bool = False
 ) -> PropagatorTrace:
     """Single-point wrapper around :func:`model_traces` that raises the point's refusal."""
-    trace = model_traces([params], steps, t_final, full_grid=full_grid)[0]
+    trace = model_traces(PointFamily.of([params]), steps, t_final, full_grid=full_grid)[0]
     if trace.refusal is not None:
         raise trace.refusal
     return trace
@@ -115,12 +112,11 @@ def model_trace(
 class PhasePoint:
     """All phase quantities of one parameter point at one final time.
 
-    ``diag``/``offdiag`` are None when the corresponding interference
-    amplitude vanished (undefined phase); the raw arguments are always
-    recorded.
+    The point itself is not kept: the caller holds it.  ``diag``/``offdiag``
+    are None when the corresponding interference amplitude vanished
+    (undefined phase); the raw arguments are always recorded.
     """
 
-    params: ModelParams
     t_final: float
     tau: float
     omega_eff: float
@@ -170,23 +166,21 @@ def _phase_or_none(raw: complex) -> PhaseFactor | None:
 
 
 def phase_points(
-    params_list: Sequence[ModelParams],
+    family: PointFamily,
     steps: int = 8192,
     t_final: float | None = None,
 ) -> list[PhasePoint | UnitarityLoss]:
-    """Evaluate the diagonal and off-diagonal phases for a parameter family.
+    """Evaluate the diagonal and off-diagonal phases for each point of ``family``.
 
     A point the integrator refused comes back as its :class:`UnitarityLoss`
     in place of a :class:`PhasePoint`.
     """
-    traces = model_traces(params_list, steps, t_final)
-    family = PointFamily.of(params_list)
+    traces = model_traces(family, steps, t_final)
     family.require(spectrum=False)
     _, diag_raw, offdiag_raw = thermal_phases(traces, family.weights)
     return [
         trace.refusal
         or PhasePoint(
-            params=p,
             t_final=trace.t_final,
             tau=tau,
             omega_eff=omega_eff,
@@ -199,8 +193,8 @@ def phase_points(
             diag=_phase_or_none(d),
             offdiag=_phase_or_none(o),
         )
-        for p, trace, tau, omega_eff, (lam1, lam2), (d1, d2), d, o in zip(
-            params_list, traces, family.tau.tolist(), family.omega_eff.tolist(),
+        for trace, tau, omega_eff, (lam1, lam2), (d1, d2), d, o in zip(
+            traces, family.tau.tolist(), family.omega_eff.tolist(),
             family.weights.tolist(), (tr.delta[-1].tolist() for tr in traces),
             diag_raw.tolist(), offdiag_raw.tolist(),
         )
@@ -211,7 +205,7 @@ def phase_point(
     params: ModelParams, steps: int = 8192, t_final: float | None = None
 ) -> PhasePoint:
     """Evaluate one parameter point; see :class:`PhasePoint`.  Raises its refusal."""
-    point = phase_points([params], steps, t_final)[0]
+    point = phase_points(PointFamily.of([params]), steps, t_final)[0]
     if isinstance(point, UnitarityLoss):
         raise point
     return point
@@ -236,21 +230,23 @@ class SweepSpec:
             raise ValueError("start and stop must be finite")
         if not self.start < self.stop:
             raise ValueError("start must be < stop")
+        if not math.isfinite(float(self.stop) - float(self.start)):
+            raise ValueError("stop - start must be finite; it overflows")
         if self.points < 2:
             raise ValueError("points must be >= 2")
+        if not np.all(np.diff(self.grid()) > 0.0):
+            raise ValueError(f"{self.points} points from {self.start!r} to {self.stop!r} "
+                             "do not make a strictly increasing grid")
         self.family()  # a grid point whose Omega or E1 overflows is rejected here
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
 
     def family(self) -> PointFamily:
-        """The grid's points in array form."""
+        """The grid's points in array form: the axis column is the grid, the others ``fixed``."""
         columns = {name: np.full(self.points, float(v)) for name, v in vars(self.fixed).items()}
         columns[self.axis] = self.grid()
         return PointFamily(**columns)
-
-    def params_at(self, value: float) -> ModelParams:
-        return ModelParams(**{**vars(self.fixed), self.axis: float(value)})
 
 
 @dataclass(frozen=True)
@@ -299,8 +295,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     none names a count).  Points are evaluated one chunk of trajectories at
     a time, so only the rows outlive a chunk.
     """
-    values = spec.grid()
     family = spec.family()
+    values = getattr(family, spec.axis)
     degenerate = family.frame_degenerate | family.spectrum_degenerate
     rows: list[SweepRow | None] = [None] * len(values)
     for i in np.flatnonzero(degenerate):
@@ -309,10 +305,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         raise family.degeneracy(0)
     good = np.flatnonzero(~degenerate)
     refusals = []
-    for chunk in _trajectories(family[good], spec.t_final)[1]:
-        members = good[chunk]
-        params = [spec.params_at(v) for v in values[members]]
-        points = phase_points(params, spec.steps, spec.t_final)
+    for groups in _trajectories(family[good], spec.t_final)[1]:
+        members = good[[i for group in groups for i in group]]
+        points = phase_points(family[members], spec.steps, spec.t_final)
         refusals += [point for point in points if isinstance(point, UnitarityLoss)]
         for i, point in zip(members, points):
             rows[i] = _row_from_point(values[i], point)

@@ -175,7 +175,7 @@ def _verify(params_list: list[ModelParams], steps: int) -> list:
     family = PointFamily.of(params_list)
     results = [family.degeneracy(i) for i in range(len(params_list))]
     good = [i for i, error in enumerate(results) if error is None]
-    for i, trace in zip(good, model_traces([params_list[i] for i in good], steps)):
+    for i, trace in zip(good, model_traces(family[good], steps)):
         results[i] = trace if trace.refusal is None else trace.refusal
     accepted = [i for i in good if isinstance(results[i], PropagatorTrace)]
     if accepted:  # their phases are assembled in one batch, as a sweep assembles them

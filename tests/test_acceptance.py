@@ -28,8 +28,8 @@ from spinphase.linalg import phase_functional, su2_exponential
 from spinphase.model import (
     Convention,
     ModelParams,
+    PointFamily,
     closed_form_propagator,
-    thermal_weights,
 )
 from spinphase.pipeline import SweepSpec, model_trace, model_traces, run_sweep
 from spinphase.verify import random_generic_params, verify_grid
@@ -89,7 +89,7 @@ def test_criterion_1_oracle_equivalence(acceptance):
 
 def test_criterion_2_exact_identities(acceptance):
     points = random_generic_params(50, seed=20250809)
-    traces = model_traces(points, steps=8192)
+    traces = model_traces(PointFamily.of(points), steps=8192)
     worst_sum = 0.0
     worst_structure = 0.0
     for trace in traces:
@@ -128,13 +128,12 @@ def test_criterion_4_reality_and_quantization(acceptance):
         for b in betas
         for w in omegas
     ]
-    traces = model_traces(points, steps=8192)
+    traces = model_traces(PointFamily.of(points), steps=8192)
     worst_off_ratio = 0.0
     worst_quantization = 0.0
     worst_diag_ratio = 0.0
     for p, trace in zip(points, traces):
-        w = thermal_weights(p)
-        ensemble = Ensemble(basis=trace.basis, weights=np.array([w.lambda1, w.lambda2]))
+        ensemble = Ensemble(basis=trace.basis, weights=PointFamily.of([p]).weights[0])
         companions = shift_ensembles(ensemble)
         off_raw = offdiagonal_trace(trace, companions, 2)
         worst_off_ratio = max(worst_off_ratio, abs(off_raw.imag) / abs(off_raw))

@@ -476,6 +476,26 @@ class TestNonFiniteInput:
         assert (code, out) == (2, "")
         assert err.endswith("error: start and stop must be finite\n")
 
+    def test_sweep_range_that_overflows(self, capsys):
+        # Both bounds are finite; their difference is not.
+        code, out, err = run_strictly(
+            capsys, "sweep", "--axis", "V", "--start=-1.7e308", "--stop", "1.7e308",
+            "--points", "3", "--steps", "64",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ")
+        assert err.endswith("error: stop - start must be finite; it overflows\n")
+
+    def test_sweep_grid_with_repeated_points(self, capsys):
+        # np.linspace rounds the middle of [0, 5e-324] to 0: two rows would print V = 0.
+        code, out, err = run_strictly(
+            capsys, "sweep", "--axis", "V", "--start", "0", "--stop", "5e-324",
+            "--points", "3", "--steps", "64",
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith("error: 3 points from 0.0 to 5e-324 do not make a strictly "
+                            "increasing grid\n")
+
 
 class TestSamePointSameNumbers:
     """A point's numbers do not depend on the command or the batch that computes them."""
@@ -510,18 +530,13 @@ class TestSamePointSameNumbers:
 class TestHugeBeta:
     """2 beta E1 past the float range is the zero-temperature limit, computed without a warning."""
 
-    def run_strictly(self, capsys, *argv):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            return run_cli(capsys, *argv)
-
     def test_phases_gives_lambda1_zero(self, capsys):
-        code, out, _ = self.run_strictly(capsys, "phases", *FLAGSHIP_FLAGS[:-2], "--beta", "1e308")
+        code, out, _ = run_strictly(capsys, "phases", *FLAGSHIP_FLAGS[:-2], "--beta", "1e308")
         assert code == 0
         assert re.search(r"^lambda1 += 0$", out, re.MULTILINE)
 
     def test_sweep_runs(self, capsys):
-        code, out, _ = self.run_strictly(
+        code, out, _ = run_strictly(
             capsys, "sweep", "--axis", "beta", "--start", "1e307", "--stop", "1e308",
             "--points", "3", "--steps", "64",
         )

@@ -182,9 +182,9 @@ class TestIntegrator:
             ModelParams(V=0.5 + 0.01 * i, muB=0.5, omega=0.1 + 0.015 * i, beta=0.05 * i)
             for i in range(101)
         ]
-        family = model_traces(points, 256)
+        family = model_traces(PointFamily.of(points), 256)
         for j in (0, 57, 100):
-            single = model_traces([points[j]], 256)[0]
+            single = model_trace(points[j], 256)
             np.testing.assert_array_equal(single.U, family[j].U)
             np.testing.assert_array_equal(single.delta, family[j].delta)
 
@@ -279,25 +279,27 @@ class TestTimeSegments:
 
     def test_point_alone_equals_point_in_a_family(self):
         steps = 16384  # 32 segments; 25 points run in waves of 2 segments
-        family = model_traces(self.POINTS[:25], steps)
+        family = model_traces(PointFamily.of(self.POINTS[:25]), steps)
         for j in (0, 13, 24):
-            self.assert_same_bytes(model_traces([self.POINTS[j]], steps)[0], family[j])
+            self.assert_same_bytes(model_trace(self.POINTS[j], steps), family[j])
 
     def test_point_next_to_a_refused_member(self):
         steps = 4096
         point = self.POINTS[3]
         refused = ModelParams(V=1.0, muB=1e3, omega=0.6, beta=1.0)
-        pair = model_traces([point, refused], steps, t_final=[period_tau(point), 100.0])
+        pair = model_traces(
+            PointFamily.of([point, refused]), steps, t_final=[period_tau(point), 100.0]
+        )
         assert pair[0].refusal is None
         assert isinstance(pair[1].refusal, UnitarityLoss)
-        self.assert_same_bytes(model_traces([point], steps)[0], pair[0])
+        self.assert_same_bytes(model_trace(point, steps), pair[0])
 
     def test_across_a_wave_edge(self):
         # 33 points: every wave holds one segment; alone, one wave holds all four.
         steps = 2048
-        family = model_traces(self.POINTS, steps)
+        family = model_traces(PointFamily.of(self.POINTS), steps)
         for j in (0, 32):
-            self.assert_same_bytes(model_traces([self.POINTS[j]], steps)[0], family[j])
+            self.assert_same_bytes(model_trace(self.POINTS[j], steps), family[j])
 
     def test_matches_closed_forms_at_16384_steps(self):
         tau = period_tau(FLAGSHIP)

@@ -17,7 +17,6 @@ from spinphase.model import (
     hamiltonian,
     period_tau,
     reference_closed_forms,
-    thermal_weights,
 )
 
 FLAGSHIP = ModelParams(V=1.0, muB=0.5, omega=0.6, beta=1.0)
@@ -98,7 +97,7 @@ class TestHamiltonian:
     def test_samples_vectorized_over_points(self):
         points = [FLAGSHIP, ModelParams(V=0.3, muB=1.2, omega=-0.4, beta=2.0)]
         times = np.array([np.linspace(0.0, 7.0, 23), np.linspace(0.0, 3.0, 23)])
-        stacked = hamiltonian(points, times)
+        stacked = hamiltonian(PointFamily.of(points), times)
         assert stacked.shape == (2, 23, 2, 2)
         for p, row, samples in zip(points, times, stacked):
             np.testing.assert_array_equal(samples, hamiltonian(p, row))
@@ -143,8 +142,7 @@ class TestPointFamily:
             one = PointFamily.of([p])
             assert self.same_bits(family.omega_eff[i], one.omega_eff[0])
             assert self.same_bits([e1[i], d[i]], [one.gap[0][0], one.gap[1][0]])
-            w = thermal_weights(p)
-            assert self.same_bits(family.weights[i], [w.lambda1, w.lambda2])
+            assert self.same_bits(family.weights[i], one.weights[0])
             if family.frame_degenerate[i]:
                 with pytest.raises(DegenerateFrame) as caught:
                     period_tau(p)
@@ -370,32 +368,36 @@ class TestEigensystem:
         assert unitarity_defect(self.frame(FLAGSHIP)[1]) <= 1e-13
 
 
+def weights_of(p: ModelParams) -> tuple[float, float]:
+    """(lambda1, lambda2) of one point, from its family of one."""
+    lam1, lam2 = PointFamily.of([p]).weights[0].tolist()
+    return lam1, lam2
+
+
 class TestThermalWeights:
     def test_infinite_temperature(self):
-        w = thermal_weights(ModelParams(V=1, muB=0.5, omega=0, beta=0))
-        assert w.lambda1 == 0.5
-        assert w.lambda2 == 0.5
+        assert weights_of(ModelParams(V=1, muB=0.5, omega=0, beta=0)) == (0.5, 0.5)
 
     def test_ground_state_limit(self):
-        w = thermal_weights(ModelParams(V=1, muB=0.5, omega=0, beta=1e4))
-        assert w.lambda1 <= 1e-12
-        assert w.lambda2 == pytest.approx(1.0, abs=1e-12)
+        lam1, lam2 = weights_of(ModelParams(V=1, muB=0.5, omega=0, beta=1e4))
+        assert lam1 <= 1e-12
+        assert lam2 == pytest.approx(1.0, abs=1e-12)
 
     def test_flagship_boltzmann_ratio(self):
-        w = thermal_weights(FLAGSHIP)
-        assert w.lambda1 == pytest.approx(FLAGSHIP_LAMBDA1, abs=1e-14)
+        lam1, _ = weights_of(FLAGSHIP)
+        assert lam1 == pytest.approx(FLAGSHIP_LAMBDA1, abs=1e-14)
 
     @given(p=params_strategy)
     def test_sum_and_ordering(self, p):
-        w = thermal_weights(p)
-        assert abs(w.lambda1 + w.lambda2 - 1.0) <= 1e-14
-        assert w.lambda2 >= w.lambda1
+        lam1, lam2 = weights_of(p)
+        assert abs(lam1 + lam2 - 1.0) <= 1e-14
+        assert lam2 >= lam1
 
     def test_monotone_in_beta(self):
         p0 = ModelParams(V=1, muB=0.5, omega=0.6, beta=0.0)
         betas = np.linspace(0.0, 6.0, 25)
         values = [
-            thermal_weights(ModelParams(V=p0.V, muB=p0.muB, omega=p0.omega, beta=float(b))).lambda1
+            weights_of(ModelParams(V=p0.V, muB=p0.muB, omega=p0.omega, beta=float(b)))[0]
             for b in betas
         ]
         assert all(a > b for a, b in zip(values, values[1:]))

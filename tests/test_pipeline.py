@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spinphase.model import ModelParams, PointFamily, period_tau
 from spinphase.pipeline import (
     CHUNK_POINTS,
     SweepSpec,
+    _row_from_point,
     model_trace,
     model_traces,
     phase_point,
@@ -19,6 +21,11 @@ from spinphase.pipeline import (
 from spinphase.verify import random_generic_params
 
 FLAGSHIP = ModelParams(V=1.0, muB=0.5, omega=0.6, beta=1.0)
+
+
+def point_at(spec: SweepSpec, value: float) -> ModelParams:
+    """The sweep's point at one axis value."""
+    return ModelParams(**{**vars(spec.fixed), spec.axis: float(value)})
 
 
 class TestModelTraces:
@@ -32,13 +39,15 @@ class TestModelTraces:
 
     def test_family_order_matches_input(self):
         pts = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0)]
-        traces = model_traces(pts, steps=256)
+        traces = model_traces(PointFamily.of(pts), steps=256)
         for p, trace in zip(pts, traces):
             assert trace.t_final == pytest.approx(period_tau(p), abs=1e-12)
 
     def test_points_differing_only_in_beta_share_one_trace(self):
         hot = ModelParams(V=1.0, muB=0.5, omega=0.6, beta=0.0)
-        traces = model_traces([hot, FLAGSHIP, ModelParams(V=0.7, muB=0.5, omega=0.6)], 256)
+        traces = model_traces(
+            PointFamily.of([hot, FLAGSHIP, ModelParams(V=0.7, muB=0.5, omega=0.6)]), 256
+        )
         assert traces[0] is traces[1]
         assert traces[2] is not traces[0]
         alone = model_trace(FLAGSHIP, steps=256)
@@ -56,8 +65,8 @@ class TestStreaming:
     @pytest.mark.parametrize("steps", [2, 65, 128, 1025, 513, 640, 1536, 4097])
     def test_endpoint_is_last_row_of_full_grid(self, steps):
         # The V = 1e307 point runs over a time short enough for RK4's bound.
-        pts = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0),
-               ModelParams(V=1e307, muB=1.0, omega=0.6, beta=1.0)]
+        pts = PointFamily.of([FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0),
+                              ModelParams(V=1e307, muB=1.0, omega=0.6, beta=1.0)])
         t_final = [0.1, 0.1, 2e-308]
         ends = model_traces(pts, steps, t_final)
         fulls = model_traces(pts, steps, t_final, full_grid=True)
@@ -76,7 +85,7 @@ class TestStreaming:
     @pytest.mark.parametrize("steps", [2, 65, 4097])
     def test_full_grid_rows_stay_finite_near_the_float_maximum(self, steps):
         # |H| = 8.5e307: G itself is finite, three unscaled Simpson samples are not.
-        point = [ModelParams(V=1.7e308, muB=1.0, omega=0.6, beta=1.0)]
+        point = PointFamily.of([ModelParams(V=1.7e308, muB=1.0, omega=0.6, beta=1.0)])
         (full,) = model_traces(point, steps, [2e-309], full_grid=True)
         assert full.refusal is None
         assert np.all(np.isfinite(full.delta))
@@ -86,9 +95,9 @@ class TestStreaming:
     def test_family_wider_than_a_chunk_matches_single_points(self):
         n = CHUNK_POINTS + 3
         pts = [ModelParams(V=1.0, muB=0.5, omega=0.1 + 1.9 * i / n, beta=1.0) for i in range(n)]
-        family = model_traces(pts, 64)
+        family = model_traces(PointFamily.of(pts), 64)
         for p, member in zip(pts, family):
-            alone = model_traces([p], 64)[0]
+            alone = model_trace(p, 64)
             assert member.U.tobytes() == alone.U.tobytes()
             assert member.delta.tobytes() == alone.delta.tobytes()
 
@@ -111,7 +120,7 @@ class TestMemory:
 
     def test_peak_of_long_trajectories_stays_small(self):
         # 25 points x 16384 steps: 32 segments each, in waves of 2 segments (50 members).
-        points = random_generic_params(25, 4)
+        points = PointFamily.of(random_generic_params(25, 4))
         model_traces(points[:1], 1024)  # leave one-time allocations out of the peak
         tracemalloc.start()
         try:
@@ -125,7 +134,7 @@ class TestMemory:
 class TestPhasePoint:
     def test_matches_family_of_one(self):
         single = phase_point(FLAGSHIP, steps=512)
-        family = phase_points([FLAGSHIP], steps=512)[0]
+        family = phase_points(PointFamily.of([FLAGSHIP]), steps=512)[0]
         assert single == family
 
     def test_carries_weights_and_frequencies(self):
@@ -152,9 +161,9 @@ class TestPhasePoint:
 
     def test_batch_assembly_matches_per_trace_functions(self):
         # Pins the per-trace functions the acceptance suite uses to the one batched path.
-        pts = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0)]
-        weights = PointFamily.of(pts).weights
-        for w, point, trace in zip(weights, phase_points(pts, steps=512), model_traces(pts, 512)):
+        pts = PointFamily.of([FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0)])
+        points, traces = phase_points(pts, steps=512), model_traces(pts, 512)
+        for w, point, trace in zip(pts.weights, points, traces):
             companions = shift_ensembles(Ensemble(basis=trace.basis, weights=w))
             assert point.diag_raw == diagonal_phase_argument(trace, companions[0])
             assert point.offdiag_raw == offdiagonal_trace(trace, companions, 2)
@@ -196,15 +205,29 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=r"^Omega or E1 is not finite at V = 1, muB = 1e\+308"):
             SweepSpec(axis="muB", start=1.0, stop=1e308, points=3, fixed=FLAGSHIP)
 
-    def test_params_at_overrides_only_axis(self):
-        spec = SweepSpec(axis="omega", start=0.1, stop=2.0, points=5, fixed=FLAGSHIP)
-        p = spec.params_at(1.7)
-        assert p.omega == 1.7
-        assert (p.V, p.muB, p.beta) == (FLAGSHIP.V, FLAGSHIP.muB, FLAGSHIP.beta)
+    @pytest.mark.parametrize("axis", ["omega", "muB"])
+    def test_family_overrides_only_the_axis(self, axis):
+        spec = SweepSpec(axis=axis, start=0.0, stop=2.0, points=7, fixed=FLAGSHIP)
+        family = spec.family()
+        assert getattr(family, axis).tobytes() == spec.grid().tobytes()
+        for name in {"V", "muB", "omega", "beta"} - {axis}:
+            assert getattr(family, name).tolist() == [getattr(FLAGSHIP, name)] * 7, name
 
     def test_grid_is_strictly_increasing(self):
         spec = SweepSpec(axis="V", start=0.5, stop=2.0, points=7, fixed=FLAGSHIP)
         assert np.all(np.diff(spec.grid()) > 0)
+
+    def test_rejects_a_range_that_overflows(self):
+        # Both bounds are finite, but stop - start is not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^stop - start must be finite"):
+                SweepSpec(axis="V", start=-1.7e308, stop=1.7e308, points=3, fixed=FLAGSHIP)
+
+    def test_rejects_a_grid_that_rounds_to_repeated_points(self):
+        # np.linspace rounds the middle point of [0, 5e-324] to 0.
+        with pytest.raises(ValueError, match="do not make a strictly increasing grid"):
+            SweepSpec(axis="V", start=0.0, stop=5e-324, points=3, fixed=FLAGSHIP)
 
 
 class TestRunSweep:
@@ -221,19 +244,22 @@ class TestRunSweep:
         )
         rows = run_sweep(spec)
         for row in rows:
-            point = phase_point(spec.params_at(row.axis_value), steps=512)
+            point = phase_point(point_at(spec, row.axis_value), steps=512)
             assert row.lambda1 == point.lambda1
             assert row.delta1 == point.delta1
             assert row.diag_phase == point.diag.arg
 
-    def test_family_matches_params_at(self):
-        spec = SweepSpec(axis="muB", start=0.0, stop=2.0, points=7, fixed=FLAGSHIP)
-        family = spec.family()
-        for i, value in enumerate(spec.grid()):
-            p = spec.params_at(value)
-            assert (family.V[i], family.muB[i], family.omega[i], family.beta[i]) == (
-                p.V, p.muB, p.omega, p.beta
-            )
+    def test_rows_across_a_chunk_edge_match_their_own_points(self):
+        # muB = 0 at V = omega = 0 is degenerate, so every chunk's members sit
+        # one place off the grid.
+        fixed = ModelParams(V=0.0, muB=0.5, omega=0.0, beta=1.0)
+        spec = SweepSpec(axis="muB", start=0.0, stop=1.0, points=CHUNK_POINTS + 3, fixed=fixed,
+                         steps=64)
+        rows = run_sweep(spec)
+        assert rows[0].error.startswith("DegenerateFrame")
+        for row in rows[1:]:
+            point = phase_point(point_at(spec, row.axis_value), 64)
+            assert repr(row) == repr(_row_from_point(row.axis_value, point))
 
 
 class TestRefusedPoints:
@@ -260,7 +286,7 @@ class TestRefusedPoints:
     def test_phase_points_return_the_refusal_in_place(self):
         ok = ModelParams(V=1.0, muB=0.1, omega=0.6, beta=1.0)
         refused = ModelParams(V=1.0, muB=50.0, omega=0.6, beta=1.0)
-        mixed = phase_points([ok, refused], 64, 10.0)
+        mixed = phase_points(PointFamily.of([ok, refused]), 64, 10.0)
         assert isinstance(mixed[1], UnitarityLoss)
         assert mixed[0] == phase_point(ok, 64, 10.0)
         with pytest.raises(UnitarityLoss):
