@@ -2,23 +2,13 @@
 
 Public surface: the model (:class:`ModelParams`, Hamiltonian, closed-form
 propagator, and :class:`PointFamily` for eigenbases and thermal weights), the
-definitional phase engine (propagator traces, dynamical phases, parallel
-transport, diagonal and off-diagonal mixed-state phases), the closed-form
-verification ledger, and a parameter-sweep pipeline.  ``spinphase.cli``
-provides the command line.
+batched RK4 integrator with its propagator traces and dynamical phases, the
+phase pipeline that assembles the diagonal and off-diagonal mixed-state
+phases of a family of points, the closed-form verification ledger, and the
+parameter sweep.  ``spinphase.cli`` provides the command line.
 """
 
-from .engine import (
-    Ensemble,
-    PropagatorTrace,
-    diagonal_phase_argument,
-    integrate_propagator,
-    integrate_sampled_family,
-    offdiagonal_trace,
-    parallel_transport_residual,
-    parallel_transported,
-    shift_ensembles,
-)
+from .engine import PropagatorTrace, integrate_sampled_family
 from .errors import (
     DegenerateFrame,
     DegenerateSpectrum,

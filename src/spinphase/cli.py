@@ -29,7 +29,7 @@ from .errors import (
     UndefinedPhase,
     UnitarityLoss,
 )
-from .model import Convention, ModelParams, PointFamily, closed_form_propagator, period_tau
+from .model import Convention, ModelParams, closed_form_propagator, period_tau
 from .pipeline import SWEEP_AXES, SweepSpec, model_trace, phase_point, run_sweep
 from .verify import (
     random_generic_params,
@@ -96,9 +96,7 @@ def _params_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> M
     else:
         muB = 0.5
     try:
-        params = ModelParams(V=args.V, muB=muB, omega=args.omega, beta=args.beta)
-        PointFamily.of([params])  # rejects a point whose Omega or E1 overflows
-        return params
+        return ModelParams(V=args.V, muB=muB, omega=args.omega, beta=args.beta)
     except ValueError as exc:
         parser.error(str(exc))
 

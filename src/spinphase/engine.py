@@ -2,10 +2,11 @@
 
 The operations here are oracle-grade and model-agnostic: a classical RK4
 integrator for i dU/dt = H(t) U, each step composed into one step matrix,
-with periodic re-unitarization; dynamical phases by Simpson quadrature, the
-parallel-transported evolution, and the diagonal and off-diagonal
-mixed-state phase functionals for any N-level unitary evolution over a
-fixed orthonormal reference basis.
+with periodic re-unitarization, and dynamical phases by Simpson quadrature;
+then, over leading batch axes, the parallel-transported propagator, the
+diagonal interference amplitude, the weight-shifted companion ensembles and
+the off-diagonal cyclic trace of any N-level unitary evolution over a fixed
+orthonormal reference basis.
 
 A trajectory is integrated as time segments of about 512 steps, side by
 side: every (member, segment) pair is one member of the blocked kernel,
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -76,41 +77,8 @@ class PropagatorTrace:
     refusal: UnitarityLoss | None = None
 
     @property
-    def dim(self) -> int:
-        return self.U.shape[-1]
-
-    @property
     def t_final(self) -> float:
         return float(self.grid[-1])
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """Ordered orthonormal basis with a normalized weight list."""
-
-    basis: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=complex)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "weights", weights)
-        n = basis.shape[0]
-        if basis.shape != (n, n) or weights.shape != (n,):
-            raise ValueError("basis must be square with one weight per column")
-        gram = basis.conj().T @ basis
-        if np.linalg.norm(gram - np.eye(n)) > 1e-10:
-            raise ValueError("ensemble basis is not orthonormal")
-        # An exactly empty level is the zero-temperature limit, not an error.
-        if np.any(weights < 0.0):
-            raise ValueError("ensemble weights must be non-negative")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("ensemble weights must sum to 1")
-
-    @property
-    def dim(self) -> int:
-        return int(self.weights.shape[0])
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -141,29 +109,6 @@ def cumulative_simpson(y: np.ndarray, dx) -> np.ndarray:
     sub[1::2] = first_interval(y[2::2], y[1:-1:2], y[:-2:2])
     sub[-1] = first_interval(y[-1], y[-2], y[-3])
     return np.cumsum(out, axis=0, out=out)
-
-
-def integrate_propagator(
-    h_of_t: Callable[[np.ndarray], np.ndarray],
-    t_final: float,
-    steps: int,
-    basis: np.ndarray | None = None,
-) -> PropagatorTrace:
-    """Integrate i dU/dt = H(t) U from the identity over [0, t_final], t_final > 0.
-
-    A batch of one through :func:`integrate_sampled_family`, returned on the
-    full grid: ``h_of_t`` maps a 1-D time array to stacked Hermitian
-    generators (len(times), N, N), sampled on the half-step grid of
-    ``steps`` >= 2 RK4 steps; ``basis`` (columns) defaults to the
-    computational basis.
-    """
-    bases = None if basis is None else [basis]
-    (trace,) = integrate_sampled_family(
-        lambda times: h_of_t(times[0])[np.newaxis], [t_final], steps, bases, full_grid=True
-    )
-    if trace.refusal is not None:
-        raise trace.refusal
-    return trace
 
 
 def integrate_sampled_family(
@@ -466,7 +411,7 @@ def _stability_refusal(ratio: float, steps: int) -> UnitarityLoss:
     )
 
 
-def transported_propagator(u: np.ndarray, delta: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def parallel_transported(u: np.ndarray, delta: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Parallel-transported propagator U_par = U B diag(e^{-i delta}) B^dag.
 
     ``u`` (..., N, N), ``delta`` (..., N) and ``basis`` (..., N, N)
@@ -478,42 +423,7 @@ def transported_propagator(u: np.ndarray, delta: np.ndarray, basis: np.ndarray) 
     return u @ ((basis * phases) @ np.conj(np.swapaxes(basis, -1, -2)))
 
 
-def parallel_transported(trace: PropagatorTrace) -> PropagatorTrace:
-    """Parallel-transported evolution U_par = U sum_k e^{-i delta_k} P_k.
-
-    The returned trace carries zero running phases: along U_par no dynamical
-    phase accrues in any reference-basis direction.
-    """
-    return PropagatorTrace(
-        grid=trace.grid,
-        U=transported_propagator(trace.U, trace.delta, trace.basis),
-        delta=np.zeros_like(trace.delta),
-        basis=trace.basis,
-    )
-
-
-def parallel_transport_residual(trace: PropagatorTrace) -> float:
-    """Max interior residual |<psi_k| U^dag dU/dt |psi_k>| of a transported full-grid trace.
-
-    The derivative uses the five-point (fourth-order) central stencil; the
-    three-point stencil's h^2 truncation would dominate the residual at the
-    step counts this check runs at.
-    """
-    u = trace.U
-    dt = float(trace.grid[1] - trace.grid[0])
-    du = (-u[4:] + 8.0 * u[3:-1] - 8.0 * u[1:-3] + u[:-4]) / (12.0 * dt)
-    inner = np.einsum("mji,mjk->mik", u[2:-2].conj(), du)
-    per_state = np.einsum("ja,mjk,ka->ma", trace.basis.conj(), inner, trace.basis)
-    return float(np.max(np.abs(per_state)))
-
-
-def _require_shared_basis(trace: PropagatorTrace, ensembles: Sequence[Ensemble]):
-    for e in ensembles:
-        if np.linalg.norm(e.basis - trace.basis) > 1e-10:
-            raise ValueError("ensemble basis differs from the trace reference basis")
-
-
-def diagonal_amplitude(
+def diagonal_phase_argument(
     u_final: np.ndarray, delta_final: np.ndarray, basis: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """sum_k lambda_k <psi_k|U(T)|psi_k> e^{-i delta_k(T)} over the columns of ``basis``.
@@ -525,28 +435,18 @@ def diagonal_amplitude(
     return np.sum(weights * elements * np.exp(-1j * delta_final), axis=-1)
 
 
-def diagonal_phase_argument(trace: PropagatorTrace, ensemble: Ensemble) -> complex:
-    """Raw interference amplitude sum_k lambda_k <psi_k|U(T)|psi_k> e^{-i delta_k}."""
-    _require_shared_basis(trace, [ensemble])
-    u, delta = trace.U[-1], trace.delta[-1]
-    return complex(diagonal_amplitude(u, delta, ensemble.basis, ensemble.weights))
+def shift_ensembles(weights: np.ndarray) -> np.ndarray:
+    """Weights (..., N, N) of the N companions rho_n = W^{n-1} rho (W^dag)^{n-1}.
 
-
-def shift_ensembles(ensemble: Ensemble) -> list[Ensemble]:
-    """The N mutually non-interfering companions rho_n = W^{n-1} rho (W^dag)^{n-1}.
-
-    Conjugation by the cyclic shift permutes the weights against the fixed
-    basis: companion n carries weights rolled by n-1 positions.  Equal
-    weights are admitted: the off-diagonal trace has a well-defined
+    Conjugation by the cyclic shift W permutes the weights (..., N) against
+    the fixed basis: companion n carries them rolled by n-1 positions.
+    Equal weights are admitted: the off-diagonal trace has a well-defined
     equal-weight limit.
     """
-    return [
-        Ensemble(basis=ensemble.basis, weights=np.roll(ensemble.weights, n))
-        for n in range(ensemble.dim)
-    ]
+    return np.stack([np.roll(weights, n, axis=-1) for n in range(weights.shape[-1])], axis=-2)
 
 
-def cyclic_trace(u_par: np.ndarray, bases: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def offdiagonal_trace(u_par: np.ndarray, bases: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Tr prod_a U_par rho_a^{1/l} with rho_a^{1/l} = sum_k w_ak^{1/l} |psi_ak><psi_ak|.
 
     ``bases`` (..., l, N, N) and ``weights`` (..., l, N) list the l
@@ -560,27 +460,3 @@ def cyclic_trace(u_par: np.ndarray, bases: np.ndarray, weights: np.ndarray) -> n
     for a in range(1, l):
         product = product @ u_par @ roots[..., a, :, :]
     return np.trace(product, axis1=-2, axis2=-1)
-
-
-def offdiagonal_trace(
-    trace: PropagatorTrace,
-    ensembles: Sequence[Ensemble],
-    l: int | None = None,
-) -> complex:
-    """Raw cyclic-product trace Tr prod_a U_par(T) rho_a^{1/l}.
-
-    ``ensembles`` lists the l density operators entering the product, all
-    sharing the trace's reference basis; rho^{1/l} is formed state-wise as
-    sum_k lambda_k^{1/l} |psi_k><psi_k|.
-    """
-    if l is None:
-        l = len(ensembles)
-    if l != len(ensembles):
-        raise ValueError(f"l = {l} does not match {len(ensembles)} ensembles")
-    if l < 1:
-        raise ValueError("need at least one ensemble")
-    _require_shared_basis(trace, ensembles)
-    u_par = transported_propagator(trace.U[-1], trace.delta[-1], trace.basis)
-    bases = np.stack([e.basis for e in ensembles])
-    weights = np.stack([e.weights for e in ensembles])
-    return complex(cyclic_trace(u_par, bases, weights))

@@ -17,8 +17,9 @@ and geometric phases at one full rotating-frame period.
 :class:`PointFamily` holds a family of points as arrays and computes every
 per-point quantity for all of them with numpy: the rotating-frame frequency,
 the level energy, the instantaneous eigenbasis, the thermal weights and the
-degeneracy masks.  It is the only source of eigenbases and thermal weights;
-the scalar functions are families of one.  A family's H(t) samples are laid
+degeneracy masks.  It is the only source of eigenbases and thermal weights
+and the one place a point is validated; the scalar functions and
+:class:`ModelParams` are families of one.  A family's H(t) samples are laid
 out (2, 2, T, B), the order the engine's kernel steps in.
 """
 
@@ -62,14 +63,7 @@ class ModelParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        for name in ("V", "muB", "omega", "beta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.muB < 0:
-            raise ValueError(f"muB must be >= 0, got {self.muB}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        PointFamily.of([self])  # a family of one makes every per-point check
 
 
 class Convention(enum.Enum):
@@ -95,8 +89,10 @@ class PointFamily:
     elementwise numpy operations, and the scalar functions of this module
     evaluate a family of one, so each formula exists once and a point's
     values do not depend on its family.  Degenerate points are flagged by
-    the masks and named by the error methods, not rejected; a point whose
-    Omega or E1 overflows, with no period or step size, raises ValueError.
+    the masks and named by the error methods, not rejected.  A point with a
+    non-finite input, a negative muB or beta, or an Omega or E1 that
+    overflows, with no period or step size, raises ValueError naming the
+    first such point.
     """
 
     V: np.ndarray
@@ -105,6 +101,12 @@ class PointFamily:
     beta: np.ndarray
 
     def __post_init__(self):
+        columns = {"V": self.V, "muB": self.muB, "omega": self.omega, "beta": self.beta}
+        checks = [(name, ~np.isfinite(column), "finite") for name, column in columns.items()]
+        checks += [(name, columns[name] < 0.0, ">= 0") for name in ("muB", "beta")]
+        for name, bad, rule in checks:
+            if bad.any():
+                raise ValueError(f"{name} must be {rule}, got {float(columns[name][bad.argmax()])!r}")
         with np.errstate(over="ignore", invalid="ignore"):
             overflow = np.flatnonzero(~(np.isfinite(self.omega_eff) & np.isfinite(self.gap[0])))
         if overflow.size:
@@ -205,21 +207,15 @@ class PointFamily:
         return basis
 
 
-def hamiltonian(p: ModelParams | PointFamily, times: float | np.ndarray) -> np.ndarray:
-    """Lab-frame H(t), traceless and Hermitian.
+def hamiltonian(p: PointFamily, times: np.ndarray) -> np.ndarray:
+    """Lab-frame H(t) of each point of ``p``, traceless and Hermitian.
 
-    For one :class:`ModelParams`, ``times`` is a scalar or an array and the
-    shape is times.shape + (2, 2).  For a :class:`PointFamily` of B points,
     ``times`` is (B, T), one row per point, and the result (B, T, 2, 2) is a
     view of an array laid out (2, 2, T, B), each matrix element one
     contiguous (T, B) row: the engine's kernel reads it in that order
     without a copy.
     """
-    times = np.asarray(times, dtype=float)
-    if isinstance(p, ModelParams):
-        samples = hamiltonian(PointFamily.of([p]), times.reshape(1, -1))[0]
-        return samples.reshape(times.shape + (2, 2))
-    rows = times.T
+    rows = np.asarray(times, dtype=float).T
     out = np.empty((2, 2) + rows.shape, dtype=complex)
     out[0, 0] = 0.5 * p.V
     out[1, 1] = -0.5 * p.V

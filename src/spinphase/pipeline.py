@@ -22,10 +22,11 @@ import numpy as np
 
 from .engine import (
     PropagatorTrace,
-    cyclic_trace,
-    diagonal_amplitude,
+    diagonal_phase_argument,
     integrate_sampled_family,
-    transported_propagator,
+    offdiagonal_trace,
+    parallel_transported,
+    shift_ensembles,
 )
 from .errors import SpinPhaseError, UndefinedPhase, UnitarityLoss
 from .linalg import PhaseFactor, phase_functional
@@ -151,10 +152,9 @@ def thermal_phases(
     u_final = np.stack([tr.U[-1] for tr in traces])
     delta_final = np.stack([tr.delta[-1] for tr in traces])
     bases = np.stack([tr.basis for tr in traces])
-    u_par = transported_propagator(u_final, delta_final, bases)
-    diag_raw = diagonal_amplitude(u_final, delta_final, bases, weights)
-    companions = np.stack([weights, weights[:, ::-1]], axis=1)
-    offdiag_raw = cyclic_trace(u_par, bases[:, np.newaxis], companions)
+    u_par = parallel_transported(u_final, delta_final, bases)
+    diag_raw = diagonal_phase_argument(u_final, delta_final, bases, weights)
+    offdiag_raw = offdiagonal_trace(u_par, bases[:, np.newaxis], shift_ensembles(weights))
     return u_par, diag_raw, offdiag_raw
 
 
@@ -237,7 +237,7 @@ class SweepSpec:
         if not np.all(np.diff(self.grid()) > 0.0):
             raise ValueError(f"{self.points} points from {self.start!r} to {self.stop!r} "
                              "do not make a strictly increasing grid")
-        self.family()  # a grid point whose Omega or E1 overflows is rejected here
+        self.family()  # rejects the first invalid grid point, as ModelParams would
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)

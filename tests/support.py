@@ -1,20 +1,18 @@
-"""Shared builders for randomized engine tests, and independent cross-check routes."""
+"""Shared builders for randomized engine tests, the per-trace phase API and cross-check routes."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from spinphase.engine import (
-    cumulative_simpson,
-    diagonal_phase_argument,
-    offdiagonal_trace,
-    transported_propagator,
-)
+from spinphase import engine
+from spinphase.engine import PropagatorTrace, cumulative_simpson, integrate_sampled_family
 from spinphase.linalg import phase_functional
 from spinphase.model import (
     Convention,
     PointFamily,
     closed_form_propagator,
+    hamiltonian,
     period_tau,
     reference_closed_forms,
 )
@@ -103,6 +101,127 @@ def rk4_reference(h_of_t, t_final, steps):
     return np.array(rows)
 
 
+# The per-trace API of the tests: one point, one evolution, or one
+# PropagatorTrace and its Ensemble objects at a time.  The phase functions
+# wrap the engine's array functions of the same names.
+
+
+def point_hamiltonian(p, times):
+    """H(t) of one ModelParams at a scalar or an array of times, shape times.shape + (2, 2)."""
+    times = np.asarray(times, dtype=float)
+    samples = hamiltonian(PointFamily.of([p]), times.reshape(1, -1))[0]
+    return samples.reshape(times.shape + (2, 2))
+
+
+def integrate_propagator(h_of_t, t_final, steps, basis=None):
+    """One evolution on the full grid; ``h_of_t`` maps 1-D times to (T, N, N).  Raises its refusal."""
+    bases = None if basis is None else [basis]
+    (trace,) = integrate_sampled_family(
+        lambda times: h_of_t(times[0])[np.newaxis], [t_final], steps, bases, full_grid=True
+    )
+    if trace.refusal is not None:
+        raise trace.refusal
+    return trace
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """Ordered orthonormal basis with a normalized weight list."""
+
+    basis: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        basis = np.asarray(self.basis, dtype=complex)
+        weights = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "weights", weights)
+        n = basis.shape[0]
+        if basis.shape != (n, n) or weights.shape != (n,):
+            raise ValueError("basis must be square with one weight per column")
+        gram = basis.conj().T @ basis
+        if np.linalg.norm(gram - np.eye(n)) > 1e-10:
+            raise ValueError("ensemble basis is not orthonormal")
+        # An exactly empty level is the zero-temperature limit, not an error.
+        if np.any(weights < 0.0):
+            raise ValueError("ensemble weights must be non-negative")
+        if abs(float(weights.sum()) - 1.0) > 1e-12:
+            raise ValueError("ensemble weights must sum to 1")
+
+
+def parallel_transported(trace):
+    """Parallel-transported evolution U_par = U sum_k e^{-i delta_k} P_k.
+
+    The returned trace carries zero running phases: along U_par no dynamical
+    phase accrues in any reference-basis direction.
+    """
+    return PropagatorTrace(
+        grid=trace.grid,
+        U=engine.parallel_transported(trace.U, trace.delta, trace.basis),
+        delta=np.zeros_like(trace.delta),
+        basis=trace.basis,
+    )
+
+
+def parallel_transport_residual(trace):
+    """Max interior residual |<psi_k| U^dag dU/dt |psi_k>| of a transported full-grid trace.
+
+    The derivative uses the five-point (fourth-order) central stencil; the
+    three-point stencil's h^2 truncation would dominate the residual at the
+    step counts this check runs at.
+    """
+    u = trace.U
+    dt = float(trace.grid[1] - trace.grid[0])
+    du = (-u[4:] + 8.0 * u[3:-1] - 8.0 * u[1:-3] + u[:-4]) / (12.0 * dt)
+    inner = np.einsum("mji,mjk->mik", u[2:-2].conj(), du)
+    per_state = np.einsum("ja,mjk,ka->ma", trace.basis.conj(), inner, trace.basis)
+    return float(np.max(np.abs(per_state)))
+
+
+def _require_shared_basis(trace, ensembles):
+    for e in ensembles:
+        if np.linalg.norm(e.basis - trace.basis) > 1e-10:
+            raise ValueError("ensemble basis differs from the trace reference basis")
+
+
+def diagonal_phase_argument(trace, ensemble):
+    """Raw interference amplitude sum_k lambda_k <psi_k|U(T)|psi_k> e^{-i delta_k}."""
+    _require_shared_basis(trace, [ensemble])
+    u, delta = trace.U[-1], trace.delta[-1]
+    return complex(engine.diagonal_phase_argument(u, delta, ensemble.basis, ensemble.weights))
+
+
+def shift_ensembles(ensemble):
+    """The N mutually non-interfering companions rho_n = W^{n-1} rho (W^dag)^{n-1}.
+
+    Conjugation by the cyclic shift permutes the weights against the fixed
+    basis: companion n carries weights rolled by n-1 positions.  Equal
+    weights are admitted: the off-diagonal trace has a well-defined
+    equal-weight limit.
+    """
+    return [Ensemble(basis=ensemble.basis, weights=w) for w in engine.shift_ensembles(ensemble.weights)]
+
+
+def offdiagonal_trace(trace, ensembles, l=None):
+    """Raw cyclic-product trace Tr prod_a U_par(T) rho_a^{1/l}.
+
+    ``ensembles`` lists the l density operators entering the product, all
+    sharing the trace's reference basis; rho^{1/l} is formed state-wise as
+    sum_k lambda_k^{1/l} |psi_k><psi_k|.
+    """
+    if l is None:
+        l = len(ensembles)
+    if l != len(ensembles):
+        raise ValueError(f"l = {l} does not match {len(ensembles)} ensembles")
+    if l < 1:
+        raise ValueError("need at least one ensemble")
+    _require_shared_basis(trace, ensembles)
+    u_par = engine.parallel_transported(trace.U[-1], trace.delta[-1], trace.basis)
+    bases = np.stack([e.basis for e in ensembles])
+    weights = np.stack([e.weights for e in ensembles])
+    return complex(engine.offdiagonal_trace(u_par, bases, weights))
+
+
 # Independent cross-check routes of the phase engine, used only by the tests.
 
 
@@ -112,8 +231,9 @@ def dynamical_phase(trace, h_of_t, k):
     Simpson quadrature of the integrand re-sampled from ``h_of_t`` on the
     grid of a full-grid trace, independent of the trace's running phases.
     """
-    if not 0 <= k < trace.dim:
-        raise IndexError(f"basis index {k} out of range for dimension {trace.dim}")
+    n = trace.U.shape[-1]
+    if not 0 <= k < n:
+        raise IndexError(f"basis index {k} out of range for dimension {n}")
     h_grid = np.asarray(h_of_t(trace.grid), dtype=complex)
     ub = trace.U @ trace.basis
     integrand = -np.real(np.einsum("mik,mik->mk", ub.conj(), h_grid @ ub))
@@ -145,10 +265,10 @@ def offdiag_trace_expansion(trace, ensembles, l):
     route independent of the operator products of ``offdiagonal_trace``.
     """
     b = trace.basis
-    m_par = b.conj().T @ transported_propagator(trace.U[-1], trace.delta[-1], b) @ b
+    m_par = b.conj().T @ engine.parallel_transported(trace.U[-1], trace.delta[-1], b) @ b
     roots = [e.weights ** (1.0 / l) for e in ensembles]
     total = 0.0 + 0.0j
-    for path in itertools.product(range(trace.dim), repeat=l):
+    for path in itertools.product(range(trace.U.shape[-1]), repeat=l):
         term = 1.0 + 0.0j
         for a in range(l):
             nxt = path[(a + 1) % l]

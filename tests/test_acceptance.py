@@ -11,19 +11,22 @@ import time
 import numpy as np
 import pytest
 
-from support import circular_distance, distinct_weights, random_unitary, smooth_random_family
-
-from spinphase.cli import main as cli_main
-from spinphase.engine import (
+from support import (
     Ensemble,
+    circular_distance,
     diagonal_phase_argument,
+    distinct_weights,
     integrate_propagator,
-    integrate_sampled_family,
     offdiagonal_trace,
     parallel_transport_residual,
     parallel_transported,
+    random_unitary,
     shift_ensembles,
+    smooth_random_family,
 )
+
+from spinphase.cli import main as cli_main
+from spinphase.engine import integrate_sampled_family
 from spinphase.linalg import phase_functional, su2_exponential
 from spinphase.model import (
     Convention,

@@ -497,6 +497,28 @@ class TestNonFiniteInput:
                             "increasing grid\n")
 
 
+class TestInvalidSweepValues:
+    """A sweep names its first grid value that phases would reject, with exit 2."""
+
+    @pytest.mark.parametrize(
+        "axis, start, message",
+        [
+            ("beta", "-1", "beta must be >= 0, got -1.0"),
+            ("muB", "-1", "muB must be >= 0, got -1.0"),
+            ("beta", "-1e300", "beta must be >= 0, got -1e+300"),
+        ],
+        ids=["negative-beta", "negative-muB", "huge-negative-beta"],
+    )
+    def test_exits_2_naming_the_value(self, capsys, axis, start, message):
+        code, out, err = run_strictly(
+            capsys, "sweep", "--axis", axis, f"--start={start}", "--stop", "1",
+            "--points", "3", "--steps", "64",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ")
+        assert err.endswith(f"error: {message}\n")
+
+
 class TestSamePointSameNumbers:
     """A point's numbers do not depend on the command or the batch that computes them."""
 

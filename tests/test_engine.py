@@ -5,34 +5,30 @@ import numpy as np
 import pytest
 
 from support import (
+    Ensemble,
     circular_distance,
     diagonal_mixed_phase,
+    diagonal_phase_argument,
     distinct_weights,
     dynamical_phase,
+    integrate_propagator,
     offdiag_trace_expansion,
     offdiagonal_mixed_phase,
+    offdiagonal_trace,
+    parallel_transport_residual,
+    parallel_transported,
     piecewise_constant_h,
+    point_hamiltonian,
     random_hermitian,
     random_unitary,
     rk4_reference,
+    shift_ensembles,
     shift_operator,
     smooth_random_family,
 )
 
 from spinphase import engine
-from spinphase.engine import (
-    Ensemble,
-    PropagatorTrace,
-    cumulative_simpson,
-    diagonal_phase_argument,
-    integrate_propagator,
-    integrate_sampled_family,
-    offdiagonal_trace,
-    parallel_transport_residual,
-    parallel_transported,
-    shift_ensembles,
-    transported_propagator,
-)
+from spinphase.engine import PropagatorTrace, cumulative_simpson, integrate_sampled_family
 from spinphase.errors import UndefinedPhase, UnitarityLoss
 from spinphase.linalg import su2_exponential
 from spinphase.model import (
@@ -40,7 +36,6 @@ from spinphase.model import (
     ModelParams,
     PointFamily,
     closed_form_propagator,
-    hamiltonian,
     period_tau,
 )
 from spinphase.pipeline import model_trace, model_traces
@@ -69,7 +64,7 @@ def constant_h(matrix):
 
 def model_h(p):
     def h_of_t(times):
-        return hamiltonian(p, times)
+        return point_hamiltonian(p, times)
 
     return h_of_t
 
@@ -143,7 +138,7 @@ class TestIntegrator:
         singles = [model_trace(p, 512, full_grid=True) for p in points]
 
         def per_point_h(times):
-            return np.stack([hamiltonian(p, row) for p, row in zip(points, times)])
+            return np.stack([point_hamiltonian(p, row) for p, row in zip(points, times)])
 
         bases = np.stack([s.basis for s in singles])
         family = integrate_sampled_family(per_point_h, taus, 512, bases, full_grid=True)
@@ -494,7 +489,7 @@ class TestParallelTransport:
 
     def test_endpoint_matches_full_grid(self):
         trace = model_trace(FLAGSHIP, 512, full_grid=True)
-        endpoint = transported_propagator(trace.U[-1], trace.delta[-1], trace.basis)
+        endpoint = engine.parallel_transported(trace.U[-1], trace.delta[-1], trace.basis)
         np.testing.assert_allclose(endpoint, parallel_transported(trace).U[-1], atol=1e-15)
 
     def test_interior_residual(self):

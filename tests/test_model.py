@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import point_hamiltonian
+
 from spinphase.errors import DegenerateFrame, DegenerateSpectrum
 from spinphase.linalg import unitarity_defect
 from spinphase.model import (
@@ -61,38 +63,38 @@ class TestModelParams:
 
 class TestHamiltonian:
     def test_zero_coupling_is_diagonal(self):
-        h = hamiltonian(ModelParams(V=1, muB=0, omega=2.2, beta=0), 0.0)
+        h = point_hamiltonian(ModelParams(V=1, muB=0, omega=2.2, beta=0), 0.0)
         np.testing.assert_array_equal(h, np.diag([0.5, -0.5]))
 
     def test_static_transverse(self):
-        h = hamiltonian(ModelParams(V=0, muB=0.5, omega=0, beta=0), 17.3)
+        h = point_hamiltonian(ModelParams(V=0, muB=0.5, omega=0, beta=0), 17.3)
         np.testing.assert_allclose(h, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
 
     def test_half_turn_flips_coupling_sign(self):
         p = ModelParams(V=1, muB=0.5, omega=0.6, beta=0)
-        h = hamiltonian(p, math.pi / 0.6)
+        h = point_hamiltonian(p, math.pi / 0.6)
         np.testing.assert_allclose(
             h, np.array([[0.5, -0.5], [-0.5, -0.5]]), atol=1e-15
         )
 
     @given(p=params_strategy, t=st.floats(min_value=-20, max_value=20))
     def test_traceless_and_hermitian(self, p, t):
-        h = hamiltonian(p, t)
+        h = point_hamiltonian(p, t)
         assert h[0, 0] + h[1, 1] == 0.0
         assert np.array_equal(h, h.conj().T)
 
     @given(p=generic_params, t=st.floats(min_value=0, max_value=10))
     def test_periodicity_in_field_rotation(self, p, t):
-        h1 = hamiltonian(p, t)
-        h2 = hamiltonian(p, t + 2 * math.pi / p.omega)
+        h1 = point_hamiltonian(p, t)
+        h2 = point_hamiltonian(p, t + 2 * math.pi / p.omega)
         assert np.linalg.norm(h1 - h2) <= 1e-13
 
     def test_samples_match_pointwise(self):
         p = FLAGSHIP
         times = np.linspace(0.0, 7.0, 23)
-        stacked = hamiltonian(p, times)
+        stacked = point_hamiltonian(p, times)
         for i, t in enumerate(times):
-            np.testing.assert_array_equal(stacked[i], hamiltonian(p, t))
+            np.testing.assert_array_equal(stacked[i], point_hamiltonian(p, t))
 
     def test_samples_vectorized_over_points(self):
         points = [FLAGSHIP, ModelParams(V=0.3, muB=1.2, omega=-0.4, beta=2.0)]
@@ -100,7 +102,7 @@ class TestHamiltonian:
         stacked = hamiltonian(PointFamily.of(points), times)
         assert stacked.shape == (2, 23, 2, 2)
         for p, row, samples in zip(points, times, stacked):
-            np.testing.assert_array_equal(samples, hamiltonian(p, row))
+            np.testing.assert_array_equal(samples, point_hamiltonian(p, row))
 
 
 class TestPointFamily:
@@ -177,12 +179,35 @@ class TestPointFamily:
     )
     def test_overflowing_omega_or_e1_is_rejected(self, point):
         v, mub, omega = point
-        family = [FLAGSHIP, ModelParams(V=v, muB=mub, omega=omega, beta=1.0)]
+        columns = np.array([[FLAGSHIP.V, v], [FLAGSHIP.muB, mub], [FLAGSHIP.omega, omega], [1.0, 1.0]])
         message = f"Omega or E1 is not finite at V = {v:.12g}, muB = {mub:.12g}, omega = {omega:.12g}"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(message)):
-                PointFamily.of(family)
+                PointFamily(*columns)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ModelParams(V=v, muB=mub, omega=omega, beta=1.0)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (0, math.nan, "V must be finite, got nan"),
+            (2, -math.inf, "omega must be finite, got -inf"),
+            (1, -0.5, "muB must be >= 0, got -0.5"),
+            (3, -2.0, "beta must be >= 0, got -2.0"),
+        ],
+        ids=["V", "omega", "muB", "beta"],
+    )
+    def test_rejects_an_invalid_point_as_model_params_does(self, column, value, message):
+        columns = np.array([[1.0, 1.1, 1.2], [0.5, 0.5, 0.5], [0.6, 0.6, 0.6], [1.0, 1.0, 1.0]])
+        columns[column, 1] = value
+        point = dict(zip(("V", "muB", "omega", "beta"), columns[:, 1].tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                PointFamily(*columns)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ModelParams(**point)
 
     def test_largest_finite_scales_are_accepted(self):
         # Omega = hypot(1.2e308, 1.2e308) = 1.697e308, just under the float maximum.
@@ -288,7 +313,7 @@ class TestClosedFormPropagator:
                 - closed_form_propagator(p, t - h, Convention.ODE)
             ) / (2.0 * h)
             u = closed_form_propagator(p, t, Convention.ODE)
-            return np.linalg.norm(du + 1j * hamiltonian(p, t) @ u)
+            return np.linalg.norm(du + 1j * point_hamiltonian(p, t) @ u)
 
         r1, r2 = residual(1e-3), residual(5e-4)
         assert r1 <= 1e-5
@@ -302,7 +327,7 @@ class TestClosedFormPropagator:
             - closed_form_propagator(p, t - h, Convention.LITERAL)
         ) / (2.0 * h)
         u = closed_form_propagator(p, t, Convention.LITERAL)
-        assert np.linalg.norm(du + 1j * hamiltonian(p, t) @ u) > 1e-2
+        assert np.linalg.norm(du + 1j * point_hamiltonian(p, t) @ u) > 1e-2
 
 
 class TestEigensystem:
@@ -345,7 +370,7 @@ class TestEigensystem:
     def test_eigen_equation_and_orthonormality(self, p, t):
         e1, basis = self.frame(p, t)
         psi1, psi2 = basis[:, 0], basis[:, 1]
-        h = hamiltonian(p, t)
+        h = point_hamiltonian(p, t)
         assert np.linalg.norm(h @ psi1 - e1 * psi1) <= 1e-10
         assert np.linalg.norm(h @ psi2 + e1 * psi2) <= 1e-10
         assert abs(np.linalg.norm(psi1) - 1) <= 1e-12
@@ -356,7 +381,7 @@ class TestEigensystem:
         p = ModelParams(V=-1.2, muB=0, omega=0.3, beta=0)
         e1, basis = self.frame(p)
         assert e1 == pytest.approx(0.6)
-        h = hamiltonian(p, 0.0)
+        h = point_hamiltonian(p, 0.0)
         assert np.linalg.norm(h @ basis[:, 0] - e1 * basis[:, 0]) <= 1e-12
 
     def test_gap_does_not_overflow(self):

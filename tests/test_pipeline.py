@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from spinphase.engine import Ensemble, diagonal_phase_argument, offdiagonal_trace, shift_ensembles
+from support import Ensemble, diagonal_phase_argument, offdiagonal_trace, shift_ensembles
+
 from spinphase.errors import UnitarityLoss
 from spinphase.model import ModelParams, PointFamily, period_tau
 from spinphase.pipeline import (
@@ -204,6 +205,12 @@ class TestSweepSpec:
         # Only the last point, muB = 1e308, has 2 muB past the float range.
         with pytest.raises(ValueError, match=r"^Omega or E1 is not finite at V = 1, muB = 1e\+308"):
             SweepSpec(axis="muB", start=1.0, stop=1e308, points=3, fixed=FLAGSHIP)
+
+    @pytest.mark.parametrize("axis", ["beta", "muB"])
+    def test_rejects_a_negative_grid_point(self, axis):
+        # The grid is -1, 0, 1: only its first point is invalid.
+        with pytest.raises(ValueError, match=rf"^{axis} must be >= 0, got -1\.0$"):
+            SweepSpec(axis=axis, start=-1.0, stop=1.0, points=3, fixed=FLAGSHIP)
 
     @pytest.mark.parametrize("axis", ["omega", "muB"])
     def test_family_overrides_only_the_axis(self, axis):
