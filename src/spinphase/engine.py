@@ -66,15 +66,12 @@ class PropagatorTrace:
         delta_k(t) = -int_0^t <psi_k| U^dag H U |psi_k> dt'.
     basis : ndarray, shape (N, N)
         Orthonormal reference basis (columns) the phases refer to.
-    refusal : UnitarityLoss or None
-        Why the integrator refused this evolution; U and delta are then NaN.
     """
 
     grid: np.ndarray
     U: np.ndarray
     delta: np.ndarray
     basis: np.ndarray
-    refusal: UnitarityLoss | None = None
 
     @property
     def t_final(self) -> float:
@@ -118,7 +115,7 @@ def integrate_sampled_family(
     bases: np.ndarray | None = None,
     *,
     full_grid: bool = False,
-) -> list[PropagatorTrace]:
+) -> list[PropagatorTrace | UnitarityLoss]:
     """Integrate i dU/dt = H(t) U from the identity for a family of evolutions.
 
     ``h_of_t`` maps sample times of shape (B, T), one row per member, to
@@ -148,10 +145,10 @@ def integrate_sampled_family(
     A member is refused if any of its segments is.  A segment is refused if
     its dt |H| exceeds RK4's stability bound 2 sqrt(2), or its drift at a
     re-unitarization checkpoint exceeds 1e-6; it then steps by the identity,
-    so the other members' results do not change.  A refused member's trace
-    has NaN rows and a :class:`UnitarityLoss` as ``refusal``: for the bound,
-    naming the least step count that the member's largest ratio allows; for
-    drift, its first failed checkpoint in time order.
+    so the other members' results do not change.  A refused member gets a
+    :class:`UnitarityLoss` in place of its trace: for the bound, naming the
+    least step count that the member's largest ratio allows; for drift, its
+    first failed checkpoint in time order.
 
     Raises
     ------
@@ -200,20 +197,11 @@ def integrate_sampled_family(
     index = np.arange(steps + 1) if full_grid else np.array([0, steps])
     u_all = np.ascontiguousarray(np.concatenate(u_rows, axis=2).transpose(3, 2, 0, 1))
     delta_all = np.ascontiguousarray(np.concatenate(delta_rows, axis=1).transpose(2, 1, 0))
-    unstable = ratio > RK4_STABILITY
-    drifted = drift != 0.0  # NaN, from a run that overflowed, counts too
-    refused = unstable | drifted
-    u_all[refused] = delta_all[refused] = np.nan
-    refusals = [
+    unstable, drifted = ratio > RK4_STABILITY, drift != 0.0  # NaN drift, from an overflow, counts
+    return [
         _stability_refusal(ratio[j], steps) if unstable[j]
         else UnitarityLoss(f"unitarity drift {drift[j]:.3e} > {DRIFT_LIMIT:.0e}") if drifted[j]
-        else None
-        for j in range(b)
-    ]
-    return [
-        PropagatorTrace(
-            grid=dt[j] * index, U=u_all[j], delta=delta_all[j], basis=bases[j], refusal=refusals[j]
-        )
+        else PropagatorTrace(grid=dt[j] * index, U=u_all[j], delta=delta_all[j], basis=bases[j])
         for j in range(b)
     ]
 
@@ -402,7 +390,7 @@ def _step_ratio(h: np.ndarray, dt: np.ndarray) -> np.ndarray:
 
 def _stability_refusal(ratio: float, steps: int) -> UnitarityLoss:
     """Names the least step count the bound allows: necessary, not sufficient against drift."""
-    needed = min(steps * ratio / RK4_STABILITY, np.finfo(float).max)
+    needed = min(steps * float(ratio) / RK4_STABILITY, np.finfo(float).max)  # Python floats: no warning
     count = f"{math.ceil(needed)}" if needed < 1e15 else f"{needed:.3g}"
     return UnitarityLoss(
         f"dt*|H| = {ratio:.3g} exceeds the RK4 stability bound {RK4_STABILITY:.3g}; "

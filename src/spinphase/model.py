@@ -129,8 +129,8 @@ class PointFamily:
 
     @cached_property
     def tau(self) -> np.ndarray:
-        """Rotating-frame return period 2 pi / Omega (inf where Omega = 0)."""
-        with np.errstate(divide="ignore"):
+        """Rotating-frame return period 2 pi / Omega (inf where Omega = 0 or is subnormal)."""
+        with np.errstate(divide="ignore", over="ignore"):
             return 2.0 * math.pi / self.omega_eff
 
     @cached_property
@@ -170,40 +170,32 @@ class PointFamily:
         """Points without an eigenbasis: E1 <= 1e-12."""
         return self.gap[0] <= 1e-12
 
-    def degeneracy(self, i: int, frame=True, spectrum=True) -> SpinPhaseError | None:
-        """The error that leaves point ``i`` without a period (``frame``), else an eigenbasis."""
-        if frame and self.frame_degenerate[i]:
+    def degeneracy(self, i: int) -> SpinPhaseError | None:
+        """The error that leaves point ``i`` without a period, else without an eigenbasis."""
+        if self.frame_degenerate[i]:
             return DegenerateFrame(
                 f"effective frequency {self.omega_eff[i]:.3e} <= {FRAME_EPSILON:.0e}; no period"
             )
-        if spectrum and self.spectrum_degenerate[i]:
+        if self.spectrum_degenerate[i]:
             return DegenerateSpectrum(f"E1 = {self.gap[0][i]:.3e} <= 1e-12; eigenbasis undefined")
         return None
-
-    def require(self, frame=True, spectrum=True) -> None:
-        """Raise :meth:`degeneracy` of the first point it names, if any."""
-        mask = frame & self.frame_degenerate | spectrum & self.spectrum_degenerate
-        flagged = np.flatnonzero(mask)
-        if flagged.size:
-            raise self.degeneracy(flagged[0], frame, spectrum)
 
     def eigenbasis(self, t=0.0) -> np.ndarray:
         """Eigenvectors of H(t) at a scalar or per-point ``t`` as columns, (B, 2, 2).
 
-        psi1 = (muB, -e^{+i omega t} D) / N and psi2 = (e^{-i omega t} D, muB)
-        / N with N = sqrt(D^2 + muB^2), and the exact standard basis where N
-        vanishes (muB = 0 < V).  Meaningless where the spectrum is degenerate.
+        psi1 = (b, -e^{+i omega t} d) and psi2 = (e^{-i omega t} d, b) with the
+        real ratios b = muB / N and d = D / N, N = sqrt(D^2 + muB^2), and the
+        exact standard basis, b = 1, where N vanishes (muB = 0 < V).
+        Meaningless where the spectrum is degenerate.
         """
         phase = np.exp(1j * self.omega * t)
-        d = self.gap[1]
-        norm = np.hypot(d, self.muB)
+        norm = np.hypot(self.gap[1], self.muB)
+        safe = np.where(norm > 0.0, norm, 1.0)
+        b, d = np.where(norm > 0.0, self.muB / safe, 1.0), self.gap[1] / safe
         basis = np.empty(self.V.shape + (2, 2), dtype=complex)
-        basis[:, 0, 0] = basis[:, 1, 1] = self.muB
+        basis[:, 0, 0] = basis[:, 1, 1] = b
         basis[:, 1, 0] = -phase * d
         basis[:, 0, 1] = np.conj(phase) * d
-        exact = norm == 0.0
-        basis /= np.where(exact, 1.0, norm)[:, np.newaxis, np.newaxis]
-        basis[exact] = np.eye(2)
         return basis
 
 
@@ -235,7 +227,8 @@ def period_tau(p: ModelParams) -> float:
         If Omega <= 1e-12 (resonant drive with vanishing coupling).
     """
     family = PointFamily.of([p])
-    family.require(spectrum=False)
+    if family.frame_degenerate[0]:
+        raise family.degeneracy(0)
     return float(family.tau[0])
 
 
@@ -287,9 +280,9 @@ def reference_closed_forms(p: ModelParams) -> ReferenceForms:
     """Evaluate every closed-form reference expression at t = tau.
 
     The structural identities u22 = conj(u11), u21 = -conj(u12) and
-    delta2 = -delta1 are applied as stated.  At muB = 0 the vanishing
-    normalization is handled by the exact limits of the component fractions
-    muB^2/N^2, D^2/N^2 and muB D/N^2.
+    delta2 = -delta1 are applied as stated.  The component fractions
+    muB^2/N^2, D^2/N^2 and muB D/N^2 are products of the t = 0 eigenbasis
+    ratios, so no energy is squared and muB = 0 gives their exact limits.
 
     Raises
     ------
@@ -299,17 +292,13 @@ def reference_closed_forms(p: ModelParams) -> ReferenceForms:
         If both V and muB vanish.
     """
     family = PointFamily.of([p])
-    family.require()
+    error = family.degeneracy(0)
+    if error is not None:
+        raise error
     tau = float(family.tau[0])
     d = float(family.gap[1][0])
-    n_sq = d * d + p.muB * p.muB
-    if n_sq > 0.0:
-        frac_b = p.muB * p.muB / n_sq
-        frac_d = d * d / n_sq
-        cross = p.muB * d / n_sq
-    else:
-        # muB = 0 with V > 0: limits of the fractions as the coupling -> 0.
-        frac_b, frac_d, cross = 1.0, 0.0, 0.0
+    ratio_b, ratio_d = family.eigenbasis()[0, 0].real.tolist()  # muB / N and D / N
+    frac_b, frac_d, cross = ratio_b * ratio_b, ratio_d * ratio_d, ratio_b * ratio_d
 
     half_wt = 0.5 * p.omega * tau
     u11 = -(frac_b * np.exp(1j * half_wt) + frac_d * np.exp(-1j * half_wt))
@@ -317,7 +306,7 @@ def reference_closed_forms(p: ModelParams) -> ReferenceForms:
     u12_literal = 2.0 * cross * math.sin(0.5 * p.omega) * off_phase
     u12 = 2.0 * cross * math.sin(half_wt) * off_phase
 
-    delta1 = tau * (2.0 * d * frac_b + (frac_d - frac_b) * (0.5 * p.V - p.omega))
+    delta1 = tau * (2.0 * (d * frac_b) + (frac_d - frac_b) * (0.5 * p.V - p.omega))  # 2 D may overflow
     delta2 = -delta1
 
     lam1, lam2 = family.weights[0].tolist()

@@ -6,9 +6,9 @@ engine kernel, integrated in chunks of distinct trajectories, and the phases
 of every point are assembled at once by :func:`thermal_phases` over the
 frozen t = 0 eigenbasis; verification assembles its oracle values there too.
 A single point is a family of one, built by :func:`model_trace` and
-:func:`phase_point`.  No operation mixes
-points, so a point's values do not depend on the family it is evaluated in,
-and a degenerate or refused point is reported per point.
+:func:`phase_point`.  No operation mixes points, so a point's values do not
+depend on the family it is evaluated in, and each point's outcome is one
+value: its trace or phases, or the error that leaves it without them.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ def _trajectories(
     share one trajectory.  A chunk holds at most CHUNK_POINTS groups.
     """
     if t_final is None:
-        family.require(spectrum=False)
         finals = family.tau
     else:
         finals = np.broadcast_to(np.asarray(t_final, dtype=float), family.V.shape)
@@ -69,8 +68,8 @@ def model_traces(
     t_final: float | Sequence[float] | None = None,
     *,
     full_grid: bool = False,
-) -> list[PropagatorTrace]:
-    """Integrate the model for each point of ``family``.
+) -> list[PropagatorTrace | SpinPhaseError]:
+    """Integrate the model for each point of ``family``, or name why it is not.
 
     ``t_final`` may be a scalar, one value per point, or None for each
     point's own rotating-frame period tau.  The dynamical-phase reference
@@ -79,16 +78,20 @@ def model_traces(
     integrated and its trace handed to the rest.  The distinct trajectories
     are integrated in chunks of at most CHUNK_POINTS, so the working memory
     depends on neither the number of points nor ``steps``.  Traces are in
-    endpoint form unless ``full_grid`` asks for every step.  A trace the
-    integrator refused carries its ``refusal``; the others do not depend on
-    it.
+    endpoint form unless ``full_grid`` asks for every step.  The one triage
+    of degenerate points: a point without an eigenbasis, or without a period
+    when ``t_final`` is None, gets its :meth:`PointFamily.degeneracy` and is
+    not integrated; a point the integrator refused, its UnitarityLoss.
     """
     finals, chunks = _trajectories(family, t_final)
-    traces: list[PropagatorTrace | None] = [None] * len(finals)
+    flagged = family.spectrum_degenerate | (t_final is None) & family.frame_degenerate
+    traces = [family.degeneracy(i) if bad else None for i, bad in enumerate(flagged)]
     for groups in chunks:
+        groups = [group for group in groups if not flagged[group[0]]]  # a group shares V, muB, omega
+        if not groups:
+            continue
         firsts = [group[0] for group in groups]
         points = family[firsts]
-        points.require(frame=False)
         integrated = integrate_sampled_family(
             partial(hamiltonian, points), finals[firsts], steps, points.eigenbasis(),
             full_grid=full_grid,
@@ -102,10 +105,10 @@ def model_traces(
 def model_trace(
     params: ModelParams, steps: int, t_final: float | None = None, *, full_grid: bool = False
 ) -> PropagatorTrace:
-    """Single-point wrapper around :func:`model_traces` that raises the point's refusal."""
-    trace = model_traces(PointFamily.of([params]), steps, t_final, full_grid=full_grid)[0]
-    if trace.refusal is not None:
-        raise trace.refusal
+    """Single-point wrapper around :func:`model_traces` that raises the point's error."""
+    (trace,) = model_traces(PointFamily.of([params]), steps, t_final, full_grid=full_grid)
+    if isinstance(trace, SpinPhaseError):
+        raise trace
     return trace
 
 
@@ -169,18 +172,26 @@ def phase_points(
     family: PointFamily,
     steps: int = 8192,
     t_final: float | None = None,
-) -> list[PhasePoint | UnitarityLoss]:
+) -> list[PhasePoint | SpinPhaseError]:
     """Evaluate the diagonal and off-diagonal phases for each point of ``family``.
 
-    A point the integrator refused comes back as its :class:`UnitarityLoss`
-    in place of a :class:`PhasePoint`.
+    A point without a trace from :func:`model_traces`, or without the period
+    a PhasePoint reports, comes back as its error in place of a PhasePoint.
     """
-    traces = model_traces(family, steps, t_final)
-    family.require(spectrum=False)
-    _, diag_raw, offdiag_raw = thermal_phases(traces, family.weights)
-    return [
-        trace.refusal
-        or PhasePoint(
+    outcomes = model_traces(family, steps, t_final)
+    for i in np.flatnonzero(family.frame_degenerate):
+        outcomes[i] = family.degeneracy(i)
+    accepted = [i for i, trace in enumerate(outcomes) if isinstance(trace, PropagatorTrace)]
+    if not accepted:
+        return outcomes
+    traces = [outcomes[i] for i in accepted]
+    _, diag_raw, offdiag_raw = thermal_phases(traces, family.weights[accepted])
+    for i, trace, tau, omega_eff, (lam1, lam2), d, o in zip(
+        accepted, traces, family.tau[accepted].tolist(), family.omega_eff[accepted].tolist(),
+        family.weights[accepted].tolist(), diag_raw.tolist(), offdiag_raw.tolist(),
+    ):
+        d1, d2 = trace.delta[-1].tolist()
+        outcomes[i] = PhasePoint(
             t_final=trace.t_final,
             tau=tau,
             omega_eff=omega_eff,
@@ -193,20 +204,15 @@ def phase_points(
             diag=_phase_or_none(d),
             offdiag=_phase_or_none(o),
         )
-        for trace, tau, omega_eff, (lam1, lam2), (d1, d2), d, o in zip(
-            traces, family.tau.tolist(), family.omega_eff.tolist(),
-            family.weights.tolist(), (tr.delta[-1].tolist() for tr in traces),
-            diag_raw.tolist(), offdiag_raw.tolist(),
-        )
-    ]
+    return outcomes
 
 
 def phase_point(
     params: ModelParams, steps: int = 8192, t_final: float | None = None
 ) -> PhasePoint:
-    """Evaluate one parameter point; see :class:`PhasePoint`.  Raises its refusal."""
-    point = phase_points(PointFamily.of([params]), steps, t_final)[0]
-    if isinstance(point, UnitarityLoss):
+    """Evaluate one parameter point; see :class:`PhasePoint`.  Raises the point's error."""
+    (point,) = phase_points(PointFamily.of([params]), steps, t_final)
+    if isinstance(point, SpinPhaseError):
         raise point
     return point
 
@@ -240,7 +246,8 @@ class SweepSpec:
         self.family()  # rejects the first invalid grid point, as ModelParams would
 
     def grid(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
+        with np.errstate(over="ignore"):  # linspace overflows inside at a span near the float maximum
+            return np.linspace(self.start, self.stop, self.points)
 
     def family(self) -> PointFamily:
         """The grid's points in array form: the axis column is the grid, the others ``fixed``."""
@@ -288,29 +295,23 @@ def _row_from_point(value: float, point: PhasePoint | SpinPhaseError) -> SweepRo
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate a sweep; rows come back in axis order.
 
-    A degenerate point, or one the integrator refused, gets a row with only
-    its axis value and the error; the other points are computed.  If every
-    point is degenerate, the first point's error is raised; if every other
-    point is refused, the refusal naming the most steps is (the first if
-    none names a count).  Points are evaluated one chunk of trajectories at
-    a time, so only the rows outlive a chunk.
+    A point that :func:`phase_points` gives an error gets a row with only its
+    axis value and the error.  If every point has one, the refusal naming the
+    most steps is raised (the first if none names a count), or, with no
+    refusal, the first point's error.  Points are evaluated one chunk of
+    trajectories at a time, so only the rows and errors outlive a chunk.
     """
     family = spec.family()
     values = getattr(family, spec.axis)
-    degenerate = family.frame_degenerate | family.spectrum_degenerate
     rows: list[SweepRow | None] = [None] * len(values)
-    for i in np.flatnonzero(degenerate):
-        rows[i] = _row_from_point(values[i], family.degeneracy(i))
-    if all(rows):
-        raise family.degeneracy(0)
-    good = np.flatnonzero(~degenerate)
-    refusals = []
-    for groups in _trajectories(family[good], spec.t_final)[1]:
-        members = good[[i for group in groups for i in group]]
-        points = phase_points(family[members], spec.steps, spec.t_final)
-        refusals += [point for point in points if isinstance(point, UnitarityLoss)]
-        for i, point in zip(members, points):
+    errors: dict[int, SpinPhaseError] = {}
+    for groups in _trajectories(family, spec.t_final)[1]:
+        members = [i for group in groups for i in group]
+        for i, point in zip(members, phase_points(family[members], spec.steps, spec.t_final)):
             rows[i] = _row_from_point(values[i], point)
-    if len(refusals) == len(good):
-        raise max(refusals, key=lambda refusal: refusal.steps_needed or 0.0)
+            if isinstance(point, SpinPhaseError):
+                errors[i] = point
+    if len(errors) == len(rows):
+        refusals = [error for error in errors.values() if isinstance(error, UnitarityLoss)]
+        raise max(refusals, key=lambda refusal: refusal.steps_needed or 0.0) if refusals else errors[0]
     return rows

@@ -169,15 +169,12 @@ def _assemble_report(
 
 
 def _verify(params_list: list[ModelParams], steps: int) -> list:
-    """Each point's report, or its error: its degeneracy, else the integrator's refusal."""
+    """Each point's report, or the error :func:`model_traces` gives it."""
     if steps < MIN_VERIFY_STEPS:
         raise ValueError(f"steps must be >= {MIN_VERIFY_STEPS}, got {steps}")
     family = PointFamily.of(params_list)
-    results = [family.degeneracy(i) for i in range(len(params_list))]
-    good = [i for i, error in enumerate(results) if error is None]
-    for i, trace in zip(good, model_traces(family[good], steps)):
-        results[i] = trace if trace.refusal is None else trace.refusal
-    accepted = [i for i in good if isinstance(results[i], PropagatorTrace)]
+    results = model_traces(family, steps)
+    accepted = [i for i, result in enumerate(results) if isinstance(result, PropagatorTrace)]
     if accepted:  # their phases are assembled in one batch, as a sweep assembles them
         traces = [results[i] for i in accepted]
         for i, *args in zip(accepted, traces, *thermal_phases(traces, family[accepted].weights)):
@@ -189,7 +186,7 @@ def verify_point(p: ModelParams, steps: int = 8192) -> VerifyReport:
     """Verify every reference equation at one parameter point.
 
     ``steps`` must be at least 1024; the stated tolerances assume it.  Raises
-    the point's degeneracy or the integrator's refusal.
+    the point's error: its degeneracy or the integrator's refusal.
     """
     (result,) = _verify([p], steps)
     if not isinstance(result, VerifyReport):

@@ -7,6 +7,7 @@ import numpy as np
 
 from spinphase import engine
 from spinphase.engine import PropagatorTrace, cumulative_simpson, integrate_sampled_family
+from spinphase.errors import UnitarityLoss
 from spinphase.linalg import phase_functional
 from spinphase.model import (
     Convention,
@@ -119,8 +120,8 @@ def integrate_propagator(h_of_t, t_final, steps, basis=None):
     (trace,) = integrate_sampled_family(
         lambda times: h_of_t(times[0])[np.newaxis], [t_final], steps, bases, full_grid=True
     )
-    if trace.refusal is not None:
-        raise trace.refusal
+    if isinstance(trace, UnitarityLoss):
+        raise trace
     return trace
 
 

@@ -198,10 +198,9 @@ class TestPerMemberVerdict:
         family = integrate_sampled_family(h, t_final, steps)
         for j, member in enumerate(family):
             if j in refused:
-                assert isinstance(member.refusal, UnitarityLoss)
-                assert np.all(np.isnan(member.U[-1])) and np.all(np.isnan(member.delta[-1]))
+                assert isinstance(member, UnitarityLoss)
                 continue
-            assert member.refusal is None
+            assert isinstance(member, PropagatorTrace)
             alone = integrate_sampled_family(h[[j]], t_final[[j]], steps)[0]
             assert member.U.tobytes() == alone.U.tobytes()
             assert member.delta.tobytes() == alone.delta.tobytes()
@@ -212,14 +211,14 @@ class TestPerMemberVerdict:
         h = smooth_random_family(2, 4, rng)
         h.a[2] *= 1e3  # dt |H| far past 2 sqrt(2)
         family = self.check_others_unchanged(h, np.full(4, 2.0), refused={2})
-        assert re.search(r"stability bound .*; needs at least \d+ steps", str(family[2].refusal))
+        assert re.search(r"stability bound .*; needs at least \d+ steps", str(family[2]))
 
     def test_member_that_drifts(self):
         # dt |H| = 2 is under the bound, but RK4 shrinks |U| by far more than 1e-6.
         h = smooth_random_family(3, 3, np.random.default_rng(8))
         h.a[1], h.c[1], h.s[1] = np.diag([2.0, 0.0, -2.0]) * 64, 0.0, 0.0
         family = self.check_others_unchanged(h, np.full(3, 2.0), refused={1})
-        assert "unitarity drift" in str(family[1].refusal)
+        assert "unitarity drift" in str(family[1])
 
     def test_member_that_overflows(self):
         # One of 16 levels carries |H|: dt |H|_F / 4 = 2.8 is under the bound,
@@ -234,10 +233,10 @@ class TestPerMemberVerdict:
             return lambda times: np.broadcast_to(generators[members, None], times.shape + (n, n))
 
         family = integrate_sampled_family(sampler([0, 1]), [64.0, 64.0], 64)
-        assert str(family[0].refusal) == "unitarity drift nan > 1e-06"
-        assert np.all(np.isnan(family[0].U[-1]))
+        assert isinstance(family[0], UnitarityLoss)
+        assert str(family[0]) == "unitarity drift nan > 1e-06"
         alone = integrate_sampled_family(sampler([1]), [64.0], 64)[0]
-        assert family[1].refusal is None
+        assert isinstance(family[1], PropagatorTrace)
         assert family[1].U.tobytes() == alone.U.tobytes()
         assert family[1].delta.tobytes() == alone.delta.tobytes()
 
@@ -285,8 +284,8 @@ class TestTimeSegments:
         pair = model_traces(
             PointFamily.of([point, refused]), steps, t_final=[period_tau(point), 100.0]
         )
-        assert pair[0].refusal is None
-        assert isinstance(pair[1].refusal, UnitarityLoss)
+        assert isinstance(pair[0], PropagatorTrace)
+        assert isinstance(pair[1], UnitarityLoss)
         self.assert_same_bytes(model_trace(point, steps), pair[0])
 
     def test_across_a_wave_edge(self):
@@ -317,12 +316,12 @@ class TestTimeSegments:
             return h_of_t
 
         family = integrate_sampled_family(ramps(0.0, 3990.0), [t_final, t_final], steps)
-        assert family[0].refusal is None
-        assert np.all(np.isnan(family[1].U[-1])) and np.all(np.isnan(family[1].delta[-1]))
+        assert isinstance(family[0], PropagatorTrace)
+        assert isinstance(family[1], UnitarityLoss)
         # The largest ratio is at t = T: dt |H|_F / sqrt(2) = (2 / 2048) * 4000.
         needed = math.ceil(steps * (t_final / steps * 4000.0) / (2 * math.sqrt(2)))
         assert needed == 2829
-        assert f"needs at least {needed} steps" in str(family[1].refusal)
+        assert f"needs at least {needed} steps" in str(family[1])
         alone = integrate_sampled_family(ramps(0.0), [t_final], steps)[0]
         self.assert_same_bytes(alone, family[0])
 

@@ -148,16 +148,15 @@ class TestPointFamily:
             if family.frame_degenerate[i]:
                 with pytest.raises(DegenerateFrame) as caught:
                     period_tau(p)
-                assert str(caught.value) == str(family.degeneracy(i, spectrum=False))
+                assert str(caught.value) == str(family.degeneracy(i))
             else:
-                assert family.degeneracy(i, spectrum=False) is None
                 assert self.same_bits(family.tau[i], period_tau(p))
             if family.spectrum_degenerate[i]:
-                with pytest.raises(DegenerateSpectrum) as caught:
-                    one.require(frame=False)
-                assert str(caught.value) == str(family.degeneracy(i, frame=False))
+                error = one.degeneracy(0)
+                kind = DegenerateFrame if family.frame_degenerate[i] else DegenerateSpectrum
+                assert isinstance(error, kind)
+                assert str(error) == str(family.degeneracy(i))
             else:
-                assert family.degeneracy(i, frame=False) is None
                 assert self.same_bits(bases[i], one.eigenbasis()[0])
 
     def test_edge_points_get_the_right_masks(self):
@@ -336,7 +335,9 @@ class TestEigensystem:
     @staticmethod
     def frame(p, t=0.0):
         family = PointFamily.of([p])
-        family.require(frame=False)
+        error = family.degeneracy(0)
+        if error is not None:
+            raise error
         return family.gap[0][0], family.eigenbasis(t)[0]
 
     def test_zero_coupling_falls_back_to_basis_vectors(self):

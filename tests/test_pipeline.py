@@ -7,6 +7,7 @@ import pytest
 
 from support import Ensemble, diagonal_phase_argument, offdiagonal_trace, shift_ensembles
 
+from spinphase.engine import PropagatorTrace
 from spinphase.errors import UnitarityLoss
 from spinphase.model import ModelParams, PointFamily, period_tau
 from spinphase.pipeline import (
@@ -71,7 +72,7 @@ class TestStreaming:
         t_final = [0.1, 0.1, 2e-308]
         ends = model_traces(pts, steps, t_final)
         fulls = model_traces(pts, steps, t_final, full_grid=True)
-        assert all(trace.refusal is None for trace in ends + fulls)
+        assert all(isinstance(trace, PropagatorTrace) for trace in ends + fulls)
         # delta_1 = -E1 t with E1 = V/2, which an unscaled Simpson sum overflows; at
         # 2 steps RK4 shrinks |U|^2 by (dt E1)^6 / 72 = 2e-10.
         assert ends[2].delta[-1, 0] == pytest.approx(-0.5e307 * 2e-308, rel=1e-9)
@@ -88,7 +89,7 @@ class TestStreaming:
         # |H| = 8.5e307: G itself is finite, three unscaled Simpson samples are not.
         point = PointFamily.of([ModelParams(V=1.7e308, muB=1.0, omega=0.6, beta=1.0)])
         (full,) = model_traces(point, steps, [2e-309], full_grid=True)
-        assert full.refusal is None
+        assert isinstance(full, PropagatorTrace)
         assert np.all(np.isfinite(full.delta))
         # delta_1 = -E1 t; at 2 steps RK4 shrinks |U|^2 by (dt E1)^6 / 72 = 5e-9.
         np.testing.assert_allclose(full.delta[:, 0], -0.85e308 * full.grid, rtol=1e-8)
