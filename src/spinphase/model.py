@@ -120,7 +120,11 @@ class PointFamily:
         return cls(*columns.reshape(-1, 4).T.copy())
 
     def __getitem__(self, index) -> PointFamily:
-        return PointFamily(self.V[index], self.muB[index], self.omega[index], self.beta[index])
+        """The points at ``index``, unchecked: they passed every check when this family was built."""
+        part = object.__new__(PointFamily)
+        vars(part).update(V=self.V[index], muB=self.muB[index], omega=self.omega[index],
+                          beta=self.beta[index])
+        return part
 
     @cached_property
     def omega_eff(self) -> np.ndarray:

@@ -13,7 +13,9 @@ value: its trace or phases, or the error that leaves it without them.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -21,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import (
+    WAVE_MEMBERS,
     PropagatorTrace,
     diagonal_phase_argument,
     integrate_sampled_family,
@@ -39,6 +42,14 @@ SWEEP_AXES = ("beta", "omega", "muB", "V")
 CHUNK_POINTS = 512
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _trajectories(
     family: PointFamily, t_final: float | Sequence[float] | None
 ) -> tuple[np.ndarray, list[list[list[int]]]]:
@@ -46,7 +57,9 @@ def _trajectories(
 
     Points with equal (V, muB, omega, final time) differ only in beta, which
     enters the thermal weights, not the evolution: they form one group and
-    share one trajectory.  A chunk holds at most CHUNK_POINTS groups.
+    share one trajectory.  A chunk holds at most CHUNK_POINTS groups.  An
+    explicit final time must be positive and finite, and so must omega t,
+    the phase H(t) is sampled at.
     """
     if t_final is None:
         finals = family.tau
@@ -54,12 +67,34 @@ def _trajectories(
         finals = np.broadcast_to(np.asarray(t_final, dtype=float), family.V.shape)
         if not np.all(np.isfinite(finals) & (finals > 0.0)):
             raise ValueError("t_final must be positive and finite")
+        with np.errstate(over="ignore"):
+            overflow = np.flatnonzero(~np.isfinite(family.omega * finals))
+        if overflow.size:
+            i = overflow[0]
+            raise ValueError(f"omega * t is not finite at omega = {family.omega[i]:.12g}, "
+                             f"t = {finals[i]:.12g}")
     keys = zip(family.V.tolist(), family.muB.tolist(), family.omega.tolist(), finals.tolist())
     by_trajectory: dict[tuple, list[int]] = {}
     for i, key in enumerate(keys):
         by_trajectory.setdefault(key, []).append(i)
     groups = list(by_trajectory.values())
     return finals, [groups[lo : lo + CHUNK_POINTS] for lo in range(0, len(groups), CHUNK_POINTS)]
+
+
+def _thread_pool(workers: int):
+    """A pool of ``workers`` threads to split chunks over, or no pool (None) below 2."""
+    if workers < 2:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor  # only a split pays for the import
+
+    return ThreadPoolExecutor(workers)
+
+
+def _integrate_rows(points, finals, bases, steps, full_grid, rows) -> list:
+    """The kernel over ``rows`` of the integrated points of one chunk."""
+    return integrate_sampled_family(
+        partial(hamiltonian, points[rows]), finals[rows], steps, bases[rows], full_grid=full_grid
+    )
 
 
 def model_traces(
@@ -77,28 +112,44 @@ def model_traces(
     beta share one trace: the first point of each trajectory group is
     integrated and its trace handed to the rest.  The distinct trajectories
     are integrated in chunks of at most CHUNK_POINTS, so the working memory
-    depends on neither the number of points nor ``steps``.  Traces are in
-    endpoint form unless ``full_grid`` asks for every step.  The one triage
-    of degenerate points: a point without an eigenbasis, or without a period
-    when ``t_final`` is None, gets its :meth:`PointFamily.degeneracy` and is
-    not integrated; a point the integrator refused, its UnitarityLoss.
+    depends on neither the number of points nor ``steps``.  Where
+    min(usable CPUs, trajectories // WAVE_MEMBERS) is at least 2, a chunk is
+    cut into that many contiguous, near-equal parts, integrated on as many
+    threads: the kernel releases the GIL in its array operations, and each
+    part is at least a wave wide, so no more members are in flight than on
+    one thread.  Otherwise the chunk is integrated on the calling thread.
+    No operation mixes members, so the traces do not depend on the split.
+    Traces are in endpoint form unless ``full_grid`` asks for every step.
+    The one triage of degenerate points: a point without an eigenbasis, or
+    without a period when ``t_final`` is None, gets its
+    :meth:`PointFamily.degeneracy` and is not integrated; a point the
+    integrator refused, its UnitarityLoss.
     """
     finals, chunks = _trajectories(family, t_final)
     flagged = family.spectrum_degenerate | (t_final is None) & family.frame_degenerate
     traces = [family.degeneracy(i) if bad else None for i, bad in enumerate(flagged)]
-    for groups in chunks:
-        groups = [group for group in groups if not flagged[group[0]]]  # a group shares V, muB, omega
-        if not groups:
-            continue
-        firsts = [group[0] for group in groups]
-        points = family[firsts]
-        integrated = integrate_sampled_family(
-            partial(hamiltonian, points), finals[firsts], steps, points.eigenbasis(),
-            full_grid=full_grid,
-        )
-        for group, trace in zip(groups, integrated):
-            for i in group:
-                traces[i] = trace
+    # A group shares V, muB and omega, so its first point decides whether it is integrated.
+    chunks = [[group for group in groups if not flagged[group[0]]] for groups in chunks]
+    cpus = _usable_cpus()
+    parts = [min(cpus, len(groups) // WAVE_MEMBERS) for groups in chunks]
+    with _thread_pool(max(parts, default=0)) as pool:
+        for groups, count in zip(chunks, parts):
+            if not groups:
+                continue
+            firsts = [group[0] for group in groups]
+            points = family[firsts]
+            integrate = partial(
+                _integrate_rows, points, finals[firsts], points.eigenbasis(), steps, full_grid
+            )
+            if count < 2:
+                integrated = integrate(slice(None))
+            else:
+                bounds = [len(firsts) * k // count for k in range(count + 1)]
+                slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+                integrated = [trace for part in pool.map(integrate, slices) for trace in part]
+            for group, trace in zip(groups, integrated):
+                for i in group:
+                    traces[i] = trace
     return traces
 
 

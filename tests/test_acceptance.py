@@ -25,6 +25,7 @@ from support import (
     smooth_random_family,
 )
 
+from spinphase import pipeline
 from spinphase.cli import main as cli_main
 from spinphase.engine import integrate_sampled_family
 from spinphase.linalg import phase_functional, su2_exponential
@@ -287,7 +288,7 @@ def test_criterion_7_invariance_suites(acceptance, dim):
     assert shift_dev <= 1e-8
 
 
-def test_criterion_8_sweep_determinism(acceptance, capsys):
+def test_criterion_8_sweep_determinism(acceptance, capsys, monkeypatch):
     argv = [
         "sweep",
         "--axis", "beta", "--start", "0", "--stop", "3", "--points", "25",
@@ -301,10 +302,27 @@ def test_criterion_8_sweep_determinism(acceptance, capsys):
         assert code == 0
         outputs.append(captured.out.encode())
     identical = outputs[0] == outputs[1] == outputs[2]
+    # Serial and threaded: 600 distinct points make one chunk of 512 trajectories,
+    # split into min(CPUs, 512 // 64) parts, and one of 88, integrated serially.
+    wide = [
+        "sweep",
+        "--axis", "omega", "--start", "0.1", "--stop", "2", "--points", "600",
+        "--V", "1", "--mu-B", "0.5", "--beta", "1",
+        "--steps", "64",
+    ]
+    split = []
+    for cpus in (1, 2, 4, 8):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        code = cli_main(wide)
+        captured = capsys.readouterr()
+        assert code == 0
+        split.append((captured.out.encode(), captured.err.encode()))
+    identical_split = all(run == split[0] for run in split)
     acceptance(
         8,
         "byte-identical sweep output, serial and parallel",
-        identical,
-        f"{len(outputs[0])} bytes per run",
+        identical and identical_split,
+        f"{len(outputs[0])} bytes per --jobs run, {len(split[0][0])} bytes on 1, 2, 4 and 8 CPUs",
     )
     assert identical
+    assert identical_split

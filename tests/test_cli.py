@@ -404,9 +404,10 @@ class TestUnitarityLossExit:
         assert needed == pytest.approx(t_final * norm / (2 * math.sqrt(2)), rel=1e-2)
 
     def test_non_finite_hamiltonian_is_a_usage_error(self, capsys):
-        # omega t overflows to inf, so H(t) has no finite value.
+        # At omega = V, tau = 2 pi / (2 muB) = 3.1e9 and omega tau overflows to inf,
+        # so H(t) has no finite value.
         code, out, err = run_cli(
-            capsys, "propagate", "--t", "1e300", "--omega", "1e10", "--steps", "64"
+            capsys, "phases", "--V", "1e300", "--omega", "1e300", "--mu-B", "1e-9", "--steps", "64"
         )
         assert code == 2
         assert out == ""
@@ -495,6 +496,37 @@ class TestNonFiniteInput:
         assert (code, out) == (2, "")
         assert err.endswith("error: 3 points from 0.0 to 5e-324 do not make a strictly "
                             "increasing grid\n")
+
+
+class TestOverflowingPhase:
+    """An explicit final time at which omega t overflows is a usage error naming both."""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["phases", "--omega", "1e300", "--t", "1e10"],
+             "omega * t is not finite at omega = 1e+300, t = 10000000000"),
+            (["propagate", "--omega", "1e300", "--t", "1e10"],
+             "omega * t is not finite at omega = 1e+300, t = 10000000000"),
+            (["propagate", "--omega", "1e10", "--t", "1e300"],
+             "omega * t is not finite at omega = 10000000000, t = 1e+300"),
+            (["sweep", "--axis", "omega", "--start", "1e299", "--stop", "1e300", "--points", "2",
+              "--t", "1e10"],
+             "omega * t is not finite at omega = 1e+299, t = 10000000000"),
+        ],
+        ids=["phases", "propagate", "propagate-long", "sweep"],
+    )
+    def test_exits_2_naming_omega_and_t(self, capsys, argv, error):
+        code, out, err = run_strictly(capsys, *argv, "--steps", "64")
+        assert (code, out) == (2, "")
+        assert err == f"error: {error}\n"
+
+    def test_a_finite_product_is_integrated(self, capsys):
+        # omega t = 1e308 is finite: the point runs and is refused at 64 steps.
+        code, out, err = run_strictly(capsys, "phases", "--omega", "1e298", "--t", "1e10",
+                                      "--steps", "64")
+        assert (code, out) == (6, "")
+        assert "stability bound" in err
 
 
 class TestInvalidSweepValues:

@@ -172,6 +172,21 @@ class TestPointFamily:
         assert np.all(np.isfinite(family.gap[1][:5]))
 
     @pytest.mark.parametrize(
+        "index", [slice(3, 150), [5, 0, 207, 101], np.arange(0, 208, 3)], ids=["slice", "list", "array"]
+    )
+    def test_a_slice_is_not_checked_again_and_keeps_its_rows(self, monkeypatch, index):
+        family = PointFamily.of(self.family_points())
+        checks = []
+        monkeypatch.setattr(PointFamily, "__post_init__", lambda part: checks.append(part))
+        part = family[index]
+        assert checks == []
+        for name in ("omega_eff", "tau", "weights"):
+            assert self.same_bits(getattr(part, name), getattr(family, name)[index]), name
+        assert self.same_bits(part.eigenbasis(), family.eigenbasis()[index])
+        PointFamily(part.V, part.muB, part.omega, part.beta)  # built from outside data: checked
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize(
         "point",
         [(1.7e308, 1.7e308, 0.6), (1.0, 1e308, 0.6), (1.7e308, 0.5, -1e308)],
         ids=["both", "2muB", "V-omega"],

@@ -7,6 +7,7 @@ import pytest
 
 from support import Ensemble, diagonal_phase_argument, offdiagonal_trace, shift_ensembles
 
+from spinphase import pipeline
 from spinphase.engine import PropagatorTrace
 from spinphase.errors import UnitarityLoss
 from spinphase.model import ModelParams, PointFamily, period_tau
@@ -105,8 +106,9 @@ class TestStreaming:
 
 
 class TestMemory:
-    def test_peak_does_not_grow_with_points(self):
-        def peak(points):
+    def test_peak_does_not_grow_with_points(self, monkeypatch):
+        def peak(points, cpus):
+            monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
             spec = SweepSpec(
                 axis="omega", start=0.1, stop=2.0, points=points, fixed=FLAGSHIP, steps=64
             )
@@ -117,8 +119,13 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(1000), peak(4000)
-        assert large < 1.2 * small, (small, large)
+        # The reference is the serial peak.  Split across threads, a chunk's parts
+        # hold their temporaries at times that vary from run to run, so a threaded
+        # peak lies anywhere from about half the serial one to all of it.
+        small = peak(1000, 1)
+        for cpus in (1, 2):
+            large = peak(4000, cpus)
+            assert large < 1.2 * small, (cpus, small, large)
 
     def test_peak_of_long_trajectories_stays_small(self):
         # 25 points x 16384 steps: 32 segments each, in waves of 2 segments (50 members).

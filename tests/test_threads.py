@@ -1,0 +1,126 @@
+"""A wide chunk split across threads gives the serial run's rows, warnings and exit, byte for byte.
+
+Most cases force the number of usable CPUs and compare the command with
+the same command on one CPU, where no thread is started.
+"""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from test_cli import run_strictly
+
+import spinphase
+from spinphase import pipeline
+
+#: 513 omega values across V = 1 with no coupling: omega = 1 has no period, and
+#: the points near it, whose periods are long, are refused at 64 steps.  The first
+#: chunk's 511 other trajectories split at omega = 0.99609375 on two CPUs; the
+#: last point, omega = 2, is a chunk of its own.
+RESONANCE = ["sweep", "--axis", "omega", "--start", "0", "--stop", "2", "--points", "513",
+             "--V", "1", "--mu-B", "0", "--steps", "64"]
+#: At omega = V = 1e300, tau = 2 pi / (2 muB) = 3.1e9 and omega tau overflows: the
+#: samples of that point, 129th of 257 and in the second part on two CPUs, are not finite.
+OVERFLOW = ["sweep", "--axis", "omega", "--start", "0", "--stop", "2e300", "--points", "257",
+            "--V", "1e300", "--mu-B", "1e-9", "--steps", "64"]
+
+
+def run_on(capsys, monkeypatch, cpus, *argv):
+    """The command's (exit, stdout, stderr) with ``cpus`` usable CPUs, and the kernel's widths."""
+    widths = []
+    integrate = pipeline.integrate_sampled_family
+
+    def spy(h_of_t, t_final, *args, **kwargs):
+        widths.append(len(t_final))
+        return integrate(h_of_t, t_final, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline, "integrate_sampled_family", spy)
+    try:
+        return run_strictly(capsys, *argv), sorted(widths)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("cpus, widths", [(2, [1, 255, 256]), (4, [1, 127, 128, 128, 128])])
+def test_refused_and_degenerate_points_keep_their_rows(capsys, monkeypatch, cpus, widths):
+    serial, serial_widths = run_on(capsys, monkeypatch, 1, *RESONANCE)
+    split, split_widths = run_on(capsys, monkeypatch, cpus, *RESONANCE)
+    assert (serial_widths, split_widths) == ([1, 511], widths)
+    assert split == serial
+    code, _, err = split
+    assert code == 0
+    assert "warning: degenerate point at omega = 1 (DegenerateFrame" in err
+    for omega in ("0.9921875", "0.99609375"):  # the last point of part 0, the first of part 1
+        assert f"warning: refused point at omega = {omega} (UnitarityLoss" in err
+
+
+def test_a_worker_error_exits_2_with_the_serial_message(capsys, monkeypatch):
+    serial, _ = run_on(capsys, monkeypatch, 1, *OVERFLOW)
+    split, widths = run_on(capsys, monkeypatch, 2, *OVERFLOW)
+    assert widths == [128, 129]
+    assert split == serial == (2, "", "error: generator samples must be finite\n")
+
+
+@pytest.mark.parametrize(
+    "argv, cpus",
+    [
+        (["sweep", "--axis", "beta", "--start", "0", "--stop", "5", "--points", "101",
+          "--steps", "1024"], 8),
+        (["verify", "--grid", "25", "--steps", "1024", "--format", "json"], 8),
+        (RESONANCE, 1),
+    ],
+    ids=["beta-sweep", "verify-grid", "one-cpu"],
+)
+def test_narrow_chunks_and_one_cpu_start_no_thread(capsys, monkeypatch, argv, cpus):
+    def refuse(thread):
+        raise RuntimeError(f"thread {thread.name} started")
+
+    expected, _ = run_on(capsys, monkeypatch, 1, *argv)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert run_on(capsys, monkeypatch, cpus, *argv)[0] == expected
+    assert expected[0] == 0
+
+
+def test_more_threads_than_cores_switching_often(capsys, monkeypatch):
+    # 8 parts of 64 trajectories, with the interpreter switching threads every microsecond.
+    argv = [*RESONANCE[:8], "512", *RESONANCE[9:]]
+    expected, _ = run_on(capsys, monkeypatch, 1, *argv)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split, widths = run_on(capsys, monkeypatch, 8, *argv)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(widths) == 8
+    assert split == expected
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert pipeline._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert pipeline._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pipeline._usable_cpus() == 1
+
+
+def test_threaded_sweep_is_clean_in_a_fresh_interpreter(capsys):
+    # 256 distinct trajectories split on any host with at least 2 usable CPUs.
+    argv = ["sweep", "--axis", "omega", "--start", "0.1", "--stop", "2", "--points", "256",
+            "--V", "1", "--mu-B", "0.5", "--beta", "1", "--steps", "64"]
+    src = str(Path(spinphase.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "spinphase", *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    code, out, err = run_strictly(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert result.stdout == out
