@@ -4,13 +4,13 @@ Subcommands: ``phases`` (single-point report), ``sweep`` (one-axis parameter
 sweep to CSV or JSON), ``verify`` (closed-form verification ledger), and
 ``propagate`` (propagator comparison dump).
 
-Exit codes are a stable contract: 0 success, 2 usage error, 3 degenerate
-frame or spectrum, 4 undefined phase, 5 inconsistent verification, 6 the
-integration lost unitarity (too few steps for the final time).  A sweep
-leaves a degenerate or refused point's row empty and exits 3 or 6 only when
-no point is left.  Number formatting is locale independent; sweep output
-uses 17 significant digits with a lowercase exponent so repeated runs are
-byte identical.
+Exit codes are a stable contract, stated once in ``EXIT_CODES`` (error type
+to code): 0 success, 2 usage error, 3 degenerate frame or spectrum, 4
+undefined phase, 5 inconsistent verification, 6 the integration lost
+unitarity (too few steps for the final time).  A sweep leaves a degenerate
+or refused point's row empty and exits 3 or 6 only when no point is left.
+Number formatting is locale independent; sweep output uses 17 significant
+digits with a lowercase exponent so repeated runs are byte identical.
 """
 
 from __future__ import annotations
@@ -40,11 +40,15 @@ from .verify import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DEGENERATE = 3
-EXIT_UNDEFINED_PHASE = 4
-EXIT_INCONSISTENT = 5
-EXIT_UNITARITY_LOSS = 6
+#: The exit code of each error a command ends with; a subclass takes its nearest listed base.
+EXIT_CODES = {
+    ValueError: 2,
+    DegenerateFrame: 3,
+    DegenerateSpectrum: 3,
+    UndefinedPhase: 4,
+    InconsistentClassification: 5,
+    UnitarityLoss: 6,
+}
 
 SWEEP_CSV_HEADER = (
     "axis,axis_value,lambda1,delta1,diag_arg_re,diag_arg_im,diag_phase,"
@@ -146,48 +150,40 @@ def _cmd_phases(args, parser) -> int:
     if point.undefined:
         names = " and ".join(point.undefined)
         raise UndefinedPhase(f"{names} interference visibility vanished")
+    # The report's fields in output order, for the JSON document and the table alike.
+    fields = {
+        "steps": args.steps,
+        "t_final": point.t_final,
+        "tau": point.tau,
+        "Omega": point.omega_eff,
+        "lambda1": point.lambda1,
+        "lambda2": point.lambda2,
+        "delta1": point.delta1,
+        "delta2": point.delta2,
+    }
+    phases = {
+        "diag": ("diagonal phase:", point.diag, point.diag_raw),
+        "offdiag": ("off-diagonal phase:", point.offdiag, point.offdiag_raw),
+    }
     if args.format == "json":
-        doc = {
-            "params": {"V": params.V, "muB": params.muB, "omega": params.omega, "beta": params.beta},
-            "steps": args.steps,
-            "t_final": point.t_final,
-            "tau": point.tau,
-            "Omega": point.omega_eff,
-            "lambda1": point.lambda1,
-            "lambda2": point.lambda2,
-            "delta1": point.delta1,
-            "delta2": point.delta2,
-            "diag": {
-                "raw": [point.diag_raw.real, point.diag_raw.imag],
-                "factor": [point.diag.unit.real, point.diag.unit.imag],
-                "arg": point.diag.arg,
-            },
-            "offdiag": {
-                "raw": [point.offdiag_raw.real, point.offdiag_raw.imag],
-                "factor": [point.offdiag.unit.real, point.offdiag.unit.imag],
-                "arg": point.offdiag.arg,
-            },
-        }
+        doc = {"params": vars(params), **fields}
+        for key, (_, phase, raw) in phases.items():
+            doc[key] = {
+                "raw": [raw.real, raw.imag],
+                "factor": [phase.unit.real, phase.unit.imag],
+                "arg": phase.arg,
+            }
         print(json.dumps(doc))
         return EXIT_OK
-    t_label = "(tau)" if args.t is None else "(explicit)"
+    fields["t_final"] = f"{point.t_final:.12g} {'(tau)' if args.t is None else '(explicit)'}"
     lines = [
-        f"V        = {params.V:.12g}",
-        f"muB      = {params.muB:.12g}",
-        f"omega    = {params.omega:.12g}",
-        f"beta     = {params.beta:.12g}",
-        f"steps    = {args.steps}",
-        f"t_final  = {point.t_final:.12g} {t_label}",
-        f"tau      = {point.tau:.12g}",
-        f"Omega    = {point.omega_eff:.12g}",
-        f"lambda1  = {point.lambda1:.12g}",
-        f"lambda2  = {point.lambda2:.12g}",
-        f"delta1   = {point.delta1:.12g}",
-        f"delta2   = {point.delta2:.12g}",
-        f"diagonal phase:     arg = {point.diag.arg:.12g}  factor = {_fmt_complex(point.diag.unit)}"
-        f"  raw = {_fmt_complex(point.diag_raw)}",
-        f"off-diagonal phase: arg = {point.offdiag.arg:.12g}  factor = {_fmt_complex(point.offdiag.unit)}"
-        f"  raw = {_fmt_complex(point.offdiag_raw)}",
+        f"{name:<9}= {value if isinstance(value, (int, str)) else format(value, '.12g')}"
+        for name, value in {**vars(params), **fields}.items()
+    ]
+    lines += [
+        f"{label:<20}arg = {phase.arg:.12g}  factor = {_fmt_complex(phase.unit)}"
+        f"  raw = {_fmt_complex(raw)}"
+        for label, phase, raw in phases.values()
     ]
     print("\n".join(lines))
     return EXIT_OK
@@ -211,19 +207,15 @@ def _cmd_sweep(args, parser) -> int:
         raise ValueError("jobs must be >= 1")
     rows = run_sweep(spec)
     for row in rows:
+        at = f"at {args.axis} = {row.axis_value:.12g}"
         if row.error is not None:
             kind = "refused" if row.error.startswith(UnitarityLoss.__name__) else "degenerate"
-            print(
-                f"warning: {kind} point at {args.axis} = {row.axis_value:.12g} "
-                f"({row.error}); fields left empty",
-                file=sys.stderr,
-            )
+            warning = f"{kind} point {at} ({row.error}); fields left empty"
         elif row.diag_phase is None or row.offdiag_phase is None:
-            print(
-                f"warning: undefined phase at {args.axis} = {row.axis_value:.12g}; "
-                "phase fields left empty",
-                file=sys.stderr,
-            )
+            warning = f"undefined phase {at}; phase fields left empty"
+        else:
+            continue
+        print(f"warning: {warning}", file=sys.stderr)
     if args.format == "json":
         rows_doc = [{c: getattr(r, c) for c in SWEEP_COLUMNS} for r in rows]
         doc = {"axis": args.axis, "rows": rows_doc}
@@ -252,11 +244,8 @@ def _cmd_verify(args, parser) -> int:
         return EXIT_OK
     blocks = []
     for report in reports:
-        head = (
-            f"# V={report.params.V:.12g} muB={report.params.muB:.12g} "
-            f"omega={report.params.omega:.12g} beta={report.params.beta:.12g}"
-        )
-        blocks.append(head + "\n" + report_table(report))
+        head = " ".join(f"{name}={value:.12g}" for name, value in vars(report.params).items())
+        blocks.append(f"# {head}\n" + report_table(report))
     print("\n\n".join(blocks))
     return EXIT_OK
 
@@ -274,6 +263,8 @@ def _cmd_propagate(args, parser) -> int:
     t = args.t if args.t is not None else period_tau(params)
     if not (math.isfinite(t) and t >= 0):
         parser.error("--t must be finite and >= 0")
+    if args.steps < 2:  # t = 0 integrates nothing, so the kernel would not check
+        raise ValueError(f"steps must be >= 2, got {args.steps}")
     if t == 0.0:
         numeric = np.eye(2, dtype=complex)
     else:
@@ -304,21 +295,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, parser)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DegenerateFrame, DegenerateSpectrum) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except UndefinedPhase as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDEFINED_PHASE
-    except InconsistentClassification as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except UnitarityLoss as exc:
-        print(f"error: {exc}; increase --steps", file=sys.stderr)
-        return EXIT_UNITARITY_LOSS
+    except tuple(EXIT_CODES) as exc:
+        hint = "; increase --steps" if isinstance(exc, UnitarityLoss) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
+        return next(EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 Single parameter points and parameter families share one code path: a family
 is carried in its array form (:class:`PointFamily`) from the sweep to the
 engine kernel, integrated in chunks of distinct trajectories, and the phases
-of every point are assembled at once by :func:`thermal_phases` over the
-frozen t = 0 eigenbasis; verification assembles its oracle values there too.
+of every point are assembled at once by :func:`phase_points` over the frozen
+t = 0 eigenbasis; sweeps, ``phases`` and verification all read them there.
 A single point is a family of one, built by :func:`model_trace` and
 :func:`phase_point`.  No operation mixes points, so a point's values do not
 depend on the family it is evaluated in, and each point's outcome is one
@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
 
@@ -58,21 +58,24 @@ def _trajectories(
     Points with equal (V, muB, omega, final time) differ only in beta, which
     enters the thermal weights, not the evolution: they form one group and
     share one trajectory.  A chunk holds at most CHUNK_POINTS groups.  An
-    explicit final time must be positive and finite, and so must omega t,
-    the phase H(t) is sampled at.
+    explicit final time must be positive and finite.  So must omega t, the
+    phase H(t) is sampled at, at every point of an explicit time and at each
+    point of period tau but a degenerate one, which is not integrated.
     """
     if t_final is None:
         finals = family.tau
+        checked = ~(family.spectrum_degenerate | family.frame_degenerate)
     else:
         finals = np.broadcast_to(np.asarray(t_final, dtype=float), family.V.shape)
         if not np.all(np.isfinite(finals) & (finals > 0.0)):
             raise ValueError("t_final must be positive and finite")
-        with np.errstate(over="ignore"):
-            overflow = np.flatnonzero(~np.isfinite(family.omega * finals))
-        if overflow.size:
-            i = overflow[0]
-            raise ValueError(f"omega * t is not finite at omega = {family.omega[i]:.12g}, "
-                             f"t = {finals[i]:.12g}")
+        checked = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflow = np.flatnonzero(~np.isfinite(family.omega * finals) & checked)
+    if overflow.size:
+        i = overflow[0]
+        raise ValueError(f"omega * t is not finite at omega = {family.omega[i]:.12g}, "
+                         f"t = {finals[i]:.12g}")
     keys = zip(family.V.tolist(), family.muB.tolist(), family.omega.tolist(), finals.tolist())
     by_trajectory: dict[tuple, list[int]] = {}
     for i, key in enumerate(keys):
@@ -90,13 +93,6 @@ def _thread_pool(workers: int):
     return ThreadPoolExecutor(workers)
 
 
-def _integrate_rows(points, finals, bases, steps, full_grid, rows) -> list:
-    """The kernel over ``rows`` of the integrated points of one chunk."""
-    return integrate_sampled_family(
-        partial(hamiltonian, points[rows]), finals[rows], steps, bases[rows], full_grid=full_grid
-    )
-
-
 def model_traces(
     family: PointFamily,
     steps: int,
@@ -112,12 +108,12 @@ def model_traces(
     beta share one trace: the first point of each trajectory group is
     integrated and its trace handed to the rest.  The distinct trajectories
     are integrated in chunks of at most CHUNK_POINTS, so the working memory
-    depends on neither the number of points nor ``steps``.  Where
-    min(usable CPUs, trajectories // WAVE_MEMBERS) is at least 2, a chunk is
-    cut into that many contiguous, near-equal parts, integrated on as many
-    threads: the kernel releases the GIL in its array operations, and each
-    part is at least a wave wide, so no more members are in flight than on
-    one thread.  Otherwise the chunk is integrated on the calling thread.
+    depends on neither the number of points nor ``steps``.  A chunk is cut
+    into max(1, min(usable CPUs, trajectories // WAVE_MEMBERS)) contiguous,
+    near-equal parts.  Two or more parts are integrated on as many threads:
+    the kernel releases the GIL in its array operations, and each part is at
+    least a wave wide, so no more members are in flight than on one thread.
+    One part is integrated on the calling thread, which starts no thread.
     No operation mixes members, so the traces do not depend on the split.
     Traces are in endpoint form unless ``full_grid`` asks for every step.
     The one triage of degenerate points: a point without an eigenbasis, or
@@ -131,23 +127,25 @@ def model_traces(
     # A group shares V, muB and omega, so its first point decides whether it is integrated.
     chunks = [[group for group in groups if not flagged[group[0]]] for groups in chunks]
     cpus = _usable_cpus()
-    parts = [min(cpus, len(groups) // WAVE_MEMBERS) for groups in chunks]
-    with _thread_pool(max(parts, default=0)) as pool:
-        for groups, count in zip(chunks, parts):
+    counts = [max(1, min(cpus, len(groups) // WAVE_MEMBERS)) for groups in chunks]
+    with _thread_pool(max(counts, default=0)) as pool:
+        for groups, count in zip(chunks, counts):
             if not groups:
                 continue
             firsts = [group[0] for group in groups]
-            points = family[firsts]
-            integrate = partial(
-                _integrate_rows, points, finals[firsts], points.eigenbasis(), steps, full_grid
-            )
-            if count < 2:
-                integrated = integrate(slice(None))
-            else:
-                bounds = [len(firsts) * k // count for k in range(count + 1)]
-                slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-                integrated = [trace for part in pool.map(integrate, slices) for trace in part]
-            for group, trace in zip(groups, integrated):
+            points, t = family[firsts], finals[firsts]
+            bases = points.eigenbasis()
+
+            def integrate(part: slice) -> list[PropagatorTrace | UnitarityLoss]:
+                return integrate_sampled_family(
+                    partial(hamiltonian, points[part]), t[part], steps, bases[part],
+                    full_grid=full_grid,
+                )
+
+            bounds = [len(firsts) * k // count for k in range(count + 1)]
+            parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            integrated = (pool.map if count > 1 else map)(integrate, parts)
+            for group, trace in zip(groups, (trace for part in integrated for trace in part)):
                 for i in group:
                     traces[i] = trace
     return traces
@@ -169,7 +167,9 @@ class PhasePoint:
 
     The point itself is not kept: the caller holds it.  ``diag``/``offdiag``
     are None when the corresponding interference amplitude vanished
-    (undefined phase); the raw arguments are always recorded.
+    (undefined phase); the raw arguments are always recorded.  ``trace`` is
+    the endpoint trace the phases were assembled from and ``u_par`` its
+    parallel-transported U_par(T); neither takes part in equality or repr.
     """
 
     t_final: float
@@ -183,33 +183,13 @@ class PhasePoint:
     offdiag_raw: complex
     diag: PhaseFactor | None
     offdiag: PhaseFactor | None
+    trace: PropagatorTrace = field(compare=False, repr=False)
+    u_par: np.ndarray = field(compare=False, repr=False)
 
     @property
     def undefined(self) -> tuple[str, ...]:
-        names = []
-        if self.diag is None:
-            names.append("diagonal")
-        if self.offdiag is None:
-            names.append("off-diagonal")
-        return tuple(names)
-
-
-def thermal_phases(
-    traces: Sequence[PropagatorTrace], weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U_par(T), the diagonal amplitude and the off-diagonal trace of each trace's thermal state.
-
-    ``weights`` (B, 2) are the thermal weights over each trace's reference
-    basis.  The off-diagonal trace pairs the thermal state with its
-    weight-shifted companion, whose weights are the reversed pair.
-    """
-    u_final = np.stack([tr.U[-1] for tr in traces])
-    delta_final = np.stack([tr.delta[-1] for tr in traces])
-    bases = np.stack([tr.basis for tr in traces])
-    u_par = parallel_transported(u_final, delta_final, bases)
-    diag_raw = diagonal_phase_argument(u_final, delta_final, bases, weights)
-    offdiag_raw = offdiagonal_trace(u_par, bases[:, np.newaxis], shift_ensembles(weights))
-    return u_par, diag_raw, offdiag_raw
+        phases = {"diagonal": self.diag, "off-diagonal": self.offdiag}
+        return tuple(name for name, phase in phases.items() if phase is None)
 
 
 def _phase_or_none(raw: complex) -> PhaseFactor | None:
@@ -226,8 +206,12 @@ def phase_points(
 ) -> list[PhasePoint | SpinPhaseError]:
     """Evaluate the diagonal and off-diagonal phases for each point of ``family``.
 
-    A point without a trace from :func:`model_traces`, or without the period
-    a PhasePoint reports, comes back as its error in place of a PhasePoint.
+    The one phase assembly: for the traces of all points at once it computes
+    U_par(T), the diagonal amplitude of each point's thermal state and the
+    off-diagonal trace of the thermal state with its weight-shifted
+    companion, whose weights are the reversed pair.  A point without a trace
+    from :func:`model_traces`, or without the period a PhasePoint reports,
+    comes back as its error in place of a PhasePoint.
     """
     outcomes = model_traces(family, steps, t_final)
     for i in np.flatnonzero(family.frame_degenerate):
@@ -236,10 +220,17 @@ def phase_points(
     if not accepted:
         return outcomes
     traces = [outcomes[i] for i in accepted]
-    _, diag_raw, offdiag_raw = thermal_phases(traces, family.weights[accepted])
-    for i, trace, tau, omega_eff, (lam1, lam2), d, o in zip(
-        accepted, traces, family.tau[accepted].tolist(), family.omega_eff[accepted].tolist(),
-        family.weights[accepted].tolist(), diag_raw.tolist(), offdiag_raw.tolist(),
+    weights = family.weights[accepted]
+    u_final = np.stack([tr.U[-1] for tr in traces])
+    delta_final = np.stack([tr.delta[-1] for tr in traces])
+    bases = np.stack([tr.basis for tr in traces])
+    u_par = parallel_transported(u_final, delta_final, bases)
+    diag_raw = diagonal_phase_argument(u_final, delta_final, bases, weights)
+    offdiag_raw = offdiagonal_trace(u_par, bases[:, np.newaxis], shift_ensembles(weights))
+    for i, trace, u, tau, omega_eff, (lam1, lam2), d, o in zip(
+        accepted, traces, u_par, family.tau[accepted].tolist(),
+        family.omega_eff[accepted].tolist(), weights.tolist(), diag_raw.tolist(),
+        offdiag_raw.tolist(),
     ):
         d1, d2 = trace.delta[-1].tolist()
         outcomes[i] = PhasePoint(
@@ -254,6 +245,8 @@ def phase_points(
             offdiag_raw=o,
             diag=_phase_or_none(d),
             offdiag=_phase_or_none(o),
+            trace=trace,
+            u_par=u,
         )
     return outcomes
 

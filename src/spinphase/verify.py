@@ -2,7 +2,8 @@
 
 Every closed-form quantity at t = tau is recomputed definitionally (RK4
 propagation, Simpson dynamical phases, the trace formulas of the phase
-engine) and compared against its reference expression.  Each comparison is
+engine, through the one assembly, :func:`~spinphase.pipeline.phase_points`)
+and compared against its reference expression.  Each comparison is
 classified; the classification is pure data, never a judgment:
 
 - ``match``          the stated expression agrees with the oracle,
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PropagatorTrace
 from .errors import InconsistentClassification
 from .model import (
     Convention,
@@ -32,7 +32,7 @@ from .model import (
     closed_form_propagator,
     reference_closed_forms,
 )
-from .pipeline import model_traces, thermal_phases
+from .pipeline import PhasePoint, phase_points
 
 EQUATION_IDS = (
     "U11_Eq15",
@@ -117,16 +117,13 @@ def _item(equation_id, reference, oracle, repaired=None) -> VerifyItem:
     )
 
 
-def _assemble_report(
-    p: ModelParams, trace: PropagatorTrace, u_par, diag_oracle: complex, offdiag_oracle: complex
-) -> VerifyReport:
-    basis = trace.basis
+def _assemble_report(p: ModelParams, point: PhasePoint) -> VerifyReport:
+    basis = point.trace.basis
     rc = reference_closed_forms(p)
 
-    u_final = trace.U[-1]
-    delta = trace.delta[-1]
+    u_final = point.trace.U[-1]
     m_oracle = basis.conj().T @ u_final @ basis
-    p_oracle = basis.conj().T @ u_par @ basis
+    p_oracle = basis.conj().T @ point.u_par @ basis
 
     phase1 = np.exp(-1j * rc.delta1)
     phase2 = np.exp(-1j * rc.delta2)
@@ -143,14 +140,14 @@ def _assemble_report(
     items = (
         _item("U11_Eq15", rc.u11, complex(m_oracle[0, 0])),
         _item("U12_Eq16", rc.u12_literal, complex(m_oracle[0, 1]), repaired=rc.u12),
-        _item("delta1_Eq17", rc.delta1, float(delta[0])),
+        _item("delta1_Eq17", rc.delta1, point.delta1),
         # The stated content of this relation is delta2 = -delta1; it is
         # checked against the oracle's own delta1 so that the item probes
         # the relation, not the value of delta1.
-        _item("delta2_Eq18", -float(delta[0]), float(delta[1])),
+        _item("delta2_Eq18", -point.delta1, point.delta2),
         _item("Uparallel_Eq19", par_reference, p_oracle, repaired=par_repaired),
-        _item("offdiag_Eq23", rc.offdiag_arg, offdiag_oracle),
-        _item("diag_Eq24", rc.diag_arg, diag_oracle),
+        _item("offdiag_Eq23", rc.offdiag_arg, point.offdiag_raw),
+        _item("diag_Eq24", rc.diag_arg, point.diag_raw),
         _item(
             "propagator_Eq14_literal",
             closed_form_propagator(p, rc.tau, Convention.LITERAL),
@@ -169,17 +166,13 @@ def _assemble_report(
 
 
 def _verify(params_list: list[ModelParams], steps: int) -> list:
-    """Each point's report, or the error :func:`model_traces` gives it."""
+    """Each point's report, or the error :func:`phase_points` gives it."""
     if steps < MIN_VERIFY_STEPS:
         raise ValueError(f"steps must be >= {MIN_VERIFY_STEPS}, got {steps}")
-    family = PointFamily.of(params_list)
-    results = model_traces(family, steps)
-    accepted = [i for i, result in enumerate(results) if isinstance(result, PropagatorTrace)]
-    if accepted:  # their phases are assembled in one batch, as a sweep assembles them
-        traces = [results[i] for i in accepted]
-        for i, *args in zip(accepted, traces, *thermal_phases(traces, family[accepted].weights)):
-            results[i] = _assemble_report(params_list[i], *args)
-    return results
+    return [
+        _assemble_report(p, point) if isinstance(point, PhasePoint) else point
+        for p, point in zip(params_list, phase_points(PointFamily.of(params_list), steps))
+    ]
 
 
 def verify_point(p: ModelParams, steps: int = 8192) -> VerifyReport:
@@ -249,12 +242,7 @@ def _value_to_jsonable(value):
 def report_to_dict(report: VerifyReport) -> dict:
     """Stable JSON-ready representation of a report."""
     out = {
-        "params": {
-            "V": report.params.V,
-            "muB": report.params.muB,
-            "omega": report.params.omega,
-            "beta": report.params.beta,
-        },
+        "params": dict(vars(report.params)),
         "items": [
             {
                 "equation_id": it.equation_id,

@@ -11,6 +11,7 @@ import pytest
 from support import circular_distance
 
 import spinphase
+from spinphase import cli, errors
 from spinphase.cli import SWEEP_CSV_HEADER, main
 
 FLAGSHIP_FLAGS = ["--V", "1", "--mu-B", "0.5", "--omega", "0.6", "--beta", "1"]
@@ -62,6 +63,15 @@ class TestPhases:
         assert doc["params"] == {"V": 1.0, "muB": 0.5, "omega": 0.6, "beta": 1.0}
         assert circular_distance(doc["offdiag"]["arg"], math.pi) <= 1e-6
         assert doc["diag"]["arg"] == pytest.approx(1.41969554904, abs=1e-6)
+
+    def test_table_labels_follow_the_json_keys(self, capsys):
+        _, table, _ = run_cli(capsys, "phases", *FLAGSHIP_FLAGS, "--steps", "1024")
+        _, doc, _ = run_cli(capsys, "phases", *FLAGSHIP_FLAGS, "--steps", "1024", "--format", "json")
+        doc = json.loads(doc)
+        phases = {"diagonal phase": "diag", "off-diagonal phase": "offdiag"}
+        labels = [phases.get(line.partition(":")[0], line.partition("=")[0].strip())
+                  for line in table.splitlines()]
+        assert labels == [*doc["params"], *list(doc)[1:]]
 
     def test_zero_coupling_static_field(self, capsys):
         code, out, _ = run_cli(
@@ -317,23 +327,26 @@ SWEEP_FLAGS = ["sweep", "--axis", "beta", "--start", "0", "--stop", "1", "--poin
 
 
 class TestInvalidSteps:
-    @pytest.mark.parametrize("steps", ["0", "-4", "1"])
+    @pytest.mark.parametrize("steps", ["0", "-4", "1", "-1"])
     @pytest.mark.parametrize(
-        "argv",
+        "argv, least",
         [
-            ["phases", *FLAGSHIP_FLAGS],
-            ["phases", *FLAGSHIP_FLAGS, "--format", "json"],
-            SWEEP_FLAGS,
-            [*SWEEP_FLAGS, "--format", "json"],
-            ["propagate", *FLAGSHIP_FLAGS],
+            (["phases", *FLAGSHIP_FLAGS], 2),
+            (["phases", *FLAGSHIP_FLAGS, "--format", "json"], 2),
+            (SWEEP_FLAGS, 2),
+            ([*SWEEP_FLAGS, "--format", "json"], 2),
+            (["propagate", *FLAGSHIP_FLAGS], 2),
+            # t = 0 integrates nothing, and still checks the step count.
+            (["propagate", *FLAGSHIP_FLAGS, "--t", "0"], 2),
+            (["verify", *FLAGSHIP_FLAGS], 1024),
         ],
-        ids=["phases", "phases-json", "sweep", "sweep-json", "propagate"],
+        ids=["phases", "phases-json", "sweep", "sweep-json", "propagate", "propagate-t0", "verify"],
     )
-    def test_exits_2_without_output(self, capsys, argv, steps):
-        code, out, err = run_cli(capsys, *argv, "--steps", steps)
+    def test_exits_2_without_output(self, capsys, argv, least, steps):
+        code, out, err = run_strictly(capsys, *argv, "--steps", steps)
         assert code == 2
         assert out == ""
-        assert "steps must be >= 2" in err
+        assert err == f"error: steps must be >= {least}, got {steps}\n"
 
     def test_jobs_below_one_exits_2(self, capsys):
         code, out, err = run_cli(capsys, *SWEEP_FLAGS, "--steps", "256", "--jobs", "0")
@@ -405,13 +418,13 @@ class TestUnitarityLossExit:
 
     def test_non_finite_hamiltonian_is_a_usage_error(self, capsys):
         # At omega = V, tau = 2 pi / (2 muB) = 3.1e9 and omega tau overflows to inf,
-        # so H(t) has no finite value.
+        # so H(t) has no finite value; the message names the point as for an explicit --t.
         code, out, err = run_cli(
             capsys, "phases", "--V", "1e300", "--omega", "1e300", "--mu-B", "1e-9", "--steps", "64"
         )
         assert code == 2
         assert out == ""
-        assert err == "error: generator samples must be finite\n"
+        assert err == "error: omega * t is not finite at omega = 1e+300, t = 3141592653.59\n"
 
     def test_huge_splitting_within_the_bound_runs(self, capsys):
         # |H|_F^2 overflows at V = 1e160, but dt |H| is small over tau.
@@ -499,7 +512,11 @@ class TestNonFiniteInput:
 
 
 class TestOverflowingPhase:
-    """An explicit final time at which omega t overflows is a usage error naming both."""
+    """A final time at which omega t overflows is a usage error naming both.
+
+    The final time is an explicit --t, or the period tau of each point that
+    is integrated.
+    """
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -513,13 +530,24 @@ class TestOverflowingPhase:
             (["sweep", "--axis", "omega", "--start", "1e299", "--stop", "1e300", "--points", "2",
               "--t", "1e10"],
              "omega * t is not finite at omega = 1e+299, t = 10000000000"),
+            # Only the middle point, at omega = V, has a long period.
+            (["sweep", "--axis", "omega", "--start", "0", "--stop", "2e300", "--points", "257",
+              "--V", "1e300", "--mu-B", "1e-9"],
+             "omega * t is not finite at omega = 1e+300, t = 3141592653.59"),
         ],
-        ids=["phases", "propagate", "propagate-long", "sweep"],
+        ids=["phases", "propagate", "propagate-long", "sweep", "sweep-tau"],
     )
     def test_exits_2_naming_omega_and_t(self, capsys, argv, error):
         code, out, err = run_strictly(capsys, *argv, "--steps", "64")
         assert (code, out) == (2, "")
         assert err == f"error: {error}\n"
+
+    def test_a_point_without_a_period_is_degenerate(self, capsys):
+        # Omega = 0: tau is inf, and the point is not integrated, so omega tau is not checked.
+        code, out, err = run_strictly(capsys, "phases", "--V", "1e300", "--mu-B", "0",
+                                      "--omega", "1e300", "--steps", "64")
+        assert (code, out) == (3, "")
+        assert err.endswith("; no period\n")
 
     def test_a_finite_product_is_integrated(self, capsys):
         # omega t = 1e308 is finite: the point runs and is refused at 64 steps.
@@ -758,6 +786,19 @@ class TestVerifySeed:
             main(["verify", "--grid", "2", "--seed", "-1", "--steps", "1024"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith("error: --seed must be >= 0\n")
+
+
+class TestExitContract:
+    def test_every_error_has_an_exit_code(self):
+        concrete = [kind for kind in vars(errors).values() if isinstance(kind, type)
+                    and issubclass(kind, errors.SpinPhaseError) and kind is not errors.SpinPhaseError]
+        assert [kind for kind in [ValueError, *concrete] if kind not in cli.EXIT_CODES] == []
+
+    def test_readme_lists_exactly_the_exit_codes(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.partition("| code | meaning |")[2].strip().split("\n\n")[0]
+        codes = {int(row.split("|")[1]) for row in table.splitlines()[1:]}
+        assert codes == {0, *cli.EXIT_CODES.values()}
 
 
 class TestInconsistentClassificationExit:

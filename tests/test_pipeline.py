@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -8,7 +9,7 @@ import pytest
 from support import Ensemble, diagonal_phase_argument, offdiagonal_trace, shift_ensembles
 
 from spinphase import pipeline
-from spinphase.engine import PropagatorTrace
+from spinphase.engine import PropagatorTrace, parallel_transported
 from spinphase.errors import UnitarityLoss
 from spinphase.model import ModelParams, PointFamily, period_tau
 from spinphase.pipeline import (
@@ -167,6 +168,21 @@ class TestPhasePoint:
         )
         assert point.lambda1 == 0.5
         assert point.offdiag is not None
+
+    def test_trace_and_u_par_take_no_part_in_equality_or_repr(self):
+        point = phase_point(FLAGSHIP, steps=512)
+        bare = dataclasses.replace(point, trace=None, u_par=None)
+        assert bare == point
+        assert repr(bare) == repr(point)
+        assert "trace" not in repr(point) and "u_par" not in repr(point)
+
+    def test_u_par_is_the_transport_of_its_own_trace(self):
+        point = phase_point(FLAGSHIP, steps=512)
+        trace = point.trace
+        assert trace.U.tobytes() == model_trace(FLAGSHIP, 512).U.tobytes()
+        np.testing.assert_array_equal(
+            point.u_par, parallel_transported(trace.U[-1], trace.delta[-1], trace.basis)
+        )
 
     def test_batch_assembly_matches_per_trace_functions(self):
         # Pins the per-trace functions the acceptance suite uses to the one batched path.

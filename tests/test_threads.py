@@ -10,6 +10,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from test_cli import run_strictly
@@ -23,10 +24,10 @@ from spinphase import pipeline
 #: last point, omega = 2, is a chunk of its own.
 RESONANCE = ["sweep", "--axis", "omega", "--start", "0", "--stop", "2", "--points", "513",
              "--V", "1", "--mu-B", "0", "--steps", "64"]
-#: At omega = V = 1e300, tau = 2 pi / (2 muB) = 3.1e9 and omega tau overflows: the
-#: samples of that point, 129th of 257 and in the second part on two CPUs, are not finite.
-OVERFLOW = ["sweep", "--axis", "omega", "--start", "0", "--stop", "2e300", "--points", "257",
-            "--V", "1e300", "--mu-B", "1e-9", "--steps", "64"]
+#: 257 regular omega values: on two CPUs the first 128, up to omega = 1.04, make one
+#: part and the other 129, from omega = 1.05, the second.
+WIDE = ["sweep", "--axis", "omega", "--start", "0.1", "--stop", "2", "--points", "257",
+        "--V", "1", "--mu-B", "0.5", "--steps", "64"]
 
 
 def run_on(capsys, monkeypatch, cpus, *argv):
@@ -60,8 +61,20 @@ def test_refused_and_degenerate_points_keep_their_rows(capsys, monkeypatch, cpus
 
 
 def test_a_worker_error_exits_2_with_the_serial_message(capsys, monkeypatch):
-    serial, _ = run_on(capsys, monkeypatch, 1, *OVERFLOW)
-    split, widths = run_on(capsys, monkeypatch, 2, *OVERFLOW)
+    hamiltonian = pipeline.hamiltonian
+
+    def poisoned(points, times):
+        # The samples of the second part on two CPUs are not finite, so its worker raises.
+        samples = hamiltonian(points, times)
+        samples[points.omega > 1.0] = np.nan
+        return samples
+
+    def run(cpus):
+        monkeypatch.setattr(pipeline, "hamiltonian", poisoned)
+        return run_on(capsys, monkeypatch, cpus, *WIDE)
+
+    serial, _ = run(1)
+    split, widths = run(2)
     assert widths == [128, 129]
     assert split == serial == (2, "", "error: generator samples must be finite\n")
 

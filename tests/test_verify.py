@@ -11,7 +11,8 @@ from spinphase.errors import (
     InconsistentClassification,
     UnitarityLoss,
 )
-from spinphase.model import ModelParams
+from spinphase.model import ModelParams, PointFamily
+from spinphase.pipeline import phase_points
 from spinphase.verify import (
     EQUATION_IDS,
     TOLERANCES,
@@ -178,6 +179,17 @@ class TestVerifyGrid:
                 if ia.residual > TOLERANCES[ia.equation_id]:
                     # discrepancy-dominated residuals move by at most 10%
                     assert abs(ia.residual - ib.residual) <= 0.10 * ia.residual
+
+    def test_oracle_values_are_the_phase_points(self):
+        # verify --grid 5: its oracle values are the phase assembly's, bit for bit.
+        grid = random_generic_params(5, seed=0)
+        points = phase_points(PointFamily.of(grid), 1024)
+        for report, point in zip(verify_grid(grid, steps=1024), points):
+            oracle = {it.equation_id: it.oracle_value for it in report.items}
+            for equation_id, value in [("delta1_Eq17", point.delta1),
+                                       ("diag_Eq24", point.diag_raw),
+                                       ("offdiag_Eq23", point.offdiag_raw)]:
+                assert np.asarray(oracle[equation_id]).tobytes() == np.asarray(value).tobytes()
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
