@@ -207,15 +207,19 @@ def _cmd_sweep(args, parser) -> int:
         raise ValueError("jobs must be >= 1")
     rows = run_sweep(spec)
     for row in rows:
-        at = f"at {args.axis} = {row.axis_value:.12g}"
         if row.error is not None:
             kind = "refused" if row.error.startswith(UnitarityLoss.__name__) else "degenerate"
-            warning = f"{kind} point {at} ({row.error}); fields left empty"
+            print(
+                f"warning: {kind} point at {args.axis} = {row.axis_value:.12g} "
+                f"({row.error}); fields left empty",
+                file=sys.stderr,
+            )
         elif row.diag_phase is None or row.offdiag_phase is None:
-            warning = f"undefined phase {at}; phase fields left empty"
-        else:
-            continue
-        print(f"warning: {warning}", file=sys.stderr)
+            print(
+                f"warning: undefined phase at {args.axis} = {row.axis_value:.12g}; "
+                "phase fields left empty",
+                file=sys.stderr,
+            )
     if args.format == "json":
         rows_doc = [{c: getattr(r, c) for c in SWEEP_COLUMNS} for r in rows]
         doc = {"axis": args.axis, "rows": rows_doc}

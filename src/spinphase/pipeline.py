@@ -52,19 +52,21 @@ def _usable_cpus() -> int:
 
 def _trajectories(
     family: PointFamily, t_final: float | Sequence[float] | None
-) -> tuple[np.ndarray, list[list[list[int]]]]:
-    """Each point's final time, and its indices grouped by trajectory, in chunks.
+) -> tuple[np.ndarray, np.ndarray, list[list[list[int]]]]:
+    """Each point's final time, whether it is flagged, and the indices by trajectory, in chunks.
 
     Points with equal (V, muB, omega, final time) differ only in beta, which
     enters the thermal weights, not the evolution: they form one group and
     share one trajectory.  A chunk holds at most CHUNK_POINTS groups.  An
     explicit final time must be positive and finite.  So must omega t, the
     phase H(t) is sampled at, at every point of an explicit time and at each
-    point of period tau but a degenerate one, which is not integrated.
+    unflagged point of period tau.  :func:`model_traces` integrates no
+    flagged point.
     """
+    flagged = family.spectrum_degenerate | (t_final is None) & family.frame_degenerate
     if t_final is None:
         finals = family.tau
-        checked = ~(family.spectrum_degenerate | family.frame_degenerate)
+        checked = ~flagged
     else:
         finals = np.broadcast_to(np.asarray(t_final, dtype=float), family.V.shape)
         if not np.all(np.isfinite(finals) & (finals > 0.0)):
@@ -81,7 +83,7 @@ def _trajectories(
     for i, key in enumerate(keys):
         by_trajectory.setdefault(key, []).append(i)
     groups = list(by_trajectory.values())
-    return finals, [groups[lo : lo + CHUNK_POINTS] for lo in range(0, len(groups), CHUNK_POINTS)]
+    return finals, flagged, [groups[lo : lo + CHUNK_POINTS] for lo in range(0, len(groups), CHUNK_POINTS)]
 
 
 def _thread_pool(workers: int):
@@ -121,8 +123,7 @@ def model_traces(
     :meth:`PointFamily.degeneracy` and is not integrated; a point the
     integrator refused, its UnitarityLoss.
     """
-    finals, chunks = _trajectories(family, t_final)
-    flagged = family.spectrum_degenerate | (t_final is None) & family.frame_degenerate
+    finals, flagged, chunks = _trajectories(family, t_final)
     traces = [family.degeneracy(i) if bad else None for i, bad in enumerate(flagged)]
     # A group shares V, muB and omega, so its first point decides whether it is integrated.
     chunks = [[group for group in groups if not flagged[group[0]]] for groups in chunks]
@@ -188,8 +189,12 @@ class PhasePoint:
 
     @property
     def undefined(self) -> tuple[str, ...]:
-        phases = {"diagonal": self.diag, "off-diagonal": self.offdiag}
-        return tuple(name for name, phase in phases.items() if phase is None)
+        names = []
+        if self.diag is None:
+            names.append("diagonal")
+        if self.offdiag is None:
+            names.append("off-diagonal")
+        return tuple(names)
 
 
 def _phase_or_none(raw: complex) -> PhaseFactor | None:
@@ -349,7 +354,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     values = getattr(family, spec.axis)
     rows: list[SweepRow | None] = [None] * len(values)
     errors: dict[int, SpinPhaseError] = {}
-    for groups in _trajectories(family, spec.t_final)[1]:
+    for groups in _trajectories(family, spec.t_final)[2]:
         members = [i for group in groups for i in group]
         for i, point in zip(members, phase_points(family[members], spec.steps, spec.t_final)):
             rows[i] = _row_from_point(values[i], point)

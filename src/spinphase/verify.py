@@ -34,20 +34,9 @@ from .model import (
 )
 from .pipeline import PhasePoint, phase_points
 
-EQUATION_IDS = (
-    "U11_Eq15",
-    "U12_Eq16",
-    "delta1_Eq17",
-    "delta2_Eq18",
-    "Uparallel_Eq19",
-    "offdiag_Eq23",
-    "diag_Eq24",
-    "propagator_Eq14_literal",
-    "propagator_Eq14_ode",
-)
-
 CLASSIFICATIONS = ("match", "conjugate", "sign_flip", "repaired_match", "mismatch")
 
+#: Each verified equation's tolerance, in report order.
 TOLERANCES = {
     "U11_Eq15": 1e-6,
     "U12_Eq16": 1e-6,
@@ -59,6 +48,7 @@ TOLERANCES = {
     "propagator_Eq14_literal": 1e-6,
     "propagator_Eq14_ode": 1e-6,
 }
+EQUATION_IDS = tuple(TOLERANCES)
 
 MIN_VERIFY_STEPS = 1024
 

@@ -61,21 +61,36 @@ def test_refused_and_degenerate_points_keep_their_rows(capsys, monkeypatch, cpus
 
 
 def test_a_worker_error_exits_2_with_the_serial_message(capsys, monkeypatch):
-    hamiltonian = pipeline.hamiltonian
+    hamiltonian, integrate = pipeline.hamiltonian, pipeline.integrate_sampled_family
+    outcomes = []
 
     def poisoned(points, times):
-        # The samples of the second part on two CPUs are not finite, so its worker raises.
+        # Only the second part on two CPUs, from omega = 1.05, has samples that are
+        # not finite, so its worker raises and the first part's returns its traces.
         samples = hamiltonian(points, times)
-        samples[points.omega > 1.0] = np.nan
+        samples[points.omega >= 1.05] = np.nan
         return samples
 
-    def run(cpus):
-        monkeypatch.setattr(pipeline, "hamiltonian", poisoned)
-        return run_on(capsys, monkeypatch, cpus, *WIDE)
+    def recorded(h_of_t, t_final, *args, **kwargs):
+        try:
+            traces = integrate(h_of_t, t_final, *args, **kwargs)
+        except ValueError:
+            outcomes.append((len(t_final), "raised"))
+            raise
+        outcomes.append((len(t_final), "returned"))
+        return traces
 
-    serial, _ = run(1)
-    split, widths = run(2)
+    def run(cpus):
+        outcomes.clear()
+        monkeypatch.setattr(pipeline, "hamiltonian", poisoned)
+        monkeypatch.setattr(pipeline, "integrate_sampled_family", recorded)
+        return run_on(capsys, monkeypatch, cpus, *WIDE), sorted(outcomes)
+
+    (serial, _), serial_outcomes = run(1)
+    (split, widths), split_outcomes = run(2)
     assert widths == [128, 129]
+    assert serial_outcomes == [(257, "raised")]
+    assert split_outcomes == [(128, "returned"), (129, "raised")]
     assert split == serial == (2, "", "error: generator samples must be finite\n")
 
 
