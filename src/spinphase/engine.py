@@ -14,7 +14,9 @@ started from the identity, and accumulates its propagator U_s and the
 operator integral W_s = int U_s^dag H U_s dt.  The endpoints compose in time
 order, U(T) = U_P ... U_1, and the dynamical phases follow from the W_s and
 the composed propagators, so a single long trajectory runs as a wide batch.
-Segments run in waves that keep the kernel at most max(B, 64) members wide.
+Segments run in waves of up to 256 kernel members.  A wave steps in sub-blocks
+short enough that a kernel call over B trajectories holds no more
+member-steps than a 64-step block max(B, 64) members wide.
 
 Time-dependent generators are supplied as callables mapping an array of
 times to a stacked array of Hermitian matrices, shape times.shape + (N, N).
@@ -43,7 +45,10 @@ RK4_STABILITY = 2.0 * math.sqrt(2.0)
 #: integrated side by side, as members of one batch, and then composed.
 SEGMENT_STEPS = 512
 #: Kernel width a wave of segments fills; a wave holds at least one segment.
-WAVE_MEMBERS = 64
+WAVE_MEMBERS = 256
+#: A kernel call over B trajectories holds at most max(B, BLOCK_MEMBERS) x 64
+#: member-steps: a wave wider than that runs its 64-step blocks in sub-blocks.
+BLOCK_MEMBERS = 64
 
 
 @dataclass(frozen=True)
@@ -130,15 +135,15 @@ def integrate_sampled_family(
     the blocked RK4 kernel (:func:`_integrate_segments`), which yields the
     rows of the segment propagator U_s(t) and of the operator integral
     W_s(t) = int U_s^dag H U_s dt.  The segments run in time order, in waves
-    of at most max(1, 64 // B) segments, so the kernel is never wider than
-    max(B, 64) members.  After each wave the segments are composed in time
-    order, every row by one formula: with X_0 = B, the reference basis, row
-    t of segment s is U_s(t) X_s B^dag with phases delta_k(t_s) - Re <b_k|
-    X_s^dag W_s(t) X_s |b_k>, and X_{s+1} = U_s X_s.  The traces are in
-    endpoint form, the last segment's last row alone, unless ``full_grid``
-    asks for every step.  The segments of even length pair their Simpson
-    panels as one composite rule over the whole grid would.  Memory does
-    not grow with ``steps``.  No operation mixes members, and the segment
+    of at most max(1, 256 // B) segments, each stepped in sub-blocks of at
+    most max(B, 64) x 64 member-steps.  After each wave the segments are
+    composed in time order, every row by one formula: with X_0 = B, the
+    reference basis, row t of segment s is U_s(t) X_s B^dag with phases
+    delta_k(t_s) - Re <b_k| X_s^dag W_s(t) X_s |b_k>, and X_{s+1} = U_s X_s.
+    The traces are in endpoint form, the last segment's last row alone,
+    unless ``full_grid`` asks for every step.  The segments of even length
+    pair their Simpson panels as one composite rule over the whole grid
+    would.  Memory does not grow with ``steps``.  No operation mixes members, and the segment
     layout does not depend on the batch, so a member's result does not
     depend on the batch it is integrated in.
 
@@ -271,19 +276,25 @@ def _integrate_segments(
     of times per member, ordered (time, segment): a sampler that stores
     (N, N, T P, B) is then read as (N, N, T, P B) without a copy.
 
-    Classical fixed-step RK4 in blocks of 64 steps, with polar
-    re-unitarization at the end of each full block.  H is sampled once per
-    block on the block's half-step grid, and each step is composed into one
-    matrix: with A = -i dt H at the step's start, middle and end, S = I +
-    (A0 + 2 (K2 + K3) + K4) / 6 for K2 = Am (I + A0/2), K3 = Am (I + K2/2)
-    and K4 = A1 (I + K3).  W_s is the full matrix: each sample of G = U^dag
-    H U is added to it already scaled by its Simpson weight times dt / 3, so
-    the sum overflows no sooner than W_s itself; a sample on a block edge is
-    counted by the earlier block.  With ``full_grid`` the rows G dt of the
-    whole segment go through one :func:`cumulative_simpson` pass, whose last
-    row is replaced by W_s so that both forms end on the same value.  A kernel
-    member past the stability bound, or drifting at a checkpoint, steps by
-    the identity from then on.
+    Classical fixed-step RK4 in blocks of 64 steps, with the drift check at
+    the end of each block and polar re-unitarization at the end of each full
+    one.  A block runs in sub-blocks of 64, 32 or 16 steps, the longest for
+    which M members x its length stay within max(B, 64) x 64 member-steps,
+    so a wide wave holds no more than a 64-step block of max(B, 64) members.
+    H is sampled once per sub-block on its half-step grid, and each step is
+    composed into one matrix: with A = -i dt H at the step's start, middle
+    and end, S = I + (A0 + 2 (K2 + K3) + K4) / 6 for K2 = Am (I + A0/2), K3
+    = Am (I + K2/2) and K4 = A1 (I + K3).  W_s is the full matrix: each
+    sample of G = U^dag H U is scaled by its Simpson weight times dt / 3, so
+    the sum overflows no sooner than W_s itself; a sample on a sub-block
+    edge is counted by the earlier sub-block.  A block's samples are summed
+    in time order, the running sum leading each sub-block's sum, and added
+    to W_s at the block's end, so the bytes do not depend on the sub-block
+    length.  With ``full_grid`` the rows G dt of the whole segment go through
+    one :func:`cumulative_simpson` pass, whose last row is replaced by W_s so
+    that both forms end on the same value.  A kernel member past the
+    stability bound, or drifting at a checkpoint, steps by the identity from
+    then on.
 
     Returns the rows U_s(t) and W_s(t), each (N, N, rows, M): every step
     after t = 0 with ``full_grid``, else only the end; then each kernel
@@ -292,19 +303,21 @@ def _integrate_segments(
     """
     b = dt.shape[0]
     m = len(origins) * b
+    sub = next(k for k in (64, 32, 16) if m * k <= max(b, BLOCK_MEMBERS) * PROJECTION_INTERVAL)
     dt_m = np.tile(dt, len(origins))
     # Fold -i into the step so the stage updates stay plain contractions.
     step = -1j * dt_m
     half = 0.5 * step
-    scale = np.multiply.outer(_simpson_weights(length), dt_m / 3.0)
+    weights = _simpson_weights(length)
     ratio = np.zeros(m)
     drift = np.zeros(m)
     refused = np.zeros(m, dtype=bool)
     u_rows, g_rows = [], []
+    partial = None  # the current 64-step block's Simpson sum so far, in time order
     # Integration runs in (N, N, time, M) blocks: each matrix element is a
     # contiguous row over the members, so one contraction advances them all.
-    for start in range(0, length, PROJECTION_INTERVAL):
-        stop = min(start + PROJECTION_INTERVAL, length)
+    for start in range(0, length, sub):
+        stop = min(start + sub, length)
         index = np.add.outer(np.arange(2 * start, 2 * stop + 1), origins).ravel()
         times = 0.5 * dt[:, np.newaxis] * index
         h = np.ascontiguousarray(np.asarray(h_of_t(times), dtype=complex).transpose(2, 3, 1, 0))
@@ -317,8 +330,8 @@ def _integrate_segments(
             eye = np.eye(n, dtype=complex)[..., np.newaxis]
             v = np.broadcast_to(eye, (n, n, m))
             w = np.zeros((n, n, m), dtype=complex)
-        # The block's step matrices S = I + (A0 + 2 (K2 + K3) + K4) / 6, summed in
-        # place: block-sized temporaries set the peak memory of a wide chunk.
+        # The sub-block's step matrices S = I + (A0 + 2 (K2 + K3) + K4) / 6, summed in
+        # place: sub-block-sized temporaries set the peak memory of a wide chunk.
         a = step * h[:, :, 1::2]
         k = a + _contract(a, half * h[:, :, :-1:2])  # K2
         s = step * h[:, :, :-1:2] + 2.0 * k
@@ -336,16 +349,18 @@ def _integrate_segments(
             v = _contract(s_i, v)
             block[:, :, i] = v
         del s
-        v_end = block[:, :, -1].transpose(2, 0, 1)
-        defect = unitarity_defect(v_end)
-        new = ~(defect <= DRIFT_LIMIT) & ~refused  # NaN from a diverged run fails too
-        drift[new] = defect[new]
-        refused |= new
-        block[:, :, -1, refused] = eye  # a refused member restarts from the identity
-        if stop % PROJECTION_INTERVAL == 0:
-            block[:, :, -1] = polar_project(v_end).transpose(1, 2, 0)
+        checkpoint = stop % PROJECTION_INTERVAL == 0 or stop == length
+        if checkpoint:
+            v_end = block[:, :, -1].transpose(2, 0, 1)
+            defect = unitarity_defect(v_end)
+            new = ~(defect <= DRIFT_LIMIT) & ~refused  # NaN from a diverged run fails too
+            drift[new] = defect[new]
+            refused |= new
+            block[:, :, -1, refused] = eye  # a refused member restarts from the identity
+            if stop % PROJECTION_INTERVAL == 0:
+                block[:, :, -1] = polar_project(v_end).transpose(1, 2, 0)
         v = block[:, :, -1].copy()
-        # G = U^dag H U at each sample the previous block did not count, time leading:
+        # G = U^dag H U at each sample the previous sub-block did not count, time leading:
         # sums over time then run row by row, never pairwise, so they do not depend on M.
         lo = 1 if start else 0
         hu = _contract(h[:, :, 2 * lo :: 2], block[:, :, lo:])
@@ -356,11 +371,19 @@ def _integrate_segments(
             for j in range(n):
                 np.einsum("ktm,ktm->tm", adjoint[:, i], hu[:, j], out=g[:, i, j])
         del hu, adjoint
-        w += np.sum(g * scale[start + lo : stop + 1, np.newaxis, np.newaxis], axis=0)
+        scale = np.multiply.outer(weights[start + lo : stop + 1], dt_m / 3.0)
+        terms = g * scale[:, np.newaxis, np.newaxis]
+        if partial is not None:  # the block's sum so far leads, so the rows add in time order
+            terms = np.concatenate([partial[np.newaxis], terms])
+        partial = np.sum(terms, axis=0)
+        del terms
+        if checkpoint:
+            w += partial
+            partial = None
         if full_grid:
             u_rows.append(block[:, :, 1:])
             g_rows.append(g)
-        del block, g  # the next block's samples and stages need the room
+        del block, g  # the next sub-block's samples and stages need the room
     if not full_grid:
         return v[:, :, np.newaxis], w[:, :, np.newaxis], ratio, drift
     running = cumulative_simpson(np.concatenate(g_rows) * dt_m, 1.0)[1:]

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import (
-    WAVE_MEMBERS,
+    BLOCK_MEMBERS,
     PropagatorTrace,
     diagonal_phase_argument,
     integrate_sampled_family,
@@ -111,10 +111,12 @@ def model_traces(
     integrated and its trace handed to the rest.  The distinct trajectories
     are integrated in chunks of at most CHUNK_POINTS, so the working memory
     depends on neither the number of points nor ``steps``.  A chunk is cut
-    into max(1, min(usable CPUs, trajectories // WAVE_MEMBERS)) contiguous,
+    into max(1, min(usable CPUs, trajectories // BLOCK_MEMBERS)) contiguous,
     near-equal parts.  Two or more parts are integrated on as many threads:
-    the kernel releases the GIL in its array operations, and each part is at
-    least a wave wide, so no more members are in flight than on one thread.
+    the kernel releases the GIL in its array operations, and each part holds
+    at least BLOCK_MEMBERS (64) trajectories, so its kernel calls hold at
+    most 64 member-steps per trajectory and the parts together no more than
+    one thread would.
     One part is integrated on the calling thread, which starts no thread.
     No operation mixes members, so the traces do not depend on the split.
     Traces are in endpoint form unless ``full_grid`` asks for every step.
@@ -128,7 +130,7 @@ def model_traces(
     # A group shares V, muB and omega, so its first point decides whether it is integrated.
     chunks = [[group for group in groups if not flagged[group[0]]] for groups in chunks]
     cpus = _usable_cpus()
-    counts = [max(1, min(cpus, len(groups) // WAVE_MEMBERS)) for groups in chunks]
+    counts = [max(1, min(cpus, len(groups) // BLOCK_MEMBERS)) for groups in chunks]
     with _thread_pool(max(counts, default=0)) as pool:
         for groups, count in zip(chunks, counts):
             if not groups:

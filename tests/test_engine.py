@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from spinphase.model import (
     ModelParams,
     PointFamily,
     closed_form_propagator,
+    hamiltonian,
     period_tau,
 )
 from spinphase.pipeline import model_trace, model_traces
@@ -272,7 +274,7 @@ class TestTimeSegments:
         assert engine._segment_lengths(steps) == expected
 
     def test_point_alone_equals_point_in_a_family(self):
-        steps = 16384  # 32 segments; 25 points run in waves of 2 segments
+        steps = 16384  # 32 segments; 25 points run in waves of 10 segments
         family = model_traces(PointFamily.of(self.POINTS[:25]), steps)
         for j in (0, 13, 24):
             self.assert_same_bytes(model_trace(self.POINTS[j], steps), family[j])
@@ -289,7 +291,7 @@ class TestTimeSegments:
         self.assert_same_bytes(model_trace(point, steps), pair[0])
 
     def test_across_a_wave_edge(self):
-        # 33 points: every wave holds one segment; alone, one wave holds all four.
+        # 33 points: one wave of all four segments, in 16-step sub-blocks; alone, in 64-step blocks.
         steps = 2048
         family = model_traces(PointFamily.of(self.POINTS), steps)
         for j in (0, 32):
@@ -339,6 +341,105 @@ class TestTimeSegments:
         segments, waves = steps // engine.SEGMENT_STEPS, 1  # 16 segments of one point fill one wave
         blocks = engine.SEGMENT_STEPS // engine.PROJECTION_INTERVAL
         assert len(calls) <= engine.SEGMENT_STEPS + 5 * blocks * waves + 2 * segments
+
+
+class TestWaveLayout:
+    """Waves of up to 256 members in cache-sized sub-blocks give the 64-member layout's bytes."""
+
+    @staticmethod
+    def model_family(count, seed=4):
+        family = PointFamily.of(random_generic_params(count, seed))
+        return partial(hamiltonian, family), family.tau, family.eigenbasis()
+
+    @staticmethod
+    def both_layouts(monkeypatch, *args, **kwargs):
+        wide = integrate_sampled_family(*args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "WAVE_MEMBERS", 64)
+            narrow = integrate_sampled_family(*args, **kwargs)
+        return wide, narrow
+
+    @staticmethod
+    def assert_same_outcomes(wide, narrow):
+        for a, b in zip(wide, narrow, strict=True):
+            assert type(a) is type(b)
+            if isinstance(a, UnitarityLoss):
+                assert str(a) == str(b)
+                continue
+            for name in ("grid", "U", "delta", "basis"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    @pytest.mark.parametrize(
+        "count, steps, full_grid",
+        [
+            (25, 16384, False),  # waves of 10 segments in 16-step sub-blocks, then one of 2
+            (33, 2048, True),  # one wave of 4 segments, 16-step sub-blocks
+            (9, 4097, True),  # segments of 456, 454 and 455 steps: waves of 5, 3 and 1
+            (40, 1025, True),  # segments of 342, 342 and 341 steps: 32-step sub-blocks, then 64
+            (3, 16385, False),  # 33 segments of three lengths
+        ],
+    )
+    def test_model_families_match_the_64_member_layout(self, monkeypatch, count, steps, full_grid):
+        h, t_final, bases = self.model_family(count)
+        wide, narrow = self.both_layouts(monkeypatch, h, t_final, steps, bases, full_grid=full_grid)
+        assert all(isinstance(trace, PropagatorTrace) for trace in wide)
+        self.assert_same_outcomes(wide, narrow)
+
+    def test_three_level_family_matches_the_64_member_layout(self, monkeypatch):
+        h = smooth_random_family(3, 40, np.random.default_rng(15))  # 3 x 500 steps, 32-step sub-blocks
+        wide, narrow = self.both_layouts(monkeypatch, h, np.full(40, 3.0), 1500, full_grid=True)
+        self.assert_same_outcomes(wide, narrow)
+
+    def test_refusal_in_the_third_sub_block(self, monkeypatch):
+        # 40 members x 4 segments run in 16-step sub-blocks.  The last member's dt |H|
+        # first passes 2 sqrt(2) at step 1575, step 39 of the last segment's first
+        # 64-step block: the wide layout refuses it two sub-blocks later than the
+        # narrow one, which refuses the whole block.
+        steps, t_final = 2048, 2.0
+        dt = t_final / steps
+        ramp = (engine.RK4_STABILITY / dt - 10.0) / (1575.25 * dt / t_final) ** 8
+        slopes = np.append(np.linspace(0.0, 100.0, 39), ramp)
+
+        def h_of_t(times):
+            scale = 10.0 + slopes[:, None] * (times / t_final) ** 8
+            return scale[..., None, None] * np.diag([1.0, -1.0]).astype(complex)
+
+        half_steps = 0.5 * dt * np.arange(2 * steps + 1)
+        ratio = dt * (10.0 + ramp * (half_steps / t_final) ** 8)
+        first_step = (np.argmax(ratio > engine.RK4_STABILITY) - 1) // 2
+        assert (first_step, first_step % 64 // 16) == (1575, 2)
+        wide, narrow = self.both_layouts(monkeypatch, h_of_t, np.full(40, t_final), steps)
+        assert isinstance(wide[-1], UnitarityLoss)
+        assert "stability bound" in str(wide[-1])
+        self.assert_same_outcomes(wide, narrow)
+
+    @pytest.mark.parametrize(
+        "count, steps, lengths",
+        [(1, 8192, {64}), (2, 16384, {64}), (25, 16384, {16, 64}), (100, 8192, {32}), (256, 512, {64})],
+    )
+    def test_kernel_calls_keep_the_working_set_of_a_64_step_block(self, monkeypatch, count, steps, lengths):
+        calls = []
+        kernel = engine._integrate_segments
+
+        def spy(h_of_t, dt, origins, length, full_grid):
+            rows = []
+
+            def sampled(times):
+                rows.append(times.shape[1] // len(origins))  # 2 k + 1 samples per segment
+                return h_of_t(times)
+
+            result = kernel(sampled, dt, origins, length, full_grid)
+            calls.append((len(dt), len(dt) * len(origins), (max(rows) - 1) // 2))
+            return result
+
+        monkeypatch.setattr(engine, "_integrate_segments", spy)
+        h, t_final, bases = self.model_family(count)
+        integrate_sampled_family(h, t_final, steps, bases)
+        for trajectories, members, sub_block in calls:
+            assert members * sub_block <= max(trajectories, 64) * 64
+            if members == trajectories or trajectories == 1:
+                assert sub_block == 64
+        assert {sub_block for *_, sub_block in calls} == lengths
 
 
 class TestComposedStep:

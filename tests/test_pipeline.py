@@ -129,7 +129,8 @@ class TestMemory:
             assert large < 1.2 * small, (cpus, small, large)
 
     def test_peak_of_long_trajectories_stays_small(self):
-        # 25 points x 16384 steps: 32 segments each, in waves of 2 segments (50 members).
+        # 25 points x 16384 steps: 32 segments each, in waves of 10 segments (250 members)
+        # that step in 16-step sub-blocks, then one wave of 2 segments (50 members).
         points = PointFamily.of(random_generic_params(25, 4))
         model_traces(points[:1], 1024)  # leave one-time allocations out of the peak
         tracemalloc.start()

@@ -94,6 +94,16 @@ def test_a_worker_error_exits_2_with_the_serial_message(capsys, monkeypatch):
     assert split == serial == (2, "", "error: generator samples must be finite\n")
 
 
+def test_a_chunk_of_fewer_than_two_waves_still_splits(capsys, monkeypatch):
+    # 2000 points: chunks of 512, 512, 512 and 464 trajectories, each cut in two.
+    argv = [*WIDE[:8], "2000", *WIDE[9:]]
+    serial, serial_widths = run_on(capsys, monkeypatch, 1, *argv)
+    split, split_widths = run_on(capsys, monkeypatch, 2, *argv)
+    assert (serial_widths, split_widths) == ([464, 512, 512, 512], [232, 232] + [256] * 6)
+    assert split == serial
+    assert serial[0] == 0
+
+
 @pytest.mark.parametrize(
     "argv, cpus",
     [
