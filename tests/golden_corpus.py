@@ -1,0 +1,118 @@
+"""The golden corpus: CLI commands whose exit code, stdout and stderr are kept byte for byte.
+
+Each command runs in process through ``spinphase.cli.main`` with every
+warning an error and a fixed 80-column terminal, so that argparse wraps its
+usage lines the same way everywhere.  ``tests/test_golden.py`` reruns every
+stored command and compares.  A change that alters an output on purpose
+rewrites the corpus from the repository root with
+
+    PYTHONPATH=src python tests/golden_corpus.py
+
+and lists each changed file.  The stored environment names the Python and
+numpy versions that wrote the corpus: another numpy, or another CPU's SIMD
+path, may differ in the last of 17 significant digits.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import platform
+import warnings
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+from spinphase.cli import main
+
+GOLDEN = Path(__file__).resolve().with_name("golden")
+MANIFEST = GOLDEN / "cases.json"
+
+_SWEEPS = {"beta": ("0", "5"), "omega": ("0.1", "2"), "muB": ("0.1", "1"), "V": ("0.3", "2")}
+
+#: Name -> argv.  Small step counts keep the whole corpus to about a second.
+CASES = {
+    "phases-table": ["phases", "--steps", "256"],
+    "phases-json": ["phases", "--steps", "256", "--format", "json"],
+    "phases-explicit-t": ["phases", "--t", "2.5", "--steps", "256"],
+    "propagate": ["propagate", "--steps", "256"],
+    "verify-grid-table": ["verify", "--grid", "5", "--steps", "1024"],
+    "verify-grid-json": ["verify", "--grid", "5", "--steps", "1024", "--format", "json"],
+    **{
+        f"sweep-{axis}-{form}": ["sweep", "--axis", axis, "--start", start, "--stop", stop,
+                                 "--points", "33", "--steps", "64", "--format", form]
+        for axis, (start, stop) in _SWEEPS.items() for form in ("csv", "json")
+    },
+    # Points past RK4's stability bound keep empty rows; all of them refused exits 6.
+    "sweep-refused-rows": ["sweep", "--axis", "muB", "--start", "0.1", "--stop", "100",
+                           "--points", "5", "--steps", "64", "--t", "10"],
+    # omega = 1 has no period; the points near it are refused.
+    "sweep-resonance": ["sweep", "--axis", "omega", "--start", "0", "--stop", "2",
+                        "--points", "513", "--V", "1", "--mu-B", "0", "--steps", "64"],
+    "sweep-all-refused": ["sweep", "--axis", "muB", "--start", "30", "--stop", "100",
+                          "--points", "3", "--steps", "64", "--t", "10"],
+    # Without coupling the off-diagonal visibility vanishes at beta = 60 and 80.
+    "sweep-undefined-phase": ["sweep", "--axis", "beta", "--start", "0", "--stop", "80",
+                              "--points", "5", "--mu-B", "0", "--steps", "256"],
+    "sweep-degenerate-row": ["sweep", "--axis", "V", "--start", "-1", "--stop", "1",
+                             "--points", "3", "--mu-B", "0", "--steps", "256"],
+    "sweep-all-degenerate": ["sweep", "--axis", "V", "--start", "0", "--stop", "1e-13",
+                             "--points", "2", "--mu-B", "0", "--steps", "256"],
+    "phases-degenerate-frame": ["phases", "--V", "1", "--mu-B", "0", "--omega", "1",
+                                "--steps", "64"],
+    "verify-degenerate-frame": ["verify", "--V", "1", "--mu-B", "0", "--omega", "1",
+                                "--steps", "1024"],
+    "phases-undefined": ["phases", "--V", "1e306", "--mu-B", "1", "--steps", "64"],
+    "phases-refused": ["phases", "--t", "1e4", "--steps", "64"],
+    "phases-huge-coupling-json": ["phases", "--V", "1e200", "--mu-B", "1e199", "--beta", "0",
+                                  "--steps", "64", "--format", "json"],
+    "phases-scales-overflow": ["phases", "--V", "1.7e308", "--mu-B", "1.7e308", "--beta", "0",
+                               "--steps", "64"],
+    "phases-omega-tau-overflow": ["phases", "--V", "1e300", "--omega", "1e300", "--mu-B", "1e-9",
+                                  "--steps", "64"],
+    "propagate-omega-t-overflow": ["propagate", "--omega", "1e300", "--t", "1e10",
+                                   "--steps", "64"],
+    "sweep-span-overflow": ["sweep", "--axis", "V", "--start=-1.7e308", "--stop", "1.7e308",
+                            "--points", "3", "--steps", "64"],
+}
+
+
+def environment() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one CLI command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(os.environ, {"COLUMNS": "80"}))
+        stack.enter_context(warnings.catch_warnings())
+        warnings.simplefilter("error")
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def write() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in [*GOLDEN.glob("*.stdout"), *GOLDEN.glob("*.stderr")]:
+        stale.unlink()
+    cases = {}
+    for name, argv in CASES.items():
+        code, out, err = run(argv)
+        (GOLDEN / f"{name}.stdout").write_bytes(out.encode())
+        (GOLDEN / f"{name}.stderr").write_bytes(err.encode())
+        cases[name] = {"argv": argv, "exit": code}
+    doc = {"environment": environment(), "cases": cases}
+    MANIFEST.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    write()
