@@ -4,7 +4,8 @@
 Sweeps the inverse temperature at fixed field parameters, writes the sweep
 rows to CSV, and prints a contrast summary: the off-diagonal phase stays
 quantized at 0 or pi across the whole sweep while the diagonal phase moves
-continuously.
+continuously.  Only defined phases are summarized; the last line counts the
+rows with an undefined phase and the rows refused or degenerate.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import pathlib
 
 import numpy as np
 
-from spinphase.cli import sweep_csv_lines
+from spinphase.cli import SWEEP_COLUMNS, sweep_csv_lines, sweep_rows
 from spinphase.model import ModelParams
 from spinphase.pipeline import SweepSpec, run_sweep
 
@@ -38,19 +39,25 @@ def main():
         fixed=fixed,
         steps=args.steps,
     )
-    rows = run_sweep(spec)
+    table = run_sweep(spec)
+    rows = sweep_rows(spec.grid(), table)
     args.out.write_text("\n".join(sweep_csv_lines("beta", rows)) + "\n")
 
-    diag = np.array([r.diag_phase for r in rows], dtype=float)
-    off = np.array([r.offdiag_phase for r in rows], dtype=float)
+    columns = dict(zip(SWEEP_COLUMNS, zip(*rows)))
+    diag = np.array([a for a in columns["diag_phase"] if a is not None])
+    off = [a for a in columns["offdiag_phase"] if a is not None]
+    refused = sum(error is not None for error in table.errors)
+    undefined = sum(None in row for row in rows) - refused
     off_buckets = {
         "0" if abs(np.angle(np.exp(1j * a))) < abs(np.angle(np.exp(1j * (a - math.pi)))) else "pi"
         for a in off
     }
     print(f"wrote {args.out} ({len(rows)} rows)")
     print(f"off-diagonal phase values: {sorted(off_buckets)}")
-    print(f"diagonal phase range: [{diag.min():.4f}, {diag.max():.4f}] rad")
-    print(f"diagonal phase total variation: {np.abs(np.diff(diag)).sum():.4f} rad")
+    if diag.size:
+        print(f"diagonal phase range: [{diag.min():.4f}, {diag.max():.4f}] rad")
+        print(f"diagonal phase total variation: {np.abs(np.diff(diag)).sum():.4f} rad")
+    print(f"rows with an undefined phase: {undefined}; refused or degenerate rows: {refused}")
 
 
 if __name__ == "__main__":

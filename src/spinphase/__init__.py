@@ -3,9 +3,9 @@
 Public surface: the model (:class:`ModelParams`, Hamiltonian, closed-form
 propagator, and :class:`PointFamily` for eigenbases and thermal weights), the
 batched RK4 integrator with its propagator traces and dynamical phases, the
-phase pipeline that assembles the diagonal and off-diagonal mixed-state
-phases of a family of points, the closed-form verification ledger, and the
-parameter sweep.  ``spinphase.cli`` provides the command line.
+phase pipeline that assembles the diagonal and off-diagonal interference
+amplitudes of a family of points into one columnar :class:`PhaseTable`, the
+closed-form verification ledger, and the parameter sweep.  ``spinphase.cli`` provides the command line.
 """
 
 from .engine import PropagatorTrace, integrate_sampled_family
@@ -33,8 +33,7 @@ from .model import (
     reference_closed_forms,
 )
 from .pipeline import (
-    PhasePoint,
-    SweepRow,
+    PhaseTable,
     SweepSpec,
     phase_point,
     phase_points,

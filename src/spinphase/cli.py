@@ -29,8 +29,9 @@ from .errors import (
     UndefinedPhase,
     UnitarityLoss,
 )
+from .linalg import PhaseFactor, phase_functional
 from .model import Convention, ModelParams, closed_form_propagator, period_tau
-from .pipeline import SWEEP_AXES, SweepSpec, model_trace, phase_point, run_sweep
+from .pipeline import SWEEP_AXES, PhaseTable, SweepSpec, model_trace, phase_point, run_sweep
 from .verify import (
     random_generic_params,
     report_table,
@@ -65,12 +66,34 @@ def _fnum(x: float | None) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
+def _phase_or_none(raw: complex) -> PhaseFactor | None:
+    """The phase of an interference amplitude, or None where its visibility vanished."""
+    try:
+        return phase_functional(raw)
+    except UndefinedPhase:
+        return None
+
+
+def sweep_rows(values, table: PhaseTable) -> list[tuple]:
+    """One output row per point, its values in ``SWEEP_COLUMNS`` order.
+
+    ``values`` are the points' axis values.  A point with an error keeps
+    only its axis value; an undefined phase is None.
+    """
+    return [
+        (value, *(None,) * (len(SWEEP_COLUMNS) - 1)) if error is not None
+        else (value, lam1, d1, d.real, d.imag, getattr(_phase_or_none(d), "arg", None),
+              o.real, o.imag, getattr(_phase_or_none(o), "arg", None))
+        for value, error, (lam1, _), (d1, _), d, o in zip(
+            values.tolist(), table.errors, table.weights.tolist(), table.delta.tolist(),
+            table.diag_raw.tolist(), table.offdiag_raw.tolist(),
+        )
+    ]
+
+
 def sweep_csv_lines(axis: str, rows) -> list[str]:
     """Header plus one CSV line per sweep row, byte-stable across runs."""
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join((axis, *(_fnum(getattr(r, c)) for c in SWEEP_COLUMNS))))
-    return lines
+    return [SWEEP_CSV_HEADER, *(",".join((axis, *map(_fnum, row))) for row in rows)]
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -146,44 +169,45 @@ def _fmt_complex(z: complex) -> str:
 
 def _cmd_phases(args, parser) -> int:
     params = _params_from(args, parser)
-    point = phase_point(params, steps=args.steps, t_final=args.t)
-    if point.undefined:
-        names = " and ".join(point.undefined)
-        raise UndefinedPhase(f"{names} interference visibility vanished")
+    table = phase_point(params, steps=args.steps, t_final=args.t)
+    phases = {
+        "diag": ("diagonal", _phase_or_none(table.diag_raw[0])),
+        "offdiag": ("off-diagonal", _phase_or_none(table.offdiag_raw[0])),
+    }
+    undefined = [name for name, phase in phases.values() if phase is None]
+    if undefined:
+        raise UndefinedPhase(f"{' and '.join(undefined)} interference visibility vanished")
+    (lambda1, lambda2), (delta1, delta2) = table.weights[0].tolist(), table.delta[0].tolist()
     # The report's fields in output order, for the JSON document and the table alike.
     fields = {
         "steps": args.steps,
-        "t_final": point.t_final,
-        "tau": point.tau,
-        "Omega": point.omega_eff,
-        "lambda1": point.lambda1,
-        "lambda2": point.lambda2,
-        "delta1": point.delta1,
-        "delta2": point.delta2,
-    }
-    phases = {
-        "diag": ("diagonal phase:", point.diag, point.diag_raw),
-        "offdiag": ("off-diagonal phase:", point.offdiag, point.offdiag_raw),
+        "t_final": table.t_final[0].item(),
+        "tau": table.tau[0].item(),
+        "Omega": table.omega_eff[0].item(),
+        "lambda1": lambda1,
+        "lambda2": lambda2,
+        "delta1": delta1,
+        "delta2": delta2,
     }
     if args.format == "json":
         doc = {"params": vars(params), **fields}
-        for key, (_, phase, raw) in phases.items():
+        for key, (_, phase) in phases.items():
             doc[key] = {
-                "raw": [raw.real, raw.imag],
+                "raw": [phase.raw.real, phase.raw.imag],
                 "factor": [phase.unit.real, phase.unit.imag],
                 "arg": phase.arg,
             }
         print(json.dumps(doc))
         return EXIT_OK
-    fields["t_final"] = f"{point.t_final:.12g} {'(tau)' if args.t is None else '(explicit)'}"
+    fields["t_final"] = f"{fields['t_final']:.12g} {'(tau)' if args.t is None else '(explicit)'}"
     lines = [
         f"{name:<9}= {value if isinstance(value, (int, str)) else format(value, '.12g')}"
         for name, value in {**vars(params), **fields}.items()
     ]
     lines += [
-        f"{label:<20}arg = {phase.arg:.12g}  factor = {_fmt_complex(phase.unit)}"
-        f"  raw = {_fmt_complex(raw)}"
-        for label, phase, raw in phases.values()
+        f"{name + ' phase:':<20}arg = {phase.arg:.12g}  factor = {_fmt_complex(phase.unit)}"
+        f"  raw = {_fmt_complex(phase.raw)}"
+        for name, phase in phases.values()
     ]
     print("\n".join(lines))
     return EXIT_OK
@@ -205,23 +229,24 @@ def _cmd_sweep(args, parser) -> int:
         parser.error(str(exc))
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
-    rows = run_sweep(spec)
-    for row in rows:
-        if row.error is not None:
-            kind = "refused" if row.error.startswith(UnitarityLoss.__name__) else "degenerate"
+    table = run_sweep(spec)
+    rows = sweep_rows(spec.grid(), table)
+    for (value, *fields), error in zip(rows, table.errors):
+        if error is not None:
+            kind = "refused" if isinstance(error, UnitarityLoss) else "degenerate"
             print(
-                f"warning: {kind} point at {args.axis} = {row.axis_value:.12g} "
-                f"({row.error}); fields left empty",
+                f"warning: {kind} point at {args.axis} = {value:.12g} "
+                f"({type(error).__name__}: {error}); fields left empty",
                 file=sys.stderr,
             )
-        elif row.diag_phase is None or row.offdiag_phase is None:
+        elif None in fields:
             print(
-                f"warning: undefined phase at {args.axis} = {row.axis_value:.12g}; "
+                f"warning: undefined phase at {args.axis} = {value:.12g}; "
                 "phase fields left empty",
                 file=sys.stderr,
             )
     if args.format == "json":
-        rows_doc = [{c: getattr(r, c) for c in SWEEP_COLUMNS} for r in rows]
+        rows_doc = [dict(zip(SWEEP_COLUMNS, row)) for row in rows]
         doc = {"axis": args.axis, "rows": rows_doc}
         print(json.dumps(doc))
         return EXIT_OK

@@ -2,13 +2,14 @@
 
 Single parameter points and parameter families share one code path: a family
 is carried in its array form (:class:`PointFamily`) from the sweep to the
-engine kernel, integrated in chunks of distinct trajectories, and the phases
-of every point are assembled at once by :func:`phase_points` over the frozen
-t = 0 eigenbasis; sweeps, ``phases`` and verification all read them there.
-A single point is a family of one, built by :func:`model_trace` and
-:func:`phase_point`.  No operation mixes points, so a point's values do not
-depend on the family it is evaluated in, and each point's outcome is one
-value: its trace or phases, or the error that leaves it without them.
+engine kernel, integrated in chunks of distinct trajectories, and the phase
+amplitudes of every point are assembled at once by :func:`phase_points`
+over the frozen t = 0 eigenbasis into one :class:`PhaseTable` of columns;
+sweeps, ``phases`` and verification all read that table.  A single point is
+a family of one, built by :func:`model_trace` and :func:`phase_point`.  No
+operation mixes points, so a point's values do not depend on the family it
+is evaluated in, and each point's outcome is one value: its trace or its
+table row, or the error that leaves it without them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -31,8 +32,7 @@ from .engine import (
     parallel_transported,
     shift_ensembles,
 )
-from .errors import SpinPhaseError, UndefinedPhase, UnitarityLoss
-from .linalg import PhaseFactor, phase_functional
+from .errors import SpinPhaseError, UnitarityLoss
 from .model import ModelParams, PointFamily, hamiltonian
 
 SWEEP_AXES = ("beta", "omega", "muB", "V")
@@ -165,107 +165,90 @@ def model_trace(
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    """All phase quantities of one parameter point at one final time.
+class PhaseTable:
+    """The phase quantities of a family's points: one numpy column each, one row per point.
 
-    The point itself is not kept: the caller holds it.  ``diag``/``offdiag``
-    are None when the corresponding interference amplitude vanished
-    (undefined phase); the raw arguments are always recorded.  ``trace`` is
-    the endpoint trace the phases were assembled from and ``u_par`` its
-    parallel-transported U_par(T); neither takes part in equality or repr.
+    Rows are in family order.  ``errors`` holds each point's SpinPhaseError,
+    None where it has phases; an error row holds NaN in every other column.
+    ``t_final`` and ``delta`` (B, 2) are each trace's final time and delta(T);
+    ``u_final``, ``u_par`` and ``basis`` (B, 2, 2) are U(T), U_par(T) and the
+    frozen t = 0 eigenbasis; ``diag_raw`` and ``offdiag_raw`` are the
+    interference amplitudes of the two phases.  ``tau``, ``omega_eff`` and
+    ``weights`` (lambda1, lambda2) are the family's.  Whether an amplitude has
+    a phase is for the writer to ask :func:`~spinphase.linalg.phase_functional`.
     """
 
-    t_final: float
-    tau: float
-    omega_eff: float
-    lambda1: float
-    lambda2: float
-    delta1: float
-    delta2: float
-    diag_raw: complex
-    offdiag_raw: complex
-    diag: PhaseFactor | None
-    offdiag: PhaseFactor | None
-    trace: PropagatorTrace = field(compare=False, repr=False)
-    u_par: np.ndarray = field(compare=False, repr=False)
+    errors: np.ndarray
+    t_final: np.ndarray
+    tau: np.ndarray
+    omega_eff: np.ndarray
+    weights: np.ndarray
+    delta: np.ndarray
+    diag_raw: np.ndarray
+    offdiag_raw: np.ndarray
+    u_final: np.ndarray
+    u_par: np.ndarray
+    basis: np.ndarray
 
-    @property
-    def undefined(self) -> tuple[str, ...]:
-        names = []
-        if self.diag is None:
-            names.append("diagonal")
-        if self.offdiag is None:
-            names.append("off-diagonal")
-        return tuple(names)
+    @classmethod
+    def unfilled(cls, n: int) -> PhaseTable:
+        """``n`` rows without an error, every value NaN."""
+        def nan(*shape, dtype=float):
+            return np.full((n, *shape), np.nan, dtype)
+
+        return cls(
+            errors=np.full(n, None), t_final=nan(), tau=nan(), omega_eff=nan(),
+            weights=nan(2), delta=nan(2), diag_raw=nan(dtype=complex),
+            offdiag_raw=nan(dtype=complex), u_final=nan(2, 2, dtype=complex),
+            u_par=nan(2, 2, dtype=complex), basis=nan(2, 2, dtype=complex),
+        )
+
+    def fill(self, rows, **columns) -> None:
+        """Write each named column's values into ``rows``."""
+        for name, values in columns.items():
+            getattr(self, name)[rows] = values
 
 
-def _phase_or_none(raw: complex) -> PhaseFactor | None:
-    try:
-        return phase_functional(raw)
-    except UndefinedPhase:
-        return None
-
-
-def phase_points(
-    family: PointFamily,
-    steps: int = 8192,
-    t_final: float | None = None,
-) -> list[PhasePoint | SpinPhaseError]:
-    """Evaluate the diagonal and off-diagonal phases for each point of ``family``.
+def phase_points(family: PointFamily, steps: int = 8192, t_final: float | None = None) -> PhaseTable:
+    """Evaluate the diagonal and off-diagonal phase amplitudes of every point of ``family``.
 
     The one phase assembly: for the traces of all points at once it computes
     U_par(T), the diagonal amplitude of each point's thermal state and the
     off-diagonal trace of the thermal state with its weight-shifted
     companion, whose weights are the reversed pair.  A point without a trace
-    from :func:`model_traces`, or without the period a PhasePoint reports,
-    comes back as its error in place of a PhasePoint.
+    from :func:`model_traces`, or without the period tau the table reports,
+    gets its error in place of its values.
     """
     outcomes = model_traces(family, steps, t_final)
     for i in np.flatnonzero(family.frame_degenerate):
         outcomes[i] = family.degeneracy(i)
-    accepted = [i for i, trace in enumerate(outcomes) if isinstance(trace, PropagatorTrace)]
-    if not accepted:
-        return outcomes
-    traces = [outcomes[i] for i in accepted]
-    weights = family.weights[accepted]
+    traced = np.array([isinstance(trace, PropagatorTrace) for trace in outcomes], dtype=bool)
+    table = PhaseTable.unfilled(len(outcomes))
+    table.fill(~traced, errors=[error for error, ok in zip(outcomes, traced) if not ok])
+    if not traced.any():
+        return table
+    traces = [trace for trace, ok in zip(outcomes, traced) if ok]
+    weights = family.weights[traced]
     u_final = np.stack([tr.U[-1] for tr in traces])
-    delta_final = np.stack([tr.delta[-1] for tr in traces])
-    bases = np.stack([tr.basis for tr in traces])
-    u_par = parallel_transported(u_final, delta_final, bases)
-    diag_raw = diagonal_phase_argument(u_final, delta_final, bases, weights)
-    offdiag_raw = offdiagonal_trace(u_par, bases[:, np.newaxis], shift_ensembles(weights))
-    for i, trace, u, tau, omega_eff, (lam1, lam2), d, o in zip(
-        accepted, traces, u_par, family.tau[accepted].tolist(),
-        family.omega_eff[accepted].tolist(), weights.tolist(), diag_raw.tolist(),
-        offdiag_raw.tolist(),
-    ):
-        d1, d2 = trace.delta[-1].tolist()
-        outcomes[i] = PhasePoint(
-            t_final=trace.t_final,
-            tau=tau,
-            omega_eff=omega_eff,
-            lambda1=lam1,
-            lambda2=lam2,
-            delta1=d1,
-            delta2=d2,
-            diag_raw=d,
-            offdiag_raw=o,
-            diag=_phase_or_none(d),
-            offdiag=_phase_or_none(o),
-            trace=trace,
-            u_par=u,
-        )
-    return outcomes
+    delta = np.stack([tr.delta[-1] for tr in traces])
+    basis = np.stack([tr.basis for tr in traces])
+    u_par = parallel_transported(u_final, delta, basis)
+    table.fill(
+        traced, t_final=[tr.grid[-1] for tr in traces], tau=family.tau[traced],
+        omega_eff=family.omega_eff[traced], weights=weights, delta=delta,
+        diag_raw=diagonal_phase_argument(u_final, delta, basis, weights),
+        offdiag_raw=offdiagonal_trace(u_par, basis[:, np.newaxis], shift_ensembles(weights)),
+        u_final=u_final, u_par=u_par, basis=basis,
+    )
+    return table
 
 
-def phase_point(
-    params: ModelParams, steps: int = 8192, t_final: float | None = None
-) -> PhasePoint:
-    """Evaluate one parameter point; see :class:`PhasePoint`.  Raises the point's error."""
-    (point,) = phase_points(PointFamily.of([params]), steps, t_final)
-    if isinstance(point, SpinPhaseError):
-        raise point
-    return point
+def phase_point(params: ModelParams, steps: int = 8192, t_final: float | None = None) -> PhaseTable:
+    """Evaluate one parameter point as a one-row :class:`PhaseTable`.  Raises the point's error."""
+    table = phase_points(PointFamily.of([params]), steps, t_final)
+    if table.errors[0] is not None:
+        raise table.errors[0]
+    return table
 
 
 @dataclass(frozen=True)
@@ -307,62 +290,22 @@ class SweepSpec:
         return PointFamily(**columns)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep output row; phase fields are None when undefined.
+def run_sweep(spec: SweepSpec) -> PhaseTable:
+    """Evaluate a sweep; the table's rows are in axis order.
 
-    A degenerate or refused point keeps only ``axis_value`` and names its
-    ``error``.
-    """
-
-    axis_value: float
-    lambda1: float | None = None
-    delta1: float | None = None
-    diag_arg_re: float | None = None
-    diag_arg_im: float | None = None
-    diag_phase: float | None = None
-    offdiag_arg_re: float | None = None
-    offdiag_arg_im: float | None = None
-    offdiag_phase: float | None = None
-    error: str | None = None
-
-
-def _row_from_point(value: float, point: PhasePoint | SpinPhaseError) -> SweepRow:
-    if not isinstance(point, PhasePoint):
-        return SweepRow(axis_value=float(value), error=f"{type(point).__name__}: {point}")
-    return SweepRow(
-        axis_value=float(value),
-        lambda1=point.lambda1,
-        delta1=point.delta1,
-        diag_arg_re=point.diag_raw.real,
-        diag_arg_im=point.diag_raw.imag,
-        diag_phase=None if point.diag is None else point.diag.arg,
-        offdiag_arg_re=point.offdiag_raw.real,
-        offdiag_arg_im=point.offdiag_raw.imag,
-        offdiag_phase=None if point.offdiag is None else point.offdiag.arg,
-    )
-
-
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate a sweep; rows come back in axis order.
-
-    A point that :func:`phase_points` gives an error gets a row with only its
-    axis value and the error.  If every point has one, the refusal naming the
-    most steps is raised (the first if none names a count), or, with no
-    refusal, the first point's error.  Points are evaluated one chunk of
-    trajectories at a time, so only the rows and errors outlive a chunk.
+    A point that :func:`phase_points` gives an error keeps it in its row.  If
+    every point has one, the refusal naming the most steps is raised (the
+    first if none names a count), or, with no refusal, the first point's
+    error.  Points are evaluated one chunk of trajectories at a time, and
+    each chunk's rows are written into the sweep's table by point index, so
+    only the table outlives a chunk.
     """
     family = spec.family()
-    values = getattr(family, spec.axis)
-    rows: list[SweepRow | None] = [None] * len(values)
-    errors: dict[int, SpinPhaseError] = {}
+    table = PhaseTable.unfilled(spec.points)
     for groups in _trajectories(family, spec.t_final)[2]:
         members = [i for group in groups for i in group]
-        for i, point in zip(members, phase_points(family[members], spec.steps, spec.t_final)):
-            rows[i] = _row_from_point(values[i], point)
-            if isinstance(point, SpinPhaseError):
-                errors[i] = point
-    if len(errors) == len(rows):
-        refusals = [error for error in errors.values() if isinstance(error, UnitarityLoss)]
-        raise max(refusals, key=lambda refusal: refusal.steps_needed or 0.0) if refusals else errors[0]
-    return rows
+        table.fill(members, **vars(phase_points(family[members], spec.steps, spec.t_final)))
+    if all(error is not None for error in table.errors):
+        refusals = [error for error in table.errors if isinstance(error, UnitarityLoss)]
+        raise max(refusals, key=lambda refusal: refusal.steps_needed or 0.0) if refusals else table.errors[0]
+    return table

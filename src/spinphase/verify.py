@@ -32,7 +32,7 @@ from .model import (
     closed_form_propagator,
     reference_closed_forms,
 )
-from .pipeline import PhasePoint, phase_points
+from .pipeline import PhaseTable, phase_points
 
 CLASSIFICATIONS = ("match", "conjugate", "sign_flip", "repaired_match", "mismatch")
 
@@ -107,13 +107,14 @@ def _item(equation_id, reference, oracle, repaired=None) -> VerifyItem:
     )
 
 
-def _assemble_report(p: ModelParams, point: PhasePoint) -> VerifyReport:
-    basis = point.trace.basis
+def _assemble_report(p: ModelParams, table: PhaseTable, i: int) -> VerifyReport:
+    """The report of point ``p``, whose oracle values are row ``i`` of ``table``."""
+    basis, u_final = table.basis[i], table.u_final[i]
+    delta1, delta2 = table.delta[i].tolist()
     rc = reference_closed_forms(p)
 
-    u_final = point.trace.U[-1]
     m_oracle = basis.conj().T @ u_final @ basis
-    p_oracle = basis.conj().T @ point.u_par @ basis
+    p_oracle = basis.conj().T @ table.u_par[i] @ basis
 
     phase1 = np.exp(-1j * rc.delta1)
     phase2 = np.exp(-1j * rc.delta2)
@@ -130,14 +131,14 @@ def _assemble_report(p: ModelParams, point: PhasePoint) -> VerifyReport:
     items = (
         _item("U11_Eq15", rc.u11, complex(m_oracle[0, 0])),
         _item("U12_Eq16", rc.u12_literal, complex(m_oracle[0, 1]), repaired=rc.u12),
-        _item("delta1_Eq17", rc.delta1, point.delta1),
+        _item("delta1_Eq17", rc.delta1, delta1),
         # The stated content of this relation is delta2 = -delta1; it is
         # checked against the oracle's own delta1 so that the item probes
         # the relation, not the value of delta1.
-        _item("delta2_Eq18", -point.delta1, point.delta2),
+        _item("delta2_Eq18", -delta1, delta2),
         _item("Uparallel_Eq19", par_reference, p_oracle, repaired=par_repaired),
-        _item("offdiag_Eq23", rc.offdiag_arg, point.offdiag_raw),
-        _item("diag_Eq24", rc.diag_arg, point.diag_raw),
+        _item("offdiag_Eq23", rc.offdiag_arg, table.offdiag_raw[i].item()),
+        _item("diag_Eq24", rc.diag_arg, table.diag_raw[i].item()),
         _item(
             "propagator_Eq14_literal",
             closed_form_propagator(p, rc.tau, Convention.LITERAL),
@@ -159,9 +160,10 @@ def _verify(params_list: list[ModelParams], steps: int) -> list:
     """Each point's report, or the error :func:`phase_points` gives it."""
     if steps < MIN_VERIFY_STEPS:
         raise ValueError(f"steps must be >= {MIN_VERIFY_STEPS}, got {steps}")
+    table = phase_points(PointFamily.of(params_list), steps)
     return [
-        _assemble_report(p, point) if isinstance(point, PhasePoint) else point
-        for p, point in zip(params_list, phase_points(PointFamily.of(params_list), steps))
+        _assemble_report(p, table, i) if error is None else error
+        for i, (p, error) in enumerate(zip(params_list, table.errors))
     ]
 
 

@@ -26,6 +26,7 @@ from support import (
 )
 
 from spinphase import pipeline
+from spinphase.cli import SWEEP_COLUMNS, sweep_rows
 from spinphase.cli import main as cli_main
 from spinphase.engine import integrate_sampled_family
 from spinphase.linalg import phase_functional, su2_exponential
@@ -173,17 +174,18 @@ def test_criterion_5_temperature_sensitivity(acceptance):
         steps=8192,
     )
     started = time.perf_counter()
-    rows = run_sweep(spec)
+    rows = sweep_rows(spec.grid(), run_sweep(spec))
     elapsed = time.perf_counter() - started
 
-    off = np.array([r.offdiag_phase for r in rows], dtype=float)
+    columns = dict(zip(SWEEP_COLUMNS, zip(*rows)))
+    off = np.array(columns["offdiag_phase"], dtype=float)
     assert not np.any(np.isnan(off))
     near_zero = circular_distance(off, 0.0) <= 1e-6
     near_pi = circular_distance(off, math.pi) <= 1e-6
     quantized = bool(np.all(near_zero | near_pi))
     distinct_off = int(np.any(near_zero)) + int(np.any(near_pi))
 
-    diag = np.array([r.diag_phase for r in rows], dtype=float)
+    diag = np.array(columns["diag_phase"], dtype=float)
     distinct_diag = len(set(diag.tolist()))
     total_variation = float(np.abs(np.diff(diag)).sum())
     # adjacent steps stay small wherever the principal branch is not crossed

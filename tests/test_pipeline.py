@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -10,12 +9,12 @@ from support import Ensemble, diagonal_phase_argument, offdiagonal_trace, shift_
 
 from spinphase import pipeline
 from spinphase.engine import PropagatorTrace, parallel_transported
-from spinphase.errors import UnitarityLoss
+from spinphase.errors import DegenerateFrame, UndefinedPhase, UnitarityLoss
+from spinphase.linalg import phase_functional
 from spinphase.model import ModelParams, PointFamily, period_tau
 from spinphase.pipeline import (
     CHUNK_POINTS,
     SweepSpec,
-    _row_from_point,
     model_trace,
     model_traces,
     phase_point,
@@ -30,6 +29,14 @@ FLAGSHIP = ModelParams(V=1.0, muB=0.5, omega=0.6, beta=1.0)
 def point_at(spec: SweepSpec, value: float) -> ModelParams:
     """The sweep's point at one axis value."""
     return ModelParams(**{**vars(spec.fixed), spec.axis: float(value)})
+
+
+def assert_same_row(table, i, other, j=0):
+    """Row ``i`` of ``table`` and row ``j`` of ``other`` hold the same error and the same bits."""
+    assert repr(table.errors[i]) == repr(other.errors[j])
+    for name, column in vars(table).items():
+        if name != "errors":
+            assert column[i].tobytes() == getattr(other, name)[j].tobytes(), name
 
 
 class TestModelTraces:
@@ -145,54 +152,49 @@ class TestMemory:
 class TestPhasePoint:
     def test_matches_family_of_one(self):
         single = phase_point(FLAGSHIP, steps=512)
-        family = phase_points(PointFamily.of([FLAGSHIP]), steps=512)[0]
-        assert single == family
+        family = phase_points(PointFamily.of([FLAGSHIP]), steps=512)
+        assert_same_row(single, 0, family)
 
     def test_carries_weights_and_frequencies(self):
         point = phase_point(FLAGSHIP, steps=512)
-        assert point.lambda1 == pytest.approx(0.195570317493, abs=1e-12)
-        assert point.omega_eff == pytest.approx(1.077032961427, abs=1e-12)
-        assert point.tau == pytest.approx(5.833791102229, abs=1e-12)
-        assert point.undefined == ()
+        assert point.weights[0, 0] == pytest.approx(0.195570317493, abs=1e-12)
+        assert point.omega_eff[0] == pytest.approx(1.077032961427, abs=1e-12)
+        assert point.tau[0] == pytest.approx(5.833791102229, abs=1e-12)
+        phase_functional(point.diag_raw[0])  # both phases defined
+        phase_functional(point.offdiag_raw[0])
 
     def test_undefined_phase_reported_not_raised(self):
         p = ModelParams(V=0.0, muB=math.sqrt(3) / 2, omega=1.0, beta=1.0)
         point = phase_point(p, steps=2048)
-        assert point.diag is None
-        assert "diagonal" in point.undefined
-        assert abs(point.diag_raw) <= 1e-12
-        assert point.offdiag is not None
+        with pytest.raises(UndefinedPhase):
+            phase_functional(point.diag_raw[0])
+        assert abs(point.diag_raw[0]) <= 1e-12
+        phase_functional(point.offdiag_raw[0])
 
     def test_equal_weights_at_infinite_temperature(self):
         point = phase_point(
             ModelParams(V=1.0, muB=0.5, omega=0.6, beta=0.0), steps=512
         )
-        assert point.lambda1 == 0.5
-        assert point.offdiag is not None
-
-    def test_trace_and_u_par_take_no_part_in_equality_or_repr(self):
-        point = phase_point(FLAGSHIP, steps=512)
-        bare = dataclasses.replace(point, trace=None, u_par=None)
-        assert bare == point
-        assert repr(bare) == repr(point)
-        assert "trace" not in repr(point) and "u_par" not in repr(point)
+        assert point.weights[0, 0] == 0.5
+        phase_functional(point.offdiag_raw[0])
 
     def test_u_par_is_the_transport_of_its_own_trace(self):
         point = phase_point(FLAGSHIP, steps=512)
-        trace = point.trace
-        assert trace.U.tobytes() == model_trace(FLAGSHIP, 512).U.tobytes()
+        trace = model_trace(FLAGSHIP, 512)
+        assert point.u_final[0].tobytes() == trace.U[-1].tobytes()
+        assert point.basis[0].tobytes() == trace.basis.tobytes()
         np.testing.assert_array_equal(
-            point.u_par, parallel_transported(trace.U[-1], trace.delta[-1], trace.basis)
+            point.u_par[0], parallel_transported(trace.U[-1], trace.delta[-1], trace.basis)
         )
 
     def test_batch_assembly_matches_per_trace_functions(self):
         # Pins the per-trace functions the acceptance suite uses to the one batched path.
         pts = PointFamily.of([FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0)])
-        points, traces = phase_points(pts, steps=512), model_traces(pts, 512)
-        for w, point, trace in zip(pts.weights, points, traces):
+        table, traces = phase_points(pts, steps=512), model_traces(pts, 512)
+        for i, (w, trace) in enumerate(zip(pts.weights, traces)):
             companions = shift_ensembles(Ensemble(basis=trace.basis, weights=w))
-            assert point.diag_raw == diagonal_phase_argument(trace, companions[0])
-            assert point.offdiag_raw == offdiagonal_trace(trace, companions, 2)
+            assert table.diag_raw[i] == diagonal_phase_argument(trace, companions[0])
+            assert table.offdiag_raw[i] == offdiagonal_trace(trace, companions, 2)
 
 
 class TestThermalEnsemble:
@@ -267,19 +269,21 @@ class TestRunSweep:
         spec = SweepSpec(
             axis="beta", start=0.0, stop=2.0, points=5, fixed=FLAGSHIP, steps=512
         )
-        rows = run_sweep(spec)
-        assert [r.axis_value for r in rows] == [0.0, 0.5, 1.0, 1.5, 2.0]
+        table = run_sweep(spec)
+        assert len(table.errors) == 5
+        expected = PointFamily.of([point_at(spec, v) for v in [0.0, 0.5, 1.0, 1.5, 2.0]])
+        assert table.weights.tobytes() == expected.weights.tobytes()
 
     def test_rows_match_single_point_pipeline(self):
         spec = SweepSpec(
             axis="beta", start=0.5, stop=1.5, points=3, fixed=FLAGSHIP, steps=512
         )
-        rows = run_sweep(spec)
-        for row in rows:
-            point = phase_point(point_at(spec, row.axis_value), steps=512)
-            assert row.lambda1 == point.lambda1
-            assert row.delta1 == point.delta1
-            assert row.diag_phase == point.diag.arg
+        table = run_sweep(spec)
+        for i, value in enumerate(spec.grid()):
+            point = phase_point(point_at(spec, value), steps=512)
+            assert table.weights[i, 0] == point.weights[0, 0]
+            assert table.delta[i, 0] == point.delta[0, 0]
+            assert table.diag_raw[i] == point.diag_raw[0]
 
     def test_rows_across_a_chunk_edge_match_their_own_points(self):
         # muB = 0 at V = omega = 0 is degenerate, so every chunk's members sit
@@ -287,11 +291,11 @@ class TestRunSweep:
         fixed = ModelParams(V=0.0, muB=0.5, omega=0.0, beta=1.0)
         spec = SweepSpec(axis="muB", start=0.0, stop=1.0, points=CHUNK_POINTS + 3, fixed=fixed,
                          steps=64)
-        rows = run_sweep(spec)
-        assert rows[0].error.startswith("DegenerateFrame")
-        for row in rows[1:]:
-            point = phase_point(point_at(spec, row.axis_value), 64)
-            assert repr(row) == repr(_row_from_point(row.axis_value, point))
+        table = run_sweep(spec)
+        assert isinstance(table.errors[0], DegenerateFrame)
+        assert np.isnan(table.diag_raw[0])
+        for i, value in enumerate(spec.grid()[1:], start=1):
+            assert_same_row(table, i, phase_point(point_at(spec, value), 64))
 
 
 class TestRefusedPoints:
@@ -300,14 +304,15 @@ class TestRefusedPoints:
     SPEC = dict(axis="muB", start=0.1, stop=100.0, points=5, fixed=FLAGSHIP, steps=64, t_final=10.0)
 
     def test_refused_rows_are_empty_and_the_others_computed(self):
-        rows = run_sweep(SweepSpec(**self.SPEC))
-        assert rows[0].error is None
+        table = run_sweep(SweepSpec(**self.SPEC))
+        assert table.errors[0] is None
         alone = phase_point(ModelParams(V=1.0, muB=0.1, omega=0.6, beta=1.0), 64, 10.0)
-        assert rows[0].delta1 == alone.delta1
-        assert rows[0].diag_arg_re == alone.diag_raw.real
-        for row in rows[1:]:
-            assert row.error.startswith("UnitarityLoss: dt*|H| = ")
-            assert row.lambda1 is None and row.diag_phase is None
+        assert table.delta[0, 0] == alone.delta[0, 0]
+        assert table.diag_raw[0].real == alone.diag_raw[0].real
+        for i in range(1, 5):
+            assert isinstance(table.errors[i], UnitarityLoss)
+            assert str(table.errors[i]).startswith("dt*|H| = ")
+            assert np.isnan(table.weights[i, 0]) and np.isnan(table.diag_raw[i])
 
     def test_every_point_refused_raises_the_largest_count(self):
         # muB = 30, 65 and 100 need 107, 231 and 354 steps.
@@ -319,8 +324,8 @@ class TestRefusedPoints:
         ok = ModelParams(V=1.0, muB=0.1, omega=0.6, beta=1.0)
         refused = ModelParams(V=1.0, muB=50.0, omega=0.6, beta=1.0)
         mixed = phase_points(PointFamily.of([ok, refused]), 64, 10.0)
-        assert isinstance(mixed[1], UnitarityLoss)
-        assert mixed[0] == phase_point(ok, 64, 10.0)
+        assert isinstance(mixed.errors[1], UnitarityLoss)
+        assert_same_row(mixed, 0, phase_point(ok, 64, 10.0))
         with pytest.raises(UnitarityLoss):
             phase_point(refused, 64, 10.0)
         with pytest.raises(UnitarityLoss):

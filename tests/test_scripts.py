@@ -34,7 +34,23 @@ def test_temperature_sweep(tmp_path):
     assert lines[1] == "off-diagonal phase values: ['pi']"
     assert lines[2].startswith("diagonal phase range: [")
     assert lines[3].startswith("diagonal phase total variation: ")
+    assert lines[4] == "rows with an undefined phase: 0; refused or degenerate rows: 0"
     assert len(out.read_text().splitlines()) == 6
+
+
+def test_temperature_sweep_buckets_only_defined_phases(tmp_path):
+    # Without coupling the off-diagonal visibility vanishes at beta = 60 and 80,
+    # and every defined off-diagonal phase is 0.
+    out = tmp_path / "beta_sweep.csv"
+    result = run_script(
+        "temperature_sweep.py", "--mu-B", "0", "--beta-max", "80", "--points", "5",
+        "--steps", "256", "--out", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[1] == "off-diagonal phase values: ['0']"
+    assert "nan" not in result.stdout
+    assert lines[-1] == "rows with an undefined phase: 2; refused or degenerate rows: 0"
 
 
 def test_verify_closed_forms():

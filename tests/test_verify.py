@@ -183,12 +183,12 @@ class TestVerifyGrid:
     def test_oracle_values_are_the_phase_points(self):
         # verify --grid 5: its oracle values are the phase assembly's, bit for bit.
         grid = random_generic_params(5, seed=0)
-        points = phase_points(PointFamily.of(grid), 1024)
-        for report, point in zip(verify_grid(grid, steps=1024), points):
+        table = phase_points(PointFamily.of(grid), 1024)
+        for i, report in enumerate(verify_grid(grid, steps=1024)):
             oracle = {it.equation_id: it.oracle_value for it in report.items}
-            for equation_id, value in [("delta1_Eq17", point.delta1),
-                                       ("diag_Eq24", point.diag_raw),
-                                       ("offdiag_Eq23", point.offdiag_raw)]:
+            for equation_id, value in [("delta1_Eq17", table.delta[i, 0]),
+                                       ("diag_Eq24", table.diag_raw[i]),
+                                       ("offdiag_Eq23", table.offdiag_raw[i])]:
                 assert np.asarray(oracle[equation_id]).tobytes() == np.asarray(value).tobytes()
 
     def test_empty_grid_rejected(self):
