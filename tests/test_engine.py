@@ -291,8 +291,9 @@ class TestTimeSegments:
         self.assert_same_bytes(model_trace(point, steps), pair[0])
 
     def test_across_a_wave_edge(self):
-        # 33 points: one wave of all four segments, in 16-step sub-blocks; alone, in 64-step blocks.
-        steps = 2048
+        # 33 points x 16 segments run in waves of 7, 7 and 2 segments (231, 231 and 66
+        # members, in 16- and 32-step sub-blocks); alone, in one 16-member wave.
+        steps = 8192
         family = model_traces(PointFamily.of(self.POINTS), steps)
         for j in (0, 32):
             self.assert_same_bytes(model_trace(self.POINTS[j], steps), family[j])
