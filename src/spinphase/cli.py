@@ -135,13 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_phases = sub.add_parser("phases", help="single-point phase report")
-    _add_param_flags(p_phases)
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # The handler reports its usage errors through this parser, under its own usage line.
+        command_parser = sub.add_parser(name, help=summary)
+        _add_param_flags(command_parser)
+        command_parser.set_defaults(parser=command_parser)
+        return command_parser
+
+    p_phases = command("phases", "single-point phase report")
     p_phases.add_argument("--t", type=float, help="final time (default: tau)")
     p_phases.add_argument("--format", choices=("table", "json"), default="table")
 
-    p_sweep = sub.add_parser("sweep", help="one-axis parameter sweep")
-    _add_param_flags(p_sweep)
+    p_sweep = command("sweep", "one-axis parameter sweep")
     p_sweep.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p_sweep.add_argument("--start", type=float, required=True)
     p_sweep.add_argument("--stop", type=float, required=True)
@@ -150,14 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--jobs", type=int, default=1, help="accepted, no effect (>= 1)")
 
-    p_verify = sub.add_parser("verify", help="closed-form verification ledger")
-    _add_param_flags(p_verify)
+    p_verify = command("verify", "closed-form verification ledger")
     p_verify.add_argument("--grid", type=int, help="verify N seeded random generic points")
     p_verify.add_argument("--seed", type=int, default=0, help="grid seed")
     p_verify.add_argument("--format", choices=("table", "json"), default="table")
 
-    p_prop = sub.add_parser("propagate", help="propagator comparison at one time")
-    _add_param_flags(p_prop)
+    p_prop = command("propagate", "propagator comparison at one time")
     p_prop.add_argument("--t", type=float, help="evaluation time (default: tau)")
 
     return parser
@@ -323,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         "propagate": _cmd_propagate,
     }
     try:
-        return handlers[args.command](args, parser)
+        return handlers[args.command](args, args.parser)
     except tuple(EXIT_CODES) as exc:
         hint = "; increase --steps" if isinstance(exc, UnitarityLoss) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)

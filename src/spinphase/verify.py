@@ -20,6 +20,7 @@ the per-item tolerance.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,10 +214,19 @@ def _check_consistency(reports: list[VerifyReport]) -> None:
 
 
 def random_generic_params(n: int, seed: int) -> list[ModelParams]:
-    """Seeded generic parameter points, clear of all degeneracy edges."""
-    rng = np.random.default_rng(seed)
+    """Seeded generic parameter points, clear of all degeneracy edges.
+
+    Each point draws V, muB, omega and beta in that order from Python's
+    ``random.Random(seed)``, whose sequence for an int seed is stable across
+    Python versions; each draw is ``lo + (hi - lo) * random()`` over its range
+    in ``GENERIC_RANGES``.  Drawing with the standard library keeps
+    numpy.random unloaded.  Earlier versions drew with numpy's
+    ``default_rng(seed)``, so a seed names other points than it did then; the
+    ledger's classifications do not change.
+    """
+    rng = random.Random(seed)
     return [
-        ModelParams(**{name: float(rng.uniform(*r)) for name, r in GENERIC_RANGES.items()})
+        ModelParams(**{name: lo + (hi - lo) * rng.random() for name, (lo, hi) in GENERIC_RANGES.items()})
         for _ in range(n)
     ]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -133,7 +134,7 @@ class TestPhases:
     def test_negative_coupling_or_beta_exits_2(self, capsys, flag, message):
         code, out, err = run_strictly(capsys, "phases", flag, "-1", "--steps", "64")
         assert (code, out) == (2, "")
-        assert err.startswith("usage: ")
+        assert err.startswith("usage: spinphase phases ")
         assert err.endswith(f"error: {message}\n")
 
     def test_degenerate_frame_exits_3(self, capsys):
@@ -497,7 +498,7 @@ class TestNonFiniteInput:
             "--points", "3", "--steps", "64",
         )
         assert (code, out) == (2, "")
-        assert err.startswith("usage: ")
+        assert err.startswith("usage: spinphase sweep ")
         assert err.endswith("error: stop - start must be finite; it overflows\n")
 
     def test_sweep_grid_with_repeated_points(self, capsys):
@@ -575,7 +576,7 @@ class TestInvalidSweepValues:
             "--points", "3", "--steps", "64",
         )
         assert (code, out) == (2, "")
-        assert err.startswith("usage: ")
+        assert err.startswith("usage: spinphase sweep ")
         assert err.endswith(f"error: {message}\n")
 
 
@@ -708,7 +709,7 @@ class TestOverflowingScales:
     def test_exits_2_naming_the_point(self, capsys, argv):
         code, out, err = run_strictly(capsys, *argv, *self.HUGE)
         assert (code, out) == (2, "")
-        assert err.startswith("usage: ")
+        assert err.startswith(f"usage: spinphase {argv[0]} ")
         assert err.endswith(self.ERROR)
 
     def test_sweep_with_one_such_point_is_rejected_like_its_bounds(self, capsys):
@@ -718,7 +719,7 @@ class TestOverflowingScales:
             "--points", "3", "--steps", "64",
         )
         assert (code, out) == (2, "")
-        assert err.startswith("usage: ")
+        assert err.startswith("usage: spinphase sweep ")
         assert err.endswith("error: Omega or E1 is not finite at V = 1, muB = 1e+308, omega = 0.6\n")
 
 
@@ -778,6 +779,36 @@ class TestImport:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phases", "--steps", "256"],
+            ["sweep", "--axis", "omega", "--start", "0.1", "--stop", "2", "--points", "33",
+             "--steps", "64"],
+            ["verify", "--grid", "2", "--steps", "1024", "--format", "json"],
+            ["propagate", "--steps", "256"],
+        ],
+        ids=["phases", "sweep", "verify-grid", "propagate"],
+    )
+    def test_command_leaves_numpy_random_unloaded(self, argv):
+        # A fresh interpreter: this process may hold numpy.random already (hypothesis loads it).
+        src = str(Path(spinphase.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from spinphase import cli\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(sys.argv[1:])\n"
+            "print(status, 'numpy.random' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0 False"
 
 
 class TestVerifySeed:
