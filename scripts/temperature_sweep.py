@@ -1,64 +1,62 @@
 #!/usr/bin/env python3
 """Temperature-sensitivity experiment.
 
-Sweeps the inverse temperature at fixed field parameters, writes the sweep
-rows to CSV, and prints a contrast summary: the off-diagonal phase stays
-quantized at 0 or pi across the whole sweep while the diagonal phase moves
-continuously.  Only defined phases are summarized; the last line counts the
-rows with an undefined phase and the rows refused or degenerate.
+Runs ``spinphase sweep --axis beta`` at fixed field parameters, writes its
+CSV to ``--out``, and prints a contrast summary read from that CSV: the
+off-diagonal phase stays quantized at 0 or pi across the whole sweep while
+the diagonal phase moves continuously.  Only defined phases are summarized;
+the last line counts the rows with an undefined phase and the rows refused
+or degenerate.  The sweep's warnings and errors are the CLI's; a sweep that
+ends in an error writes no CSV and exits with the CLI's code.
 """
 
 import argparse
+import contextlib
+import csv
+import io
 import math
 import pathlib
+import sys
 
-import numpy as np
-
-from spinphase.cli import SWEEP_COLUMNS, sweep_csv_lines, sweep_rows
-from spinphase.model import ModelParams
-from spinphase.pipeline import SweepSpec, run_sweep
+from spinphase import cli
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--V", type=float, default=1.0)
-    parser.add_argument("--mu-B", dest="mu_B", type=float, default=0.5)
-    parser.add_argument("--omega", type=float, default=0.6)
-    parser.add_argument("--beta-max", type=float, default=5.0)
-    parser.add_argument("--points", type=int, default=101)
-    parser.add_argument("--steps", type=int, default=8192)
+    parser.add_argument("--V", default="1.0")
+    parser.add_argument("--mu-B", dest="mu_B", default="0.5")
+    parser.add_argument("--omega", default="0.6")
+    parser.add_argument("--beta-max", default="5.0")
+    parser.add_argument("--points", default="101")
+    parser.add_argument("--steps", default="8192")
     parser.add_argument("--out", type=pathlib.Path, default=pathlib.Path("beta_sweep.csv"))
     args = parser.parse_args()
 
-    fixed = ModelParams(V=args.V, muB=args.mu_B, omega=args.omega, beta=0.0)
-    spec = SweepSpec(
-        axis="beta",
-        start=0.0,
-        stop=args.beta_max,
-        points=args.points,
-        fixed=fixed,
-        steps=args.steps,
-    )
-    table = run_sweep(spec)
-    rows = sweep_rows(spec.grid(), table)
-    args.out.write_text("\n".join(sweep_csv_lines("beta", rows)) + "\n")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([
+            "sweep", "--axis", "beta", "--start", "0", "--stop", args.beta_max,
+            "--points", args.points, "--V", args.V, "--mu-B", args.mu_B, "--omega", args.omega,
+            "--steps", args.steps,
+        ])
+    if code != cli.EXIT_OK:
+        return code
+    args.out.write_text(stdout.getvalue())
 
-    columns = dict(zip(SWEEP_COLUMNS, zip(*rows)))
-    diag = np.array([a for a in columns["diag_phase"] if a is not None])
-    off = [a for a in columns["offdiag_phase"] if a is not None]
-    refused = sum(error is not None for error in table.errors)
-    undefined = sum(None in row for row in rows) - refused
-    off_buckets = {
-        "0" if abs(np.angle(np.exp(1j * a))) < abs(np.angle(np.exp(1j * (a - math.pi)))) else "pi"
-        for a in off
-    }
+    rows = list(csv.DictReader(io.StringIO(stdout.getvalue())))
+    diag = [float(row["diag_phase"]) for row in rows if row["diag_phase"]]
+    off = [float(row["offdiag_phase"]) for row in rows if row["offdiag_phase"]]
+    failed = sum(not row["lambda1"] for row in rows)  # a refused or degenerate row keeps only beta
+    undefined = sum("" in row.values() for row in rows) - failed
     print(f"wrote {args.out} ({len(rows)} rows)")
-    print(f"off-diagonal phase values: {sorted(off_buckets)}")
-    if diag.size:
-        print(f"diagonal phase range: [{diag.min():.4f}, {diag.max():.4f}] rad")
-        print(f"diagonal phase total variation: {np.abs(np.diff(diag)).sum():.4f} rad")
-    print(f"rows with an undefined phase: {undefined}; refused or degenerate rows: {refused}")
+    print(f"off-diagonal phase values: {sorted({'0' if math.cos(a) > 0 else 'pi' for a in off})}")
+    if diag:
+        print(f"diagonal phase range: [{min(diag):.4f}, {max(diag):.4f}] rad")
+        variation = sum(abs(b - a) for a, b in zip(diag, diag[1:]))
+        print(f"diagonal phase total variation: {variation:.4f} rad")
+    print(f"rows with an undefined phase: {undefined}; refused or degenerate rows: {failed}")
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -22,6 +22,7 @@ import sys
 
 import numpy as np
 
+from .engine import MAX_STEPS
 from .errors import (
     DegenerateFrame,
     DegenerateSpectrum,
@@ -297,6 +298,8 @@ def _cmd_propagate(args, parser) -> int:
         parser.error("--t must be finite and >= 0")
     if args.steps < 2:  # t = 0 integrates nothing, so the kernel would not check
         raise ValueError(f"steps must be >= 2, got {args.steps}")
+    if args.steps > MAX_STEPS:
+        raise ValueError(f"steps must be <= {MAX_STEPS}, got {args.steps}")
     if t == 0.0:
         numeric = np.eye(2, dtype=complex)
     else:

@@ -49,6 +49,8 @@ WAVE_MEMBERS = 256
 #: A kernel call over B trajectories holds at most max(B, BLOCK_MEMBERS) x 64
 #: member-steps: a wave wider than that runs its 64-step blocks in sub-blocks.
 BLOCK_MEMBERS = 64
+#: Most steps a run may take: its ceil(steps / 512) segment lengths are listed.
+MAX_STEPS = 2**31
 
 
 @dataclass(frozen=True)
@@ -158,11 +160,13 @@ def integrate_sampled_family(
     Raises
     ------
     ValueError
-        If there are fewer than 2 steps, a final time is not positive and
-        finite or a generator sample is not finite.
+        If there are fewer than 2 steps or more than MAX_STEPS, a final
+        time is not positive and finite or a generator sample is not finite.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps must be <= {MAX_STEPS}, got {steps}")
     t_final = np.asarray(t_final, dtype=float)
     if not np.all(np.isfinite(t_final) & (t_final > 0.0)):
         raise ValueError("t_final must be positive and finite")

@@ -1,20 +1,17 @@
 """End-to-end evaluation of thermal-state geometric phases for the spin model.
 
-Single parameter points and parameter families share one code path: a family
-is carried in its array form (:class:`PointFamily`) from the sweep to the
-engine kernel, integrated in chunks of distinct trajectories, and the phase
-amplitudes of every point are assembled at once by :func:`phase_points`
-over the frozen t = 0 eigenbasis into one :class:`PhaseTable` of columns;
-sweeps, ``phases`` and verification all read that table.  A single point is
-a family of one, built by :func:`model_trace` and :func:`phase_point`.  No
-operation mixes points, so a point's values do not depend on the family it
-is evaluated in, and each point's outcome is one value: its trace or its
-table row, or the error that leaves it without them.
+A family of points is carried in its array form (:class:`PointFamily`) from
+the sweep to the engine kernel.  :func:`phase_points` cuts it into chunks of
+distinct trajectories and assembles the phase amplitudes of every point over
+the frozen t = 0 eigenbasis into one :class:`PhaseTable` of columns, which
+sweeps, ``phases`` and verification all read; a single point is a family of
+one.  No operation mixes points, so a point's values do not depend on the
+family it is evaluated in, and each point's outcome is one value: its trace
+or its table row, or the error that leaves it without them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -36,8 +33,8 @@ from .errors import SpinPhaseError, UnitarityLoss
 from .model import ModelParams, PointFamily, hamiltonian
 
 SWEEP_AXES = ("beta", "omega", "muB", "V")
-#: Distinct points integrated together.  Wide enough that per-step
-#: interpreter work is amortized, narrow enough that a chunk's working set
+#: Distinct trajectories in flight at once, over all threads.  Wide enough that
+#: per-step interpreter work is amortized, narrow enough that the working set
 #: stays a few MiB at any step count.
 CHUNK_POINTS = 512
 
@@ -52,16 +49,16 @@ def _usable_cpus() -> int:
 
 def _trajectories(
     family: PointFamily, t_final: float | Sequence[float] | None
-) -> tuple[np.ndarray, np.ndarray, list[list[list[int]]]]:
-    """Each point's final time, whether it is flagged, and the indices by trajectory, in chunks.
+) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """Each point's final time, whether it is flagged, and the indices of each trajectory.
 
     Points with equal (V, muB, omega, final time) differ only in beta, which
-    enters the thermal weights, not the evolution: they form one group and
-    share one trajectory.  A chunk holds at most CHUNK_POINTS groups.  An
+    enters the thermal weights, not the evolution: they form one group, in
+    order of first appearance, and share one trajectory.  A point is flagged
+    without an eigenbasis, or without a period when ``t_final`` is None.  An
     explicit final time must be positive and finite.  So must omega t, the
     phase H(t) is sampled at, at every point of an explicit time and at each
-    unflagged point of period tau.  :func:`model_traces` integrates no
-    flagged point.
+    unflagged point of period tau.
     """
     flagged = family.spectrum_degenerate | (t_final is None) & family.frame_degenerate
     if t_final is None:
@@ -82,17 +79,7 @@ def _trajectories(
     by_trajectory: dict[tuple, list[int]] = {}
     for i, key in enumerate(keys):
         by_trajectory.setdefault(key, []).append(i)
-    groups = list(by_trajectory.values())
-    return finals, flagged, [groups[lo : lo + CHUNK_POINTS] for lo in range(0, len(groups), CHUNK_POINTS)]
-
-
-def _thread_pool(workers: int):
-    """A pool of ``workers`` threads to split chunks over, or no pool (None) below 2."""
-    if workers < 2:
-        return contextlib.nullcontext()
-    from concurrent.futures import ThreadPoolExecutor  # only a split pays for the import
-
-    return ThreadPoolExecutor(workers)
+    return finals, flagged, list(by_trajectory.values())
 
 
 def model_traces(
@@ -106,51 +93,27 @@ def model_traces(
 
     ``t_final`` may be a scalar, one value per point, or None for each
     point's own rotating-frame period tau.  The dynamical-phase reference
-    basis is the t = 0 eigenbasis of each point.  Points that differ only in
-    beta share one trace: the first point of each trajectory group is
-    integrated and its trace handed to the rest.  The distinct trajectories
-    are integrated in chunks of at most CHUNK_POINTS, so the working memory
-    depends on neither the number of points nor ``steps``.  A chunk is cut
-    into max(1, min(usable CPUs, trajectories // BLOCK_MEMBERS)) contiguous,
-    near-equal parts.  Two or more parts are integrated on as many threads:
-    the kernel releases the GIL in its array operations, and each part holds
-    at least BLOCK_MEMBERS (64) trajectories, so its kernel calls hold at
-    most 64 member-steps per trajectory and the parts together no more than
-    one thread would.
-    One part is integrated on the calling thread, which starts no thread.
-    No operation mixes members, so the traces do not depend on the split.
-    Traces are in endpoint form unless ``full_grid`` asks for every step.
-    The one triage of degenerate points: a point without an eigenbasis, or
-    without a period when ``t_final`` is None, gets its
-    :meth:`PointFamily.degeneracy` and is not integrated; a point the
-    integrator refused, its UnitarityLoss.
+    basis is the t = 0 eigenbasis of each point.  The first point of each
+    trajectory group is integrated, all in one kernel call (:func:`phase_points`
+    bounds its width), and its trace handed to the rest.  Traces are in
+    endpoint form unless ``full_grid`` asks for every step.  A flagged point
+    gets its :meth:`PointFamily.degeneracy`; a point the integrator refused,
+    its UnitarityLoss.
     """
-    finals, flagged, chunks = _trajectories(family, t_final)
+    finals, flagged, groups = _trajectories(family, t_final)
     traces = [family.degeneracy(i) if bad else None for i, bad in enumerate(flagged)]
     # A group shares V, muB and omega, so its first point decides whether it is integrated.
-    chunks = [[group for group in groups if not flagged[group[0]]] for groups in chunks]
-    cpus = _usable_cpus()
-    counts = [max(1, min(cpus, len(groups) // BLOCK_MEMBERS)) for groups in chunks]
-    with _thread_pool(max(counts, default=0)) as pool:
-        for groups, count in zip(chunks, counts):
-            if not groups:
-                continue
-            firsts = [group[0] for group in groups]
-            points, t = family[firsts], finals[firsts]
-            bases = points.eigenbasis()
-
-            def integrate(part: slice) -> list[PropagatorTrace | UnitarityLoss]:
-                return integrate_sampled_family(
-                    partial(hamiltonian, points[part]), t[part], steps, bases[part],
-                    full_grid=full_grid,
-                )
-
-            bounds = [len(firsts) * k // count for k in range(count + 1)]
-            parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-            integrated = (pool.map if count > 1 else map)(integrate, parts)
-            for group, trace in zip(groups, (trace for part in integrated for trace in part)):
-                for i in group:
-                    traces[i] = trace
+    groups = [group for group in groups if not flagged[group[0]]]
+    if groups:
+        firsts = [group[0] for group in groups]
+        points = family[firsts]
+        integrated = integrate_sampled_family(
+            partial(hamiltonian, points), finals[firsts], steps, points.eigenbasis(),
+            full_grid=full_grid,
+        )
+        for group, trace in zip(groups, integrated):
+            for i in group:
+                traces[i] = trace
     return traces
 
 
@@ -212,34 +175,68 @@ class PhaseTable:
 def phase_points(family: PointFamily, steps: int = 8192, t_final: float | None = None) -> PhaseTable:
     """Evaluate the diagonal and off-diagonal phase amplitudes of every point of ``family``.
 
-    The one phase assembly: for the traces of all points at once it computes
-    U_par(T), the diagonal amplitude of each point's thermal state and the
-    off-diagonal trace of the thermal state with its weight-shifted
-    companion, whose weights are the reversed pair.  A point without a trace
-    from :func:`model_traces`, or without the period tau the table reports,
-    gets its error in place of its values.
+    The one phase assembly, and the one place a family is cut up.  A point
+    without an eigenbasis, or without the period tau the table reports, gets
+    its :meth:`PointFamily.degeneracy` and is never integrated.  The other
+    trajectories are cut into contiguous, near-equal chunks of at most
+    CHUNK_POINTS // workers, where workers = max(1, min(usable CPUs,
+    CHUNK_POINTS // BLOCK_MEMBERS, trajectories // BLOCK_MEMBERS)) threads
+    run them (the kernel releases the GIL); one worker is the calling thread.
+    For the traces of a chunk at once, the assembly computes U_par(T), the
+    diagonal amplitude of each thermal state and the off-diagonal trace of
+    the thermal state with its weight-shifted companion (reversed weights);
+    a refused point gets its UnitarityLoss.  No operation mixes points, so
+    the table does not depend on the cut.  No chunk after one that raises
+    starts, so the error is the serial run's.
     """
-    outcomes = model_traces(family, steps, t_final)
-    for i in np.flatnonzero(family.frame_degenerate):
-        outcomes[i] = family.degeneracy(i)
-    traced = np.array([isinstance(trace, PropagatorTrace) for trace in outcomes], dtype=bool)
-    table = PhaseTable.unfilled(len(outcomes))
-    table.fill(~traced, errors=[error for error, ok in zip(outcomes, traced) if not ok])
-    if not traced.any():
+    _, flagged, groups = _trajectories(family, t_final)
+    flagged |= family.frame_degenerate
+    table = PhaseTable.unfilled(len(family.V))
+    table.fill(flagged, errors=[family.degeneracy(i) for i in np.flatnonzero(flagged)])
+    groups = [group for group in groups if not flagged[group[0]]]
+    if not groups:
         return table
-    traces = [trace for trace, ok in zip(outcomes, traced) if ok]
-    weights = family.weights[traced]
-    u_final = np.stack([tr.U[-1] for tr in traces])
-    delta = np.stack([tr.delta[-1] for tr in traces])
-    basis = np.stack([tr.basis for tr in traces])
-    u_par = parallel_transported(u_final, delta, basis)
-    table.fill(
-        traced, t_final=[tr.grid[-1] for tr in traces], tau=family.tau[traced],
-        omega_eff=family.omega_eff[traced], weights=weights, delta=delta,
-        diag_raw=diagonal_phase_argument(u_final, delta, basis, weights),
-        offdiag_raw=offdiagonal_trace(u_par, basis[:, np.newaxis], shift_ensembles(weights)),
-        u_final=u_final, u_par=u_par, basis=basis,
-    )
+    n = len(groups)
+    workers = max(1, min(_usable_cpus(), CHUNK_POINTS // BLOCK_MEMBERS, n // BLOCK_MEMBERS))
+    count = max(workers, -(-n // (CHUNK_POINTS // workers)))
+    bounds = [n * k // count for k in range(count + 1)]
+    failed: list[int] = []  # the chunks that raised
+
+    def assemble(k: int) -> None:
+        if any(j < k for j in failed):
+            return  # an earlier chunk's error ends the run
+        try:
+            rows = np.array([i for group in groups[bounds[k] : bounds[k + 1]] for i in group])
+            outcomes = model_traces(family[rows], steps, t_final)
+        except Exception:
+            failed.append(k)
+            raise
+        traced = np.array([isinstance(trace, PropagatorTrace) for trace in outcomes], dtype=bool)
+        table.fill(rows[~traced], errors=[error for error, ok in zip(outcomes, traced) if not ok])
+        traces = [trace for trace, ok in zip(outcomes, traced) if ok]
+        if not traces:
+            return
+        rows = rows[traced]
+        weights = family.weights[rows]
+        u_final = np.stack([tr.U[-1] for tr in traces])
+        delta = np.stack([tr.delta[-1] for tr in traces])
+        basis = np.stack([tr.basis for tr in traces])
+        u_par = parallel_transported(u_final, delta, basis)
+        table.fill(
+            rows, t_final=[tr.grid[-1] for tr in traces], tau=family.tau[rows],
+            omega_eff=family.omega_eff[rows], weights=weights, delta=delta,
+            diag_raw=diagonal_phase_argument(u_final, delta, basis, weights),
+            offdiag_raw=offdiagonal_trace(u_par, basis[:, np.newaxis], shift_ensembles(weights)),
+            u_final=u_final, u_par=u_par, basis=basis,
+        )
+
+    if workers == 1:
+        list(map(assemble, range(count)))
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only a split pays for the import
+
+        with ThreadPoolExecutor(workers) as pool:  # map raises in chunk order, as serially
+            list(pool.map(assemble, range(count)))
     return table
 
 
@@ -291,20 +288,14 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> PhaseTable:
-    """Evaluate a sweep; the table's rows are in axis order.
+    """Evaluate a sweep with :func:`phase_points`; the table's rows are in axis order.
 
     A point that :func:`phase_points` gives an error keeps it in its row.  If
     every point has one, the refusal naming the most steps is raised (the
     first if none names a count), or, with no refusal, the first point's
-    error.  Points are evaluated one chunk of trajectories at a time, and
-    each chunk's rows are written into the sweep's table by point index, so
-    only the table outlives a chunk.
+    error.
     """
-    family = spec.family()
-    table = PhaseTable.unfilled(spec.points)
-    for groups in _trajectories(family, spec.t_final)[2]:
-        members = [i for group in groups for i in group]
-        table.fill(members, **vars(phase_points(family[members], spec.steps, spec.t_final)))
+    table = phase_points(spec.family(), spec.steps, spec.t_final)
     if all(error is not None for error in table.errors):
         refusals = [error for error in table.errors if isinstance(error, UnitarityLoss)]
         raise max(refusals, key=lambda refusal: refusal.steps_needed or 0.0) if refusals else table.errors[0]

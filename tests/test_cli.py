@@ -328,7 +328,8 @@ SWEEP_FLAGS = ["sweep", "--axis", "beta", "--start", "0", "--stop", "1", "--poin
 
 
 class TestInvalidSteps:
-    @pytest.mark.parametrize("steps", ["0", "-4", "1", "-1"])
+    # A count above 2**31 would ask for a list of ceil(steps / 512) segment lengths.
+    @pytest.mark.parametrize("steps", ["0", "-4", "1", "-1", "100000000000000000000"])
     @pytest.mark.parametrize(
         "argv, least",
         [
@@ -347,7 +348,8 @@ class TestInvalidSteps:
         code, out, err = run_strictly(capsys, *argv, "--steps", steps)
         assert code == 2
         assert out == ""
-        assert err == f"error: steps must be >= {least}, got {steps}\n"
+        bound = f">= {least}" if int(steps) < least else f"<= {2**31}"
+        assert err == f"error: steps must be {bound}, got {steps}\n"
 
     def test_jobs_below_one_exits_2(self, capsys):
         code, out, err = run_cli(capsys, *SWEEP_FLAGS, "--steps", "256", "--jobs", "0")

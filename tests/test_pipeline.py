@@ -106,11 +106,9 @@ class TestStreaming:
     def test_family_wider_than_a_chunk_matches_single_points(self):
         n = CHUNK_POINTS + 3
         pts = [ModelParams(V=1.0, muB=0.5, omega=0.1 + 1.9 * i / n, beta=1.0) for i in range(n)]
-        family = model_traces(PointFamily.of(pts), 64)
-        for p, member in zip(pts, family):
-            alone = model_trace(p, 64)
-            assert member.U.tobytes() == alone.U.tobytes()
-            assert member.delta.tobytes() == alone.delta.tobytes()
+        table = phase_points(PointFamily.of(pts), 64)
+        for i, p in enumerate(pts):
+            assert_same_row(table, i, phase_point(p, 64))
 
 
 class TestMemory:

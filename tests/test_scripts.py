@@ -53,6 +53,18 @@ def test_temperature_sweep_buckets_only_defined_phases(tmp_path):
     assert lines[-1] == "rows with an undefined phase: 2; refused or degenerate rows: 0"
 
 
+def test_temperature_sweep_exits_with_the_cli_code(tmp_path):
+    # beta does not move omega = V, so every point of the sweep lacks a period.
+    out = tmp_path / "beta_sweep.csv"
+    result = run_script(
+        "temperature_sweep.py", "--V", "1", "--mu-B", "0", "--omega", "1", "--points", "3",
+        "--steps", "64", "--out", str(out),
+    )
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == "error: effective frequency 0.000e+00 <= 1e-12; no period\n"
+    assert not out.exists()
+
+
 def test_verify_closed_forms():
     result = run_script("verify_closed_forms.py", "--grid", "2", "--steps", "1024")
     assert result.returncode == 0, result.stderr
@@ -62,3 +74,9 @@ def test_verify_closed_forms():
     assert [row[0] for row in rows] == list(EQUATION_IDS)
     assert all(row[1] in CLASSIFICATIONS for row in rows)
     assert dict(row[:2] for row in rows)["propagator_Eq14_ode"] == "match"
+
+
+def test_verify_closed_forms_exits_with_the_cli_code():
+    result = run_script("verify_closed_forms.py", "--grid", "0")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.endswith("spinphase verify: error: --grid must be >= 1\n")

@@ -1,7 +1,8 @@
 """A wide chunk split across threads gives the serial run's rows, warnings and exit, byte for byte.
 
 Most cases force the number of usable CPUs and compare the command with
-the same command on one CPU, where no thread is started.
+the same command on one CPU, where no thread is started.  The kernel's
+widths also show which points reach it at all.
 """
 
 import os
@@ -19,9 +20,9 @@ import spinphase
 from spinphase import pipeline
 
 #: 513 omega values across V = 1 with no coupling: omega = 1 has no period, and
-#: the points near it, whose periods are long, are refused at 64 steps.  The first
-#: chunk's 511 other trajectories split at omega = 0.99609375 on two CPUs; the
-#: last point, omega = 2, is a chunk of its own.
+#: the points near it, whose periods are long, are refused at 64 steps.  The 512
+#: other trajectories make one chunk on one CPU; on two CPUs the first chunk ends
+#: at omega = 0.99609375 and the second starts at omega = 1.00390625.
 RESONANCE = ["sweep", "--axis", "omega", "--start", "0", "--stop", "2", "--points", "513",
              "--V", "1", "--mu-B", "0", "--steps", "64"]
 #: 257 regular omega values: on two CPUs the first 128, up to omega = 1.04, make one
@@ -47,17 +48,36 @@ def run_on(capsys, monkeypatch, cpus, *argv):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("cpus, widths", [(2, [1, 255, 256]), (4, [1, 127, 128, 128, 128])])
+@pytest.mark.parametrize("cpus, widths", [(2, [256, 256]), (4, [128] * 4)])
 def test_refused_and_degenerate_points_keep_their_rows(capsys, monkeypatch, cpus, widths):
     serial, serial_widths = run_on(capsys, monkeypatch, 1, *RESONANCE)
     split, split_widths = run_on(capsys, monkeypatch, cpus, *RESONANCE)
-    assert (serial_widths, split_widths) == ([1, 511], widths)
+    assert (serial_widths, split_widths) == ([512], widths)
     assert split == serial
     code, _, err = split
     assert code == 0
     assert "warning: degenerate point at omega = 1 (DegenerateFrame" in err
-    for omega in ("0.9921875", "0.99609375"):  # the last point of part 0, the first of part 1
+    for omega in ("0.99609375", "1.00390625"):  # the last point of chunk 0, the first of chunk 1
         assert f"warning: refused point at omega = {omega} (UnitarityLoss" in err
+
+
+def test_a_degenerate_point_at_an_explicit_time_is_not_integrated(capsys, monkeypatch):
+    # At V = 1 without coupling, omega = 1 has no period, whatever the final time.
+    degenerate = ["--V", "1", "--mu-B", "0", "--t", "2"]
+    (code, out, err), widths = run_on(capsys, monkeypatch, 1, "phases", *degenerate,
+                                      "--omega", "1", "--steps", "256")
+    assert (code, out, widths) == (3, "", [])
+    assert err == "error: effective frequency 0.000e+00 <= 1e-12; no period\n"
+
+    sweep = ["sweep", "--axis", "omega", "--start", "0.5", "--stop", "1.5", *degenerate,
+             "--steps", "64"]
+    (code, out, err), widths = run_on(capsys, monkeypatch, 1, *sweep, "--points", "3")
+    assert (code, widths) == (0, [2])
+    assert err == ("warning: degenerate point at omega = 1 (DegenerateFrame: effective "
+                   "frequency 0.000e+00 <= 1e-12; no period); fields left empty\n")
+    (_, regular, _), _ = run_on(capsys, monkeypatch, 1, *sweep, "--points", "2")
+    regular = regular.splitlines()
+    assert out.splitlines() == [regular[0], regular[1], "omega,1" + "," * 8, regular[2]]
 
 
 def test_a_worker_error_exits_2_with_the_serial_message(capsys, monkeypatch):
@@ -95,13 +115,39 @@ def test_a_worker_error_exits_2_with_the_serial_message(capsys, monkeypatch):
 
 
 def test_a_chunk_of_fewer_than_two_waves_still_splits(capsys, monkeypatch):
-    # 2000 points: chunks of 512, 512, 512 and 464 trajectories, each cut in two.
+    # 2000 points: four chunks of 500 trajectories on one CPU, eight of 250 on two.
     argv = [*WIDE[:8], "2000", *WIDE[9:]]
     serial, serial_widths = run_on(capsys, monkeypatch, 1, *argv)
     split, split_widths = run_on(capsys, monkeypatch, 2, *argv)
-    assert (serial_widths, split_widths) == ([464, 512, 512, 512], [232, 232] + [256] * 6)
+    assert (serial_widths, split_widths) == ([500] * 4, [250] * 8)
     assert split == serial
     assert serial[0] == 0
+
+
+def test_no_chunk_starts_after_one_raises(capsys, monkeypatch):
+    # 2000 points on two CPUs make eight chunks of 250 trajectories.  Chunks 0
+    # and 1 start side by side; chunk 1 raises first, then chunk 0.  Each thread
+    # records its chunk's error before it takes the next chunk, so no later
+    # chunk starts, and the error is chunk 0's, as on one CPU.
+    argv = [*WIDE[:8], "2000", *WIDE[9:]]
+
+    def run(cpus):
+        started, both, later = [], threading.Barrier(cpus, timeout=60), threading.Event()
+
+        def failing(family, *args, **kwargs):
+            started.append(family.omega[0])
+            both.wait()
+            if family.omega[0] != 0.1:
+                later.set()
+                raise ValueError("chunk 1 failed")
+            later.wait(60 if cpus > 1 else 0)
+            raise ValueError("chunk 0 failed")
+
+        monkeypatch.setattr(pipeline, "model_traces", failing)
+        return run_on(capsys, monkeypatch, cpus, *argv)[0], len(started)
+
+    assert run(1) == ((2, "", "error: chunk 0 failed\n"), 1)
+    assert run(2) == ((2, "", "error: chunk 0 failed\n"), 2)
 
 
 @pytest.mark.parametrize(
