@@ -7,7 +7,9 @@ off-diagonal phase stays quantized at 0 or pi across the whole sweep while
 the diagonal phase moves continuously.  Only defined phases are summarized;
 the last line counts the rows with an undefined phase and the rows refused
 or degenerate.  The sweep's warnings and errors are the CLI's; a sweep that
-ends in an error writes no CSV and exits with the CLI's code.
+ends in an error writes no CSV and exits with the CLI's code.  A bad
+``--V``, ``--mu-B``, ``--omega``, ``--beta-max`` or ``--points`` is a usage
+error of this script (exit 2).
 """
 
 import argparse
@@ -18,7 +20,7 @@ import math
 import pathlib
 import sys
 
-from spinphase import cli
+from spinphase import ModelParams, cli
 
 
 def main() -> int:
@@ -31,6 +33,17 @@ def main() -> int:
     parser.add_argument("--steps", default="8192")
     parser.add_argument("--out", type=pathlib.Path, default=pathlib.Path("beta_sweep.csv"))
     args = parser.parse_args()
+    # Checked here, so a bad flag is named under this script's usage line; the CLI
+    # still gets the flags' own strings.
+    try:
+        ModelParams(V=float(args.V), muB=float(args.mu_B), omega=float(args.omega))
+        beta_max, points = float(args.beta_max), int(args.points)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if not (math.isfinite(beta_max) and beta_max > 0.0):
+        parser.error(f"--beta-max must be finite and > 0, got {args.beta_max}")
+    if points < 2:
+        parser.error(f"--points must be >= 2, got {args.points}")
 
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):

@@ -34,8 +34,7 @@ def main() -> int:
                              "--steps", str(steps), "--format", "json"])
         if code != cli.EXIT_OK:
             return code
-        doc = json.loads(stdout.getvalue())
-        for report in doc.get("reports", [doc]):  # a grid of one prints its report alone
+        for report in json.loads(stdout.getvalue())["reports"]:
             for item in report["items"]:
                 residuals[item["equation_id"]].append(item["residual"])
                 previous = classifications.setdefault(item["equation_id"], item["classification"])

@@ -29,7 +29,6 @@ from .model import (
     ReferenceForms,
     closed_form_propagator,
     hamiltonian,
-    period_tau,
     reference_closed_forms,
 )
 from .pipeline import (

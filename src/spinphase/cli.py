@@ -22,7 +22,6 @@ import sys
 
 import numpy as np
 
-from .engine import MAX_STEPS
 from .errors import (
     DegenerateFrame,
     DegenerateSpectrum,
@@ -31,8 +30,8 @@ from .errors import (
     UnitarityLoss,
 )
 from .linalg import PhaseFactor, phase_functional
-from .model import Convention, ModelParams, closed_form_propagator, period_tau
-from .pipeline import SWEEP_AXES, PhaseTable, SweepSpec, model_trace, phase_point, run_sweep
+from .model import Convention, ModelParams, PointFamily, closed_form_propagator
+from .pipeline import SWEEP_AXES, PhaseTable, SweepSpec, model_trace, model_traces, phase_point, run_sweep
 from .verify import (
     random_generic_params,
     report_table,
@@ -171,8 +170,7 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
-def _cmd_phases(args, parser) -> int:
-    params = _params_from(args, parser)
+def _cmd_phases(args, params) -> int:
     table = phase_point(params, steps=args.steps, t_final=args.t)
     phases = {
         "diag": ("diagonal", _phase_or_none(table.diag_raw[0])),
@@ -217,8 +215,7 @@ def _cmd_phases(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args, parser) -> int:
-    params = _params_from(args, parser)
+def _cmd_sweep(args, params) -> int:
     try:
         spec = SweepSpec(
             axis=args.axis,
@@ -230,7 +227,7 @@ def _cmd_sweep(args, parser) -> int:
             t_final=args.t,
         )
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
     table = run_sweep(spec)
@@ -258,22 +255,19 @@ def _cmd_sweep(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, parser) -> int:
-    params = _params_from(args, parser)
+def _cmd_verify(args, params) -> int:
     if args.seed < 0:
-        parser.error("--seed must be >= 0")
+        args.parser.error("--seed must be >= 0")
     if args.grid is not None:
         if args.grid < 1:
-            parser.error("--grid must be >= 1")
+            args.parser.error("--grid must be >= 1")
         grid = random_generic_params(args.grid, seed=args.seed)
         reports = verify_grid(grid, steps=args.steps)
     else:
         reports = [verify_point(params, steps=args.steps)]
-    if args.format == "json":
-        if len(reports) == 1:
-            print(json.dumps(report_to_dict(reports[0])))
-        else:
-            print(json.dumps({"reports": [report_to_dict(r) for r in reports]}))
+    if args.format == "json":  # a grid, of any size, prints a list; one point its report alone
+        docs = [report_to_dict(report) for report in reports]
+        print(json.dumps(docs[0] if args.grid is None else {"reports": docs}))
         return EXIT_OK
     blocks = []
     for report in reports:
@@ -291,19 +285,17 @@ def _matrix_lines(name: str, m) -> list[str]:
     ]
 
 
-def _cmd_propagate(args, parser) -> int:
-    params = _params_from(args, parser)
-    t = args.t if args.t is not None else period_tau(params)
-    if not (math.isfinite(t) and t >= 0):
-        parser.error("--t must be finite and >= 0")
-    if args.steps < 2:  # t = 0 integrates nothing, so the kernel would not check
-        raise ValueError(f"steps must be >= 2, got {args.steps}")
-    if args.steps > MAX_STEPS:
-        raise ValueError(f"steps must be <= {MAX_STEPS}, got {args.steps}")
+def _cmd_propagate(args, params) -> int:
+    t = args.t
+    if t is not None and not (math.isfinite(t) and t >= 0):
+        args.parser.error("--t must be finite and >= 0")
     if t == 0.0:
+        model_traces(PointFamily.of([]), args.steps)  # no point: the kernel checks the count alone
         numeric = np.eye(2, dtype=complex)
     else:
         numeric = model_trace(params, steps=args.steps, t_final=t).U[-1]
+    if t is None:
+        t = float(PointFamily.of([params]).tau[0])  # the period model_trace integrated to
     ode = closed_form_propagator(params, t, Convention.ODE)
     literal = closed_form_propagator(params, t, Convention.LITERAL)
     lines = [f"t = {t:.12g}", f"steps = {args.steps}"]
@@ -328,8 +320,9 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
         "propagate": _cmd_propagate,
     }
+    params = _params_from(args, args.parser)
     try:
-        return handlers[args.command](args, args.parser)
+        return handlers[args.command](args, params)
     except tuple(EXIT_CODES) as exc:
         hint = "; increase --steps" if isinstance(exc, UnitarityLoss) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)

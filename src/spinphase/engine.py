@@ -145,9 +145,10 @@ def integrate_sampled_family(
     The traces are in endpoint form, the last segment's last row alone,
     unless ``full_grid`` asks for every step.  The segments of even length
     pair their Simpson panels as one composite rule over the whole grid
-    would.  Memory does not grow with ``steps``.  No operation mixes members, and the segment
-    layout does not depend on the batch, so a member's result does not
-    depend on the batch it is integrated in.
+    would.  Memory does not grow with ``steps``.  A family of no members is
+    checked like any other and gets no traces.  No operation mixes members,
+    and the segment layout does not depend on the batch, so a member's
+    result does not depend on the batch it is integrated in.
 
     A member is refused if any of its segments is.  A segment is refused if
     its dt |H| exceeds RK4's stability bound 2 sqrt(2), or its drift at a
@@ -172,6 +173,8 @@ def integrate_sampled_family(
         raise ValueError("t_final must be positive and finite")
     dt = t_final / steps
     b = dt.shape[0]
+    if b == 0:  # a family with nothing to integrate still had its step count checked
+        return []
     lengths = _segment_lengths(steps)
     origins = 2 * np.cumsum([0] + lengths[:-1])  # each segment's first half-step index
     ratio = np.zeros(b)  # each member's largest step ratio over all its segments

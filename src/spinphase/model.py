@@ -222,20 +222,6 @@ def hamiltonian(p: PointFamily, times: np.ndarray) -> np.ndarray:
     return out.transpose(3, 2, 0, 1)
 
 
-def period_tau(p: ModelParams) -> float:
-    """Rotating-frame return period tau = 2 pi / Omega.
-
-    Raises
-    ------
-    DegenerateFrame
-        If Omega <= 1e-12 (resonant drive with vanishing coupling).
-    """
-    family = PointFamily.of([p])
-    if family.frame_degenerate[0]:
-        raise family.degeneracy(0)
-    return float(family.tau[0])
-
-
 def closed_form_propagator(
     p: ModelParams, t: float, convention: Convention = Convention.ODE
 ) -> np.ndarray:

@@ -95,25 +95,25 @@ def model_traces(
     point's own rotating-frame period tau.  The dynamical-phase reference
     basis is the t = 0 eigenbasis of each point.  The first point of each
     trajectory group is integrated, all in one kernel call (:func:`phase_points`
-    bounds its width), and its trace handed to the rest.  Traces are in
-    endpoint form unless ``full_grid`` asks for every step.  A flagged point
-    gets its :meth:`PointFamily.degeneracy`; a point the integrator refused,
-    its UnitarityLoss.
+    bounds its width), and its trace handed to the rest.  The call is made
+    with no member too, so the kernel checks ``steps`` for every run.  Traces
+    are in endpoint form unless ``full_grid`` asks for every step.  A flagged
+    point gets its :meth:`PointFamily.degeneracy`; a point the integrator
+    refused, its UnitarityLoss.
     """
     finals, flagged, groups = _trajectories(family, t_final)
     traces = [family.degeneracy(i) if bad else None for i, bad in enumerate(flagged)]
     # A group shares V, muB and omega, so its first point decides whether it is integrated.
     groups = [group for group in groups if not flagged[group[0]]]
-    if groups:
-        firsts = [group[0] for group in groups]
-        points = family[firsts]
-        integrated = integrate_sampled_family(
-            partial(hamiltonian, points), finals[firsts], steps, points.eigenbasis(),
-            full_grid=full_grid,
-        )
-        for group, trace in zip(groups, integrated):
-            for i in group:
-                traces[i] = trace
+    firsts = [group[0] for group in groups]
+    points = family[firsts]
+    integrated = integrate_sampled_family(
+        partial(hamiltonian, points), finals[firsts], steps, points.eigenbasis(),
+        full_grid=full_grid,
+    )
+    for group, trace in zip(groups, integrated):
+        for i in group:
+            traces[i] = trace
     return traces
 
 
@@ -182,20 +182,19 @@ def phase_points(family: PointFamily, steps: int = 8192, t_final: float | None =
     CHUNK_POINTS // workers, where workers = max(1, min(usable CPUs,
     CHUNK_POINTS // BLOCK_MEMBERS, trajectories // BLOCK_MEMBERS)) threads
     run them (the kernel releases the GIL); one worker is the calling thread.
-    For the traces of a chunk at once, the assembly computes U_par(T), the
-    diagonal amplitude of each thermal state and the off-diagonal trace of
-    the thermal state with its weight-shifted companion (reversed weights);
-    a refused point gets its UnitarityLoss.  No operation mixes points, so
-    the table does not depend on the cut.  No chunk after one that raises
-    starts, so the error is the serial run's.
+    With no trajectory left, one empty chunk still has the kernel check
+    ``steps``.  For the traces of a chunk at once, the assembly computes
+    U_par(T), the diagonal amplitude of each thermal state and the
+    off-diagonal trace of the thermal state with its weight-shifted companion
+    (reversed weights); a refused point gets its UnitarityLoss.  No
+    operation mixes points, so the table does not depend on the cut.  No
+    chunk after one that raises starts, so the error is the serial run's.
     """
     _, flagged, groups = _trajectories(family, t_final)
     flagged |= family.frame_degenerate
     table = PhaseTable.unfilled(len(family.V))
     table.fill(flagged, errors=[family.degeneracy(i) for i in np.flatnonzero(flagged)])
     groups = [group for group in groups if not flagged[group[0]]]
-    if not groups:
-        return table
     n = len(groups)
     workers = max(1, min(_usable_cpus(), CHUNK_POINTS // BLOCK_MEMBERS, n // BLOCK_MEMBERS))
     count = max(workers, -(-n // (CHUNK_POINTS // workers)))
@@ -206,7 +205,7 @@ def phase_points(family: PointFamily, steps: int = 8192, t_final: float | None =
         if any(j < k for j in failed):
             return  # an earlier chunk's error ends the run
         try:
-            rows = np.array([i for group in groups[bounds[k] : bounds[k + 1]] for i in group])
+            rows = np.array([i for group in groups[bounds[k] : bounds[k + 1]] for i in group], dtype=int)
             outcomes = model_traces(family[rows], steps, t_final)
         except Exception:
             failed.append(k)

@@ -41,6 +41,8 @@ CASES = {
     "propagate": ["propagate", "--steps", "256"],
     "verify-grid-table": ["verify", "--grid", "5", "--steps", "1024"],
     "verify-grid-json": ["verify", "--grid", "5", "--steps", "1024", "--format", "json"],
+    # Any --grid prints {"reports": [...]}, also a grid of one.
+    "verify-grid-one-json": ["verify", "--grid", "1", "--steps", "1024", "--format", "json"],
     **{
         f"sweep-{axis}-{form}": ["sweep", "--axis", axis, "--start", start, "--stop", stop,
                                  "--points", "33", "--steps", "64", "--format", form]
@@ -63,6 +65,11 @@ CASES = {
                              "--points", "2", "--mu-B", "0", "--steps", "256"],
     "phases-degenerate-frame": ["phases", "--V", "1", "--mu-B", "0", "--omega", "1",
                                 "--steps", "64"],
+    # The step count is checked before the point is triaged.
+    "phases-degenerate-bad-steps": ["phases", "--V", "1", "--mu-B", "0", "--omega", "1",
+                                    "--steps", "1"],
+    "propagate-degenerate-frame": ["propagate", "--V", "1", "--mu-B", "0", "--omega", "1",
+                                   "--steps", "64"],
     "verify-degenerate-frame": ["verify", "--V", "1", "--mu-B", "0", "--omega", "1",
                                 "--steps", "1024"],
     "phases-undefined": ["phases", "--V", "1e306", "--mu-B", "1", "--steps", "64"],

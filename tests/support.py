@@ -14,7 +14,6 @@ from spinphase.model import (
     PointFamily,
     closed_form_propagator,
     hamiltonian,
-    period_tau,
     reference_closed_forms,
 )
 
@@ -112,6 +111,14 @@ def point_hamiltonian(p, times):
     times = np.asarray(times, dtype=float)
     samples = hamiltonian(PointFamily.of([p]), times.reshape(1, -1))[0]
     return samples.reshape(times.shape + (2, 2))
+
+
+def period_tau(p):
+    """Rotating-frame return period tau = 2 pi / Omega of one ModelParams.  Raises DegenerateFrame."""
+    family = PointFamily.of([p])
+    if family.frame_degenerate[0]:
+        raise family.degeneracy(0)
+    return float(family.tau[0])
 
 
 def integrate_propagator(h_of_t, t_final, steps, basis=None):

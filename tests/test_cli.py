@@ -341,8 +341,15 @@ class TestInvalidSteps:
             # t = 0 integrates nothing, and still checks the step count.
             (["propagate", *FLAGSHIP_FLAGS, "--t", "0"], 2),
             (["verify", *FLAGSHIP_FLAGS], 1024),
+            # Runs with nothing to integrate: the count is checked before any point's
+            # degeneracy is reported, so they exit 2, not 3.
+            (["phases", "--V", "1", "--mu-B", "0", "--omega", "1"], 2),
+            (["sweep", "--axis", "V", "--start", "0", "--stop", "1e-13", "--points", "2",
+              "--mu-B", "0"], 2),
+            (["propagate", "--V", "1", "--mu-B", "0", "--omega", "1"], 2),
         ],
-        ids=["phases", "phases-json", "sweep", "sweep-json", "propagate", "propagate-t0", "verify"],
+        ids=["phases", "phases-json", "sweep", "sweep-json", "propagate", "propagate-t0", "verify",
+             "phases-no-period", "sweep-no-eigenbasis", "propagate-no-period"],
     )
     def test_exits_2_without_output(self, capsys, argv, least, steps):
         code, out, err = run_strictly(capsys, *argv, "--steps", steps)

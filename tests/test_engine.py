@@ -18,6 +18,7 @@ from support import (
     offdiagonal_trace,
     parallel_transport_residual,
     parallel_transported,
+    period_tau,
     piecewise_constant_h,
     point_hamiltonian,
     random_hermitian,
@@ -38,7 +39,6 @@ from spinphase.model import (
     PointFamily,
     closed_form_propagator,
     hamiltonian,
-    period_tau,
 )
 from spinphase.pipeline import model_trace, model_traces
 from spinphase.verify import random_generic_params

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import point_hamiltonian
+from support import period_tau, point_hamiltonian
 
 from spinphase.errors import DegenerateFrame, DegenerateSpectrum
 from spinphase.linalg import unitarity_defect
@@ -17,7 +17,6 @@ from spinphase.model import (
     PointFamily,
     closed_form_propagator,
     hamiltonian,
-    period_tau,
     reference_closed_forms,
 )
 

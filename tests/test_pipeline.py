@@ -5,13 +5,19 @@ import warnings
 import numpy as np
 import pytest
 
-from support import Ensemble, diagonal_phase_argument, offdiagonal_trace, shift_ensembles
+from support import (
+    Ensemble,
+    diagonal_phase_argument,
+    offdiagonal_trace,
+    period_tau,
+    shift_ensembles,
+)
 
 from spinphase import pipeline
 from spinphase.engine import PropagatorTrace, parallel_transported
 from spinphase.errors import DegenerateFrame, UndefinedPhase, UnitarityLoss
 from spinphase.linalg import phase_functional
-from spinphase.model import ModelParams, PointFamily, period_tau
+from spinphase.model import ModelParams, PointFamily
 from spinphase.pipeline import (
     CHUNK_POINTS,
     SweepSpec,

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import spinphase
 from spinphase.verify import CLASSIFICATIONS, EQUATION_IDS
 
@@ -65,6 +67,26 @@ def test_temperature_sweep_exits_with_the_cli_code(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--beta-max", "-1", "--points", "3"], "--beta-max must be finite and > 0, got -1"),
+        (["--beta-max", "inf", "--points", "3"], "--beta-max must be finite and > 0, got inf"),
+        (["--points", "1"], "--points must be >= 2, got 1"),
+        (["--mu-B", "-1", "--points", "3"], "muB must be >= 0, got -1.0"),
+    ],
+    ids=["negative-beta-max", "infinite-beta-max", "one-point", "negative-coupling"],
+)
+def test_temperature_sweep_checks_its_own_flags(tmp_path, argv, message):
+    # Reported under the script's usage line, not as flags of `spinphase sweep`.
+    out = tmp_path / "beta_sweep.csv"
+    result = run_script("temperature_sweep.py", *argv, "--steps", "64", "--out", str(out))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("usage: temperature_sweep.py ")
+    assert result.stderr.endswith(f"temperature_sweep.py: error: {message}\n")
+    assert not out.exists()
+
+
 def test_verify_closed_forms():
     result = run_script("verify_closed_forms.py", "--grid", "2", "--steps", "1024")
     assert result.returncode == 0, result.stderr
@@ -80,3 +102,10 @@ def test_verify_closed_forms_exits_with_the_cli_code():
     result = run_script("verify_closed_forms.py", "--grid", "0")
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.endswith("spinphase verify: error: --grid must be >= 1\n")
+
+
+def test_verify_closed_forms_reads_a_grid_of_one():
+    # `verify --grid 1 --format json` prints {"reports": [...]}, as every grid does.
+    result = run_script("verify_closed_forms.py", "--grid", "1", "--steps", "1024")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "1 generic points, seed 7, steps 1024 and 2048"
