@@ -158,9 +158,12 @@ class PointFamily:
         lambda1 = e^{-2 beta E1} / (1 + e^{-2 beta E1}) is e^{-beta E1} / Z
         with the largest exponent subtracted; lambda2 is its complement.
         Past the float range, -2 beta E1 is -inf and lambda1 is exactly 0.
+        The exponential is libm's, point by point: numpy's SIMD ``exp`` rounds
+        differently on CPUs with and without AVX-512.
         """
         with np.errstate(over="ignore"):
-            w = np.exp(-2.0 * self.beta * self.gap[0])
+            exponents = -2.0 * self.beta * self.gap[0]
+        w = np.fromiter(map(math.exp, exponents.tolist()), float, exponents.size)
         lam1 = w / (1.0 + w)
         return np.stack([lam1, 1.0 - lam1], axis=1)
 

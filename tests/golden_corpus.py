@@ -9,8 +9,12 @@ rewrites the corpus from the repository root with
     PYTHONPATH=src python tests/golden_corpus.py
 
 and lists each changed file.  The stored environment names the Python and
-numpy versions that wrote the corpus: another numpy, or another CPU's SIMD
-path, may differ in the last of 17 significant digits.
+numpy versions that wrote the corpus and the highest SIMD dispatch target
+numpy used on its CPU.  The bytes hold on x86-64 at every numpy dispatch
+level from X86_V3 (AVX2 with FMA3) up, which ``tests/test_simd.py`` checks
+on the levels the host has; below X86_V3, without FMA, complex products
+round differently.  aarch64 (NEON, SVE) is untested.  Another numpy may
+differ in the last of 17 significant digits.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+from numpy._core import _multiarray_umath as umath
 
 from spinphase.cli import main
 
@@ -87,8 +92,15 @@ CASES = {
 }
 
 
+def dispatch_targets() -> list[str]:
+    """numpy's SIMD dispatch targets that this process uses, lowest first."""
+    return [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+
+
 def environment() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    targets = dispatch_targets()
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "simd": targets[-1] if targets else "baseline"}
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
