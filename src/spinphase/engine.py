@@ -80,10 +80,6 @@ class PropagatorTrace:
     delta: np.ndarray
     basis: np.ndarray
 
-    @property
-    def t_final(self) -> float:
-        return float(self.grid[-1])
-
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over the two leading axes of stacks shaped (N, N, ...)."""

@@ -47,20 +47,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _trajectories(
-    family: PointFamily, t_final: float | Sequence[float] | None
-) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    """Each point's final time, whether it is flagged, and the indices of each trajectory.
+def _plan(
+    family: PointFamily, t_final: float | Sequence[float] | None, flagged: np.ndarray
+) -> tuple[np.ndarray, list[SpinPhaseError | None], list[list[int]]]:
+    """Each point's final time and error, and the indices of each trajectory to integrate.
 
-    Points with equal (V, muB, omega, final time) differ only in beta, which
-    enters the thermal weights, not the evolution: they form one group, in
-    order of first appearance, and share one trajectory.  A point is flagged
-    without an eigenbasis, or without a period when ``t_final`` is None.  An
-    explicit final time must be positive and finite.  So must omega t, the
-    phase H(t) is sampled at, at every point of an explicit time and at each
-    unflagged point of period tau.
+    A ``flagged`` point gets its :meth:`PointFamily.degeneracy`, any other
+    None.  Unflagged points with equal (V, muB, omega, final time) differ
+    only in beta, which enters the thermal weights, not the evolution: they
+    form one group, in order of first appearance, and share one trajectory.
+    ``t_final`` None is each point's period tau; an explicit final time must
+    be positive and finite.  So must omega t, the phase H(t) is sampled at,
+    at every point of an explicit time and at each unflagged point of tau.
     """
-    flagged = family.spectrum_degenerate | (t_final is None) & family.frame_degenerate
     if t_final is None:
         finals = family.tau
         checked = ~flagged
@@ -75,11 +74,12 @@ def _trajectories(
         i = overflow[0]
         raise ValueError(f"omega * t is not finite at omega = {family.omega[i]:.12g}, "
                          f"t = {finals[i]:.12g}")
-    keys = zip(family.V.tolist(), family.muB.tolist(), family.omega.tolist(), finals.tolist())
+    errors = [family.degeneracy(i) if bad else None for i, bad in enumerate(flagged.tolist())]
+    keys = np.stack([family.V, family.muB, family.omega, finals], axis=1).tolist()
     by_trajectory: dict[tuple, list[int]] = {}
-    for i, key in enumerate(keys):
-        by_trajectory.setdefault(key, []).append(i)
-    return finals, flagged, list(by_trajectory.values())
+    for i in np.flatnonzero(~flagged).tolist():
+        by_trajectory.setdefault(tuple(keys[i]), []).append(i)
+    return finals, errors, list(by_trajectory.values())
 
 
 def model_traces(
@@ -97,14 +97,13 @@ def model_traces(
     trajectory group is integrated, all in one kernel call (:func:`phase_points`
     bounds its width), and its trace handed to the rest.  The call is made
     with no member too, so the kernel checks ``steps`` for every run.  Traces
-    are in endpoint form unless ``full_grid`` asks for every step.  A flagged
-    point gets its :meth:`PointFamily.degeneracy`; a point the integrator
-    refused, its UnitarityLoss.
+    are in endpoint form unless ``full_grid`` asks for every step.  A point
+    without an eigenbasis, or without a period when ``t_final`` is None, gets
+    its :meth:`PointFamily.degeneracy`; a point the integrator refused, its
+    UnitarityLoss.
     """
-    finals, flagged, groups = _trajectories(family, t_final)
-    traces = [family.degeneracy(i) if bad else None for i, bad in enumerate(flagged)]
-    # A group shares V, muB and omega, so its first point decides whether it is integrated.
-    groups = [group for group in groups if not flagged[group[0]]]
+    flagged = family.spectrum_degenerate | (t_final is None) & family.frame_degenerate
+    finals, traces, groups = _plan(family, t_final, flagged)
     firsts = [group[0] for group in groups]
     points = family[firsts]
     integrated = integrate_sampled_family(
@@ -177,9 +176,10 @@ def phase_points(family: PointFamily, steps: int = 8192, t_final: float | None =
 
     The one phase assembly, and the one place a family is cut up.  A point
     without an eigenbasis, or without the period tau the table reports, gets
-    its :meth:`PointFamily.degeneracy` and is never integrated.  The other
-    trajectories are cut into contiguous, near-equal chunks of at most
-    CHUNK_POINTS // workers, where workers = max(1, min(usable CPUs,
+    its :meth:`PointFamily.degeneracy` and is never integrated.  The final
+    times are fixed here, once, and handed to each chunk's :func:`model_traces`.
+    The other trajectories are cut into contiguous, near-equal chunks of at
+    most CHUNK_POINTS // workers, where workers = max(1, min(usable CPUs,
     CHUNK_POINTS // BLOCK_MEMBERS, trajectories // BLOCK_MEMBERS)) threads
     run them (the kernel releases the GIL); one worker is the calling thread.
     With no trajectory left, one empty chunk still has the kernel check
@@ -190,11 +190,10 @@ def phase_points(family: PointFamily, steps: int = 8192, t_final: float | None =
     operation mixes points, so the table does not depend on the cut.  No
     chunk after one that raises starts, so the error is the serial run's.
     """
-    _, flagged, groups = _trajectories(family, t_final)
-    flagged |= family.frame_degenerate
+    flagged = family.spectrum_degenerate | family.frame_degenerate  # the table reports tau
+    finals, errors, groups = _plan(family, t_final, flagged)
     table = PhaseTable.unfilled(len(family.V))
-    table.fill(flagged, errors=[family.degeneracy(i) for i in np.flatnonzero(flagged)])
-    groups = [group for group in groups if not flagged[group[0]]]
+    table.errors[:] = errors
     n = len(groups)
     workers = max(1, min(_usable_cpus(), CHUNK_POINTS // BLOCK_MEMBERS, n // BLOCK_MEMBERS))
     count = max(workers, -(-n // (CHUNK_POINTS // workers)))
@@ -206,7 +205,7 @@ def phase_points(family: PointFamily, steps: int = 8192, t_final: float | None =
             return  # an earlier chunk's error ends the run
         try:
             rows = np.array([i for group in groups[bounds[k] : bounds[k + 1]] for i in group], dtype=int)
-            outcomes = model_traces(family[rows], steps, t_final)
+            outcomes = model_traces(family[rows], steps, finals[rows])
         except Exception:
             failed.append(k)
             raise

@@ -48,17 +48,17 @@ def assert_same_row(table, i, other, j=0):
 class TestModelTraces:
     def test_default_final_time_is_tau(self):
         trace = model_trace(FLAGSHIP, steps=256)
-        assert trace.t_final == pytest.approx(period_tau(FLAGSHIP), abs=1e-12)
+        assert trace.grid[-1] == pytest.approx(period_tau(FLAGSHIP), abs=1e-12)
 
     def test_explicit_final_time(self):
         trace = model_trace(FLAGSHIP, steps=256, t_final=2.5)
-        assert trace.t_final == pytest.approx(2.5, abs=1e-12)
+        assert trace.grid[-1] == pytest.approx(2.5, abs=1e-12)
 
     def test_family_order_matches_input(self):
         pts = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0)]
         traces = model_traces(PointFamily.of(pts), steps=256)
         for p, trace in zip(pts, traces):
-            assert trace.t_final == pytest.approx(period_tau(p), abs=1e-12)
+            assert trace.grid[-1] == pytest.approx(period_tau(p), abs=1e-12)
 
     def test_points_differing_only_in_beta_share_one_trace(self):
         hot = ModelParams(V=1.0, muB=0.5, omega=0.6, beta=0.0)
@@ -115,6 +115,37 @@ class TestStreaming:
         table = phase_points(PointFamily.of(pts), 64)
         for i, p in enumerate(pts):
             assert_same_row(table, i, phase_point(p, 64))
+
+
+class TestPlan:
+    """``phase_points`` triages once: its chunks get final times and no degenerate point."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("t_final", [None, 2.5])
+    def test_chunks_get_the_planned_final_times(self, monkeypatch, cpus, t_final):
+        pts = [ModelParams(V=1.0, muB=0.5, omega=w, beta=1.0) for w in np.linspace(0.1, 2.0, 200)]
+        pts[50:50] = [ModelParams(V=1.0, muB=0.5, omega=0.6, beta=b) for b in (0.0, 1.0, 2.0)]
+        pts[100:100] = [ModelParams(V=1.0, muB=0.0, omega=1.0)]  # no period
+        pts[150:150] = [ModelParams(V=0.0, muB=0.0, omega=0.5)]  # no eigenbasis
+        family = PointFamily.of(pts)
+        calls = []
+
+        def spy(chunk, steps, finals):
+            calls.append((chunk, finals))
+            return model_traces(chunk, steps, finals)
+
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pipeline, "model_traces", spy)
+        table = phase_points(family, 64, t_final)
+        assert len(calls) == cpus
+        for chunk, finals in calls:
+            assert isinstance(finals, np.ndarray)
+            expected = chunk.tau if t_final is None else np.full(len(chunk.V), t_final)
+            assert finals.tobytes() == expected.tobytes()
+            assert not np.any(chunk.spectrum_degenerate | chunk.frame_degenerate)
+        degenerate = [100, 150]
+        assert sum(len(chunk.V) for chunk, _ in calls) == len(pts) - len(degenerate)
+        assert [i for i, error in enumerate(table.errors) if error is not None] == degenerate
 
 
 class TestMemory:
