@@ -8,8 +8,9 @@ the diagonal phase moves continuously.  Only defined phases are summarized;
 the last line counts the rows with an undefined phase and the rows refused
 or degenerate.  The sweep's warnings and errors are the CLI's; a sweep that
 ends in an error writes no CSV and exits with the CLI's code.  A bad
-``--V``, ``--mu-B``, ``--omega``, ``--beta-max`` or ``--points`` is a usage
-error of this script (exit 2).
+``--V``, ``--mu-B``, ``--omega``, ``--beta-max``, ``--points`` or a
+non-integer ``--steps``, and a beta grid that the sweep cannot make, are
+usage errors of this script (exit 2).
 """
 
 import argparse
@@ -20,7 +21,7 @@ import math
 import pathlib
 import sys
 
-from spinphase import ModelParams, cli
+from spinphase import ModelParams, SweepSpec, cli
 
 
 def main() -> int:
@@ -36,7 +37,7 @@ def main() -> int:
     # Checked here, so a bad flag is named under this script's usage line; the CLI
     # still gets the flags' own strings.
     try:
-        ModelParams(V=float(args.V), muB=float(args.mu_B), omega=float(args.omega))
+        point = ModelParams(V=float(args.V), muB=float(args.mu_B), omega=float(args.omega))
         beta_max, points = float(args.beta_max), int(args.points)
     except ValueError as exc:
         parser.error(str(exc))
@@ -44,6 +45,11 @@ def main() -> int:
         parser.error(f"--beta-max must be finite and > 0, got {args.beta_max}")
     if points < 2:
         parser.error(f"--points must be >= 2, got {args.points}")
+    try:  # the spec the CLI builds from these flags
+        SweepSpec(axis="beta", start=0.0, stop=beta_max, points=points, fixed=point,
+                  steps=int(args.steps))
+    except ValueError as exc:
+        parser.error(str(exc))
 
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):

@@ -74,13 +74,17 @@ def test_temperature_sweep_exits_with_the_cli_code(tmp_path):
         (["--beta-max", "inf", "--points", "3"], "--beta-max must be finite and > 0, got inf"),
         (["--points", "1"], "--points must be >= 2, got 1"),
         (["--mu-B", "-1", "--points", "3"], "muB must be >= 0, got -1.0"),
+        (["--beta-max", "1e-322", "--points", "101"],
+         "101 points from 0.0 to 1e-322 do not make a strictly increasing grid"),
+        (["--points", "3", "--steps", "abc"], "invalid literal for int() with base 10: 'abc'"),
     ],
-    ids=["negative-beta-max", "infinite-beta-max", "one-point", "negative-coupling"],
+    ids=["negative-beta-max", "infinite-beta-max", "one-point", "negative-coupling",
+         "subnormal-beta-max", "non-integer-steps"],
 )
 def test_temperature_sweep_checks_its_own_flags(tmp_path, argv, message):
     # Reported under the script's usage line, not as flags of `spinphase sweep`.
     out = tmp_path / "beta_sweep.csv"
-    result = run_script("temperature_sweep.py", *argv, "--steps", "64", "--out", str(out))
+    result = run_script("temperature_sweep.py", "--steps", "64", *argv, "--out", str(out))
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("usage: temperature_sweep.py ")
     assert result.stderr.endswith(f"temperature_sweep.py: error: {message}\n")
