@@ -37,5 +37,5 @@ def test_corpus_below_each_dispatch_target(target):
     result = subprocess.run([sys.executable, "-c", _RUN_CORPUS], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=300)
     level, _, report = result.stdout.partition("\n")
-    assert level == TARGETS[TARGETS.index(target) - 1]
+    assert level == TARGETS[TARGETS.index(target) - 1], result.stderr
     assert result.returncode == 0, report + result.stderr
