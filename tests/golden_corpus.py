@@ -44,10 +44,22 @@ CASES = {
     "phases-json": ["phases", "--steps", "256", "--format", "json"],
     "phases-explicit-t": ["phases", "--t", "2.5", "--steps", "256"],
     "propagate": ["propagate", "--steps", "256"],
+    "propagate-explicit-t": ["propagate", "--t", "2.5", "--steps", "256"],
+    "propagate-t-zero": ["propagate", "--t", "0", "--steps", "256"],
+    "verify-table": ["verify", "--steps", "1024"],
+    "verify-json": ["verify", "--steps", "1024", "--format", "json"],
     "verify-grid-table": ["verify", "--grid", "5", "--steps", "1024"],
     "verify-grid-json": ["verify", "--grid", "5", "--steps", "1024", "--format", "json"],
     # Any --grid prints {"reports": [...]}, also a grid of one.
     "verify-grid-one-json": ["verify", "--grid", "1", "--steps", "1024", "--format", "json"],
+    # The kernel layouts that the cases above never reach: segments of 5 x 456 + 3 x 454 + 455
+    # steps (three wave lengths and the odd end rule); 342, 342 and 341 (a 66-member wave in
+    # 32-step sub-blocks, then a 33-member wave with the odd end rule); and one 160-member wave
+    # in 16-step sub-blocks.
+    "phases-odd-steps-json": ["phases", "--steps", "4097", "--format", "json"],
+    "sweep-odd-steps": ["sweep", "--axis", "omega", "--start", "0.1", "--stop", "2",
+                        "--points", "33", "--steps", "1025"],
+    "verify-grid-long-json": ["verify", "--grid", "5", "--steps", "16384", "--format", "json"],
     **{
         f"sweep-{axis}-{form}": ["sweep", "--axis", axis, "--start", start, "--stop", stop,
                                  "--points", "33", "--steps", "64", "--format", form]
