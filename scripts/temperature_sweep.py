@@ -22,6 +22,7 @@ import pathlib
 import sys
 
 from spinphase import ModelParams, SweepSpec, cli
+from spinphase.pipeline import DEFAULT_STEPS
 
 
 def main() -> int:
@@ -31,7 +32,7 @@ def main() -> int:
     parser.add_argument("--omega", default="0.6")
     parser.add_argument("--beta-max", default="5.0")
     parser.add_argument("--points", default="101")
-    parser.add_argument("--steps", default="8192")
+    parser.add_argument("--steps", default=str(DEFAULT_STEPS))
     parser.add_argument("--out", type=pathlib.Path, default=pathlib.Path("beta_sweep.csv"))
     args = parser.parse_args()
     # Checked here, so a bad flag is named under this script's usage line; the CLI

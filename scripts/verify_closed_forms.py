@@ -15,6 +15,7 @@ import sys
 from collections import defaultdict
 
 from spinphase import cli
+from spinphase.pipeline import DEFAULT_STEPS
 from spinphase.verify import EQUATION_IDS
 
 
@@ -22,7 +23,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grid", type=int, default=25)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--steps", type=int, default=8192)
+    parser.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     args = parser.parse_args()
 
     residuals = defaultdict(list)

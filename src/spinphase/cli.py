@@ -31,7 +31,7 @@ from .errors import (
 )
 from .linalg import PhaseFactor, phase_functional
 from .model import Convention, ModelParams, PointFamily, closed_form_propagator
-from .pipeline import SWEEP_AXES, PhaseTable, SweepSpec, model_trace, model_traces, phase_point, run_sweep
+from .pipeline import DEFAULT_STEPS, SWEEP_AXES, PhaseTable, SweepSpec, model_trace, model_traces, phase_point, run_sweep
 from .verify import (
     random_generic_params,
     report_table,
@@ -108,7 +108,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--omega", type=float, default=0.6, help="field rotation frequency")
     parser.add_argument("--beta", type=float, default=1.0, help="inverse temperature")
-    parser.add_argument("--steps", type=int, default=8192, help="integrator steps")
+    parser.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="integrator steps")
 
 
 def _params_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ModelParams:

@@ -37,6 +37,8 @@ SWEEP_AXES = ("beta", "omega", "muB", "V")
 #: per-step interpreter work is amortized, narrow enough that the working set
 #: stays a few MiB at any step count.
 CHUNK_POINTS = 512
+#: Integrator steps of a run that names no count.
+DEFAULT_STEPS = 8192
 
 
 def _usable_cpus() -> int:
@@ -171,7 +173,7 @@ class PhaseTable:
             getattr(self, name)[rows] = values
 
 
-def phase_points(family: PointFamily, steps: int = 8192, t_final: float | None = None) -> PhaseTable:
+def phase_points(family: PointFamily, steps: int = DEFAULT_STEPS, t_final: float | None = None) -> PhaseTable:
     """Evaluate the diagonal and off-diagonal phase amplitudes of every point of ``family``.
 
     The one phase assembly, and the one place a family is cut up.  A point
@@ -238,7 +240,7 @@ def phase_points(family: PointFamily, steps: int = 8192, t_final: float | None =
     return table
 
 
-def phase_point(params: ModelParams, steps: int = 8192, t_final: float | None = None) -> PhaseTable:
+def phase_point(params: ModelParams, steps: int = DEFAULT_STEPS, t_final: float | None = None) -> PhaseTable:
     """Evaluate one parameter point as a one-row :class:`PhaseTable`.  Raises the point's error."""
     table = phase_points(PointFamily.of([params]), steps, t_final)
     if table.errors[0] is not None:
@@ -255,7 +257,7 @@ class SweepSpec:
     stop: float
     points: int
     fixed: ModelParams
-    steps: int = 8192
+    steps: int = DEFAULT_STEPS
     t_final: float | None = None
 
     def __post_init__(self):

@@ -33,7 +33,7 @@ from .model import (
     closed_form_propagator,
     reference_closed_forms,
 )
-from .pipeline import PhaseTable, phase_points
+from .pipeline import DEFAULT_STEPS, PhaseTable, phase_points
 
 CLASSIFICATIONS = ("match", "conjugate", "sign_flip", "repaired_match", "mismatch")
 
@@ -95,19 +95,6 @@ def _classify(reference, oracle, tol: float, repaired=None) -> tuple[str, float]
     return "mismatch", residual
 
 
-def _item(equation_id, reference, oracle, repaired=None) -> VerifyItem:
-    classification, residual = _classify(
-        reference, oracle, TOLERANCES[equation_id], repaired
-    )
-    return VerifyItem(
-        equation_id=equation_id,
-        reference_value=reference,
-        oracle_value=oracle,
-        classification=classification,
-        residual=residual,
-    )
-
-
 def _assemble_report(p: ModelParams, table: PhaseTable, i: int) -> VerifyReport:
     """The report of point ``p``, whose oracle values are row ``i`` of ``table``."""
     basis, u_final = table.basis[i], table.u_final[i]
@@ -129,31 +116,27 @@ def _assemble_report(p: ModelParams, table: PhaseTable, i: int) -> VerifyReport:
         [[rc.u11 * phase1, rc.u12 * phase2], [rc.u21 * phase1, rc.u22 * phase2]]
     )
 
-    items = (
-        _item("U11_Eq15", rc.u11, complex(m_oracle[0, 0])),
-        _item("U12_Eq16", rc.u12_literal, complex(m_oracle[0, 1]), repaired=rc.u12),
-        _item("delta1_Eq17", rc.delta1, delta1),
+    # Equation id -> (reference value, oracle value, documented repair or None).
+    compared = {
+        "U11_Eq15": (rc.u11, complex(m_oracle[0, 0]), None),
+        "U12_Eq16": (rc.u12_literal, complex(m_oracle[0, 1]), rc.u12),
+        "delta1_Eq17": (rc.delta1, delta1, None),
         # The stated content of this relation is delta2 = -delta1; it is
         # checked against the oracle's own delta1 so that the item probes
         # the relation, not the value of delta1.
-        _item("delta2_Eq18", -delta1, delta2),
-        _item("Uparallel_Eq19", par_reference, p_oracle, repaired=par_repaired),
-        _item("offdiag_Eq23", rc.offdiag_arg, table.offdiag_raw[i].item()),
-        _item("diag_Eq24", rc.diag_arg, table.diag_raw[i].item()),
-        _item(
-            "propagator_Eq14_literal",
-            closed_form_propagator(p, rc.tau, Convention.LITERAL),
-            u_final,
-        ),
-        _item(
-            "propagator_Eq14_ode",
-            closed_form_propagator(p, rc.tau, Convention.ODE),
-            u_final,
-        ),
+        "delta2_Eq18": (-delta1, delta2, None),
+        "Uparallel_Eq19": (par_reference, p_oracle, par_repaired),
+        "offdiag_Eq23": (rc.offdiag_arg, table.offdiag_raw[i].item(), None),
+        "diag_Eq24": (rc.diag_arg, table.diag_raw[i].item(), None),
+        "propagator_Eq14_literal": (closed_form_propagator(p, rc.tau, Convention.LITERAL), u_final, None),
+        "propagator_Eq14_ode": (closed_form_propagator(p, rc.tau, Convention.ODE), u_final, None),
+    }
+    items = tuple(
+        VerifyItem(equation_id, reference, oracle, *_classify(reference, oracle, TOLERANCES[equation_id], repaired))
+        for equation_id in EQUATION_IDS
+        for reference, oracle, repaired in [compared[equation_id]]
     )
-    summary = {name: 0 for name in CLASSIFICATIONS}
-    for item in items:
-        summary[item.classification] += 1
+    summary = {name: sum(item.classification == name for item in items) for name in CLASSIFICATIONS}
     return VerifyReport(params=p, items=items, summary=summary)
 
 
@@ -168,7 +151,7 @@ def _verify(params_list: list[ModelParams], steps: int) -> list:
     ]
 
 
-def verify_point(p: ModelParams, steps: int = 8192) -> VerifyReport:
+def verify_point(p: ModelParams, steps: int = DEFAULT_STEPS) -> VerifyReport:
     """Verify every reference equation at one parameter point.
 
     ``steps`` must be at least 1024; the stated tolerances assume it.  Raises
@@ -180,7 +163,7 @@ def verify_point(p: ModelParams, steps: int = 8192) -> VerifyReport:
     return result
 
 
-def verify_grid(params_list, steps: int = 8192) -> list[VerifyReport]:
+def verify_grid(params_list, steps: int = DEFAULT_STEPS) -> list[VerifyReport]:
     """Independent verification of each grid point, with a consistency gate.
 
     Degenerate points, and points the integrator refused, produce an
