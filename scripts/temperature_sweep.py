@@ -21,8 +21,8 @@ import math
 import pathlib
 import sys
 
-from spinphase import ModelParams, SweepSpec, cli
-from spinphase.pipeline import DEFAULT_STEPS
+from spinphase import ModelParams, PointFamily, SweepSpec, cli
+from spinphase.pipeline import DEFAULT_STEPS, model_traces
 
 
 def main() -> int:
@@ -46,9 +46,10 @@ def main() -> int:
         parser.error(f"--beta-max must be finite and > 0, got {args.beta_max}")
     if points < 2:
         parser.error(f"--points must be >= 2, got {args.points}")
-    try:  # the spec the CLI builds from these flags
-        SweepSpec(axis="beta", start=0.0, stop=beta_max, points=points, fixed=point,
-                  steps=int(args.steps))
+    try:  # the spec the CLI builds from these flags, and the kernel's bound on the step count
+        steps = int(args.steps)
+        SweepSpec(axis="beta", start=0.0, stop=beta_max, points=points, fixed=point, steps=steps)
+        model_traces(PointFamily.of([]), steps)  # no point: the kernel checks the count alone
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -158,7 +158,8 @@ def integrate_sampled_family(
     ------
     ValueError
         If there are fewer than 2 steps or more than MAX_STEPS, a final
-        time is not positive and finite or a generator sample is not finite.
+        time is not positive and finite or its time step rounds to zero, or
+        a generator sample is not finite.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
@@ -168,6 +169,9 @@ def integrate_sampled_family(
     if not np.all(np.isfinite(t_final) & (t_final > 0.0)):
         raise ValueError("t_final must be positive and finite")
     dt = t_final / steps
+    if not np.all(dt > 0.0):
+        raise ValueError(f"t_final = {float(t_final[dt == 0.0][0])!r} over {steps} steps "
+                         "rounds the time step to zero")
     b = dt.shape[0]
     if b == 0:  # a family with nothing to integrate still had its step count checked
         return []

@@ -323,6 +323,12 @@ class TestExplicitFinalTime:
         assert code == 0
         assert len(out.splitlines()) == 3
 
+    @pytest.mark.parametrize("command", ["phases", "propagate"])
+    def test_final_time_whose_step_rounds_to_zero(self, capsys, command):
+        code, out, err = run_strictly(capsys, command, "--t", "1e-320")
+        assert (code, out) == (2, "")
+        assert err == "error: t_final = 1e-320 over 8192 steps rounds the time step to zero\n"
+
 
 SWEEP_FLAGS = ["sweep", "--axis", "beta", "--start", "0", "--stop", "1", "--points", "3"]
 

@@ -253,6 +253,13 @@ class TestPerMemberVerdict:
         with pytest.raises(ValueError, match="t_final must be positive and finite"):
             integrate_sampled_family(h, [1.0, t_final], 64)
 
+    def test_time_step_must_not_round_to_zero(self):
+        # 1e-320 / 8192 underflows to 0.0, so no step would move the time.
+        h = constant_h(np.eye(2, dtype=complex))
+        message = "t_final = 1e-320 over 8192 steps rounds the time step to zero"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            integrate_sampled_family(h, [1.0, 1e-320], 8192)
+
 
 class TestTimeSegments:
     """Long trajectories run as time segments side by side, and the endpoints compose."""

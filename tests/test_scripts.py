@@ -77,9 +77,11 @@ def test_temperature_sweep_exits_with_the_cli_code(tmp_path):
         (["--beta-max", "1e-322", "--points", "101"],
          "101 points from 0.0 to 1e-322 do not make a strictly increasing grid"),
         (["--points", "3", "--steps", "abc"], "invalid literal for int() with base 10: 'abc'"),
+        (["--points", "3", "--steps", "0"], "steps must be >= 2, got 0"),
+        (["--points", "3", "--steps", "2147483649"], "steps must be <= 2147483648, got 2147483649"),
     ],
     ids=["negative-beta-max", "infinite-beta-max", "one-point", "negative-coupling",
-         "subnormal-beta-max", "non-integer-steps"],
+         "subnormal-beta-max", "non-integer-steps", "too-few-steps", "too-many-steps"],
 )
 def test_temperature_sweep_checks_its_own_flags(tmp_path, argv, message):
     # Reported under the script's usage line, not as flags of `spinphase sweep`.
