@@ -203,9 +203,7 @@ def random_generic_params(n: int, seed: int) -> list[ModelParams]:
     ``random.Random(seed)``, whose sequence for an int seed is stable across
     Python versions; each draw is ``lo + (hi - lo) * random()`` over its range
     in ``GENERIC_RANGES``.  Drawing with the standard library keeps
-    numpy.random unloaded.  Earlier versions drew with numpy's
-    ``default_rng(seed)``, so a seed names other points than it did then; the
-    ledger's classifications do not change.
+    numpy.random unloaded.
     """
     rng = random.Random(seed)
     return [
