@@ -115,7 +115,7 @@ def integrate_sampled_family(
     h_of_t: Callable[[np.ndarray], np.ndarray],
     t_final,
     steps: int,
-    bases: np.ndarray | None = None,
+    bases: np.ndarray,
     *,
     full_grid: bool = False,
 ) -> list[PropagatorTrace | UnitarityLoss]:
@@ -124,8 +124,8 @@ def integrate_sampled_family(
     ``h_of_t`` maps sample times of shape (B, T), one row per member, to
     Hermitian generators of shape (B, T, N, N).  ``t_final`` holds the B
     final times, each member takes ``steps`` steps of t_final / steps, and
-    ``bases`` holds optional orthonormal reference bases (columns) of shape
-    (B, N, N), defaulting to the computational basis.
+    ``bases`` holds the B orthonormal reference bases (columns), shape
+    (B, N, N).
 
     Each member's [0, T] is cut into ceil(steps / 512) time segments whose
     lengths depend on ``steps`` alone (:func:`_segment_lengths`).  Every
@@ -139,7 +139,8 @@ def integrate_sampled_family(
     reference basis, row t of segment s is U_s(t) X_s B^dag with phases
     delta_k(t_s) - Re <b_k| X_s^dag W_s(t) X_s |b_k>, and X_{s+1} = U_s X_s.
     The traces are in endpoint form, the last segment's last row alone,
-    unless ``full_grid`` asks for every step.  The segments of even length
+    unless ``full_grid`` asks for every step, a form only this kernel
+    offers.  The segments of even length
     pair their Simpson panels as one composite rule over the whole grid
     would.  Memory does not grow with ``steps``.  A family of no members is
     checked like any other and gets no traces.  No operation mixes members,
@@ -179,23 +180,19 @@ def integrate_sampled_family(
     origins = 2 * np.cumsum([0] + lengths[:-1])  # each segment's first half-step index
     ratio = np.zeros(b)  # each member's largest step ratio over all its segments
     drift = np.zeros(b)  # the drift at each member's first failed checkpoint, 0 if none
-    u_rows, delta_rows = [], []
+    bases = np.asarray(bases, dtype=complex)
+    n = bases.shape[-1]
+    adjoint = bases.conj().transpose(2, 1, 0)[:, :, np.newaxis]
+    x = bases.transpose(1, 2, 0)[:, :, np.newaxis]
+    phase = np.zeros((n, 1, b))
+    u_rows = [np.broadcast_to(np.eye(n, dtype=complex)[..., None, None], (n, n, 1, b))]
+    delta_rows = [phase]
     # A diverging run overflows; the checkpoint drift test reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for first, count in _waves(lengths, max(1, WAVE_MEMBERS // b)):
             u, w, wave_ratio, wave_drift = _integrate_segments(
                 h_of_t, dt, origins[first : first + count], lengths[first], full_grid
             )
-            if first == 0:  # the first samples give the dimension
-                n = u.shape[0]
-                if bases is None:
-                    bases = np.broadcast_to(np.eye(n, dtype=complex), (b, n, n))
-                bases = np.asarray(bases, dtype=complex)
-                adjoint = bases.conj().transpose(2, 1, 0)[:, :, np.newaxis]
-                x = bases.transpose(1, 2, 0)[:, :, np.newaxis]
-                phase = np.zeros((n, 1, b))
-                u_rows.append(np.broadcast_to(np.eye(n, dtype=complex)[..., None, None], (n, n, 1, b)))
-                delta_rows.append(phase)
             np.maximum(ratio, wave_ratio.reshape(count, b).max(axis=0), out=ratio)
             for p in range(count):
                 members = slice(p * b, (p + 1) * b)

@@ -88,8 +88,6 @@ def model_traces(
     family: PointFamily,
     steps: int,
     t_final: float | Sequence[float] | None = None,
-    *,
-    full_grid: bool = False,
 ) -> list[PropagatorTrace | SpinPhaseError]:
     """Integrate the model for each point of ``family``, or name why it is not.
 
@@ -99,30 +97,25 @@ def model_traces(
     trajectory group is integrated, all in one kernel call (:func:`phase_points`
     bounds its width), and its trace handed to the rest.  The call is made
     with no member too, so the kernel checks ``steps`` for every run.  Traces
-    are in endpoint form unless ``full_grid`` asks for every step.  A point
-    without an eigenbasis, or without a period when ``t_final`` is None, gets
-    its :meth:`PointFamily.degeneracy`; a point the integrator refused, its
-    UnitarityLoss.
+    are in endpoint form: a trace of every step is an option of the kernel
+    alone.  A point without an eigenbasis, or without a period when
+    ``t_final`` is None, gets its :meth:`PointFamily.degeneracy`; a point
+    the integrator refused, its UnitarityLoss.
     """
     flagged = family.spectrum_degenerate | (t_final is None) & family.frame_degenerate
     finals, traces, groups = _plan(family, t_final, flagged)
     firsts = [group[0] for group in groups]
     points = family[firsts]
-    integrated = integrate_sampled_family(
-        partial(hamiltonian, points), finals[firsts], steps, points.eigenbasis(),
-        full_grid=full_grid,
-    )
+    integrated = integrate_sampled_family(partial(hamiltonian, points), finals[firsts], steps, points.eigenbasis())
     for group, trace in zip(groups, integrated):
         for i in group:
             traces[i] = trace
     return traces
 
 
-def model_trace(
-    params: ModelParams, steps: int, t_final: float | None = None, *, full_grid: bool = False
-) -> PropagatorTrace:
-    """Single-point wrapper around :func:`model_traces` that raises the point's error."""
-    (trace,) = model_traces(PointFamily.of([params]), steps, t_final, full_grid=full_grid)
+def model_trace(params: ModelParams, steps: int, t_final: float | None = None) -> PropagatorTrace:
+    """Single-point wrapper around :func:`model_traces`: the endpoint trace, or the point's error raised."""
+    (trace,) = model_traces(PointFamily.of([params]), steps, t_final)
     if isinstance(trace, SpinPhaseError):
         raise trace
     return trace

@@ -2,6 +2,7 @@
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -121,15 +122,39 @@ def period_tau(p):
     return float(family.tau[0])
 
 
+def identity_bases(count, n):
+    """The computational basis of N levels as the reference basis of each of ``count`` members."""
+    return np.broadcast_to(np.eye(n, dtype=complex), (count, n, n))
+
+
 def integrate_propagator(h_of_t, t_final, steps, basis=None):
-    """One evolution on the full grid; ``h_of_t`` maps 1-D times to (T, N, N).  Raises its refusal."""
-    bases = None if basis is None else [basis]
+    """One evolution on the full grid; ``h_of_t`` maps 1-D times to (T, N, N).  Raises its refusal.
+
+    ``basis`` defaults to the computational basis of H's dimension.
+    """
+    bases = identity_bases(1, h_of_t(np.zeros(1)).shape[-1]) if basis is None else [basis]
     (trace,) = integrate_sampled_family(
         lambda times: h_of_t(times[0])[np.newaxis], [t_final], steps, bases, full_grid=True
     )
     if isinstance(trace, UnitarityLoss):
         raise trace
     return trace
+
+
+def full_grid_traces(points, steps, t_final=None):
+    """Every step of each point's trajectory: the kernel call of ``model_traces``, on the full grid.
+
+    ``points`` lists ModelParams that have an eigenbasis and, when
+    ``t_final`` is None, a period tau.  ``t_final`` may be a scalar, one
+    value per point, or None for each point's tau.  A point the kernel
+    refused gets its UnitarityLoss.  The rows that both forms hold are
+    bit-identical to ``model_traces``' endpoint traces.
+    """
+    family = PointFamily.of(points)
+    finals = family.tau if t_final is None else np.broadcast_to(np.asarray(t_final, dtype=float), family.V.shape)
+    return integrate_sampled_family(
+        partial(hamiltonian, family), finals, steps, family.eigenbasis(), full_grid=True
+    )
 
 
 @dataclass(frozen=True)

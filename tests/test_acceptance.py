@@ -16,6 +16,7 @@ from support import (
     circular_distance,
     diagonal_phase_argument,
     distinct_weights,
+    full_grid_traces,
     integrate_propagator,
     offdiagonal_trace,
     parallel_transport_residual,
@@ -36,7 +37,7 @@ from spinphase.model import (
     PointFamily,
     closed_form_propagator,
 )
-from spinphase.pipeline import SweepSpec, model_trace, model_traces, run_sweep
+from spinphase.pipeline import SweepSpec, model_traces, run_sweep
 from spinphase.verify import random_generic_params, verify_grid
 
 FLAGSHIP = ModelParams(V=1.0, muB=0.5, omega=0.6, beta=1.0)
@@ -56,7 +57,7 @@ GOLDEN_CLASSIFICATIONS = {
 
 def test_criterion_1_oracle_equivalence(acceptance):
     started = time.perf_counter()
-    trace = model_trace(FLAGSHIP, steps=8192, full_grid=True)
+    (trace,) = full_grid_traces([FLAGSHIP], 8192)
     sample_idx = np.linspace(0, 8192, 64).astype(int)
     sup_dist = max(
         np.linalg.norm(
@@ -118,7 +119,7 @@ def test_criterion_2_exact_identities(acceptance):
 
 
 def test_criterion_3_parallel_transport(acceptance):
-    trace = model_trace(FLAGSHIP, steps=4096, full_grid=True)
+    (trace,) = full_grid_traces([FLAGSHIP], 4096)
     residual = parallel_transport_residual(parallel_transported(trace))
     ok = residual <= 1e-7
     acceptance(3, "parallel transport residual", ok, f"max residual {residual:.2e}")

@@ -12,6 +12,8 @@ from support import (
     diagonal_phase_argument,
     distinct_weights,
     dynamical_phase,
+    full_grid_traces,
+    identity_bases,
     integrate_propagator,
     offdiag_trace_expansion,
     offdiagonal_mixed_phase,
@@ -115,7 +117,7 @@ class TestIntegrator:
         assert np.linalg.norm(trace.U[-1] - closed) <= 1e-6
 
     def test_trace_invariants(self):
-        trace = model_trace(FLAGSHIP, steps=1024, full_grid=True)
+        (trace,) = full_grid_traces([FLAGSHIP], 1024)
         np.testing.assert_array_equal(trace.U[0], np.eye(2))
         assert np.all(np.diff(trace.grid) > 0)
         gram = np.einsum("mji,mjk->mik", trace.U.conj(), trace.U) - np.eye(2)
@@ -137,7 +139,7 @@ class TestIntegrator:
     def test_family_matches_single_runs(self):
         points = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0)]
         taus = [period_tau(p) for p in points]
-        singles = [model_trace(p, 512, full_grid=True) for p in points]
+        singles = [full_grid_traces([p], 512)[0] for p in points]
 
         def per_point_h(times):
             return np.stack([point_hamiltonian(p, row) for p, row in zip(points, times)])
@@ -189,21 +191,21 @@ class TestIntegrator:
     def test_family_rejects_fewer_than_two_steps(self, steps):
         h = constant_h(np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="steps must be >= 2"):
-            integrate_sampled_family(h, [0.1, 0.1], steps)
+            integrate_sampled_family(h, [0.1, 0.1], steps, identity_bases(2, 2))
 
 
 class TestPerMemberVerdict:
     """A refused member gets its own verdict and leaves the others bit-identical."""
 
     def check_others_unchanged(self, h, t_final, refused):
-        steps = 128
-        family = integrate_sampled_family(h, t_final, steps)
+        steps, n = 128, h.a.shape[-1]
+        family = integrate_sampled_family(h, t_final, steps, identity_bases(len(t_final), n))
         for j, member in enumerate(family):
             if j in refused:
                 assert isinstance(member, UnitarityLoss)
                 continue
             assert isinstance(member, PropagatorTrace)
-            alone = integrate_sampled_family(h[[j]], t_final[[j]], steps)[0]
+            alone = integrate_sampled_family(h[[j]], t_final[[j]], steps, identity_bases(1, n))[0]
             assert member.U.tobytes() == alone.U.tobytes()
             assert member.delta.tobytes() == alone.delta.tobytes()
         return family
@@ -234,10 +236,10 @@ class TestPerMemberVerdict:
         def sampler(members):
             return lambda times: np.broadcast_to(generators[members, None], times.shape + (n, n))
 
-        family = integrate_sampled_family(sampler([0, 1]), [64.0, 64.0], 64)
+        family = integrate_sampled_family(sampler([0, 1]), [64.0, 64.0], 64, identity_bases(2, n))
         assert isinstance(family[0], UnitarityLoss)
         assert str(family[0]) == "unitarity drift nan > 1e-06"
-        alone = integrate_sampled_family(sampler([1]), [64.0], 64)[0]
+        alone = integrate_sampled_family(sampler([1]), [64.0], 64, identity_bases(1, n))[0]
         assert isinstance(family[1], PropagatorTrace)
         assert family[1].U.tobytes() == alone.U.tobytes()
         assert family[1].delta.tobytes() == alone.delta.tobytes()
@@ -251,14 +253,14 @@ class TestPerMemberVerdict:
     def test_final_time_must_be_positive_and_finite(self, t_final):
         h = constant_h(np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="t_final must be positive and finite"):
-            integrate_sampled_family(h, [1.0, t_final], 64)
+            integrate_sampled_family(h, [1.0, t_final], 64, identity_bases(2, 2))
 
     def test_time_step_must_not_round_to_zero(self):
         # 1e-320 / 8192 underflows to 0.0, so no step would move the time.
         h = constant_h(np.eye(2, dtype=complex))
         message = "t_final = 1e-320 over 8192 steps rounds the time step to zero"
         with pytest.raises(ValueError, match=f"^{message}$"):
-            integrate_sampled_family(h, [1.0, 1e-320], 8192)
+            integrate_sampled_family(h, [1.0, 1e-320], 8192, identity_bases(2, 2))
 
 
 class TestTimeSegments:
@@ -310,7 +312,7 @@ class TestTimeSegments:
         end = model_trace(FLAGSHIP, steps=16384)
         closed = closed_form_propagator(FLAGSHIP, tau, Convention.ODE)
         assert np.linalg.norm(end.U[-1] - closed) <= 1e-10
-        full = model_trace(FLAGSHIP, steps=16384, full_grid=True)
+        (full,) = full_grid_traces([FLAGSHIP], 16384)
         for k in range(2):
             assert abs(end.delta[-1, k] - dynamical_phase(full, model_h(FLAGSHIP), k)) <= 1e-9
 
@@ -325,14 +327,14 @@ class TestTimeSegments:
 
             return h_of_t
 
-        family = integrate_sampled_family(ramps(0.0, 3990.0), [t_final, t_final], steps)
+        family = integrate_sampled_family(ramps(0.0, 3990.0), [t_final, t_final], steps, identity_bases(2, 2))
         assert isinstance(family[0], PropagatorTrace)
         assert isinstance(family[1], UnitarityLoss)
         # The largest ratio is at t = T: dt |H|_F / sqrt(2) = (2 / 2048) * 4000.
         needed = math.ceil(steps * (t_final / steps * 4000.0) / (2 * math.sqrt(2)))
         assert needed == 2829
         assert f"needs at least {needed} steps" in str(family[1])
-        alone = integrate_sampled_family(ramps(0.0), [t_final], steps)[0]
+        alone = integrate_sampled_family(ramps(0.0), [t_final], steps, identity_bases(1, 2))[0]
         self.assert_same_bytes(alone, family[0])
 
     def test_contractions_per_trajectory(self, monkeypatch):
@@ -395,7 +397,9 @@ class TestWaveLayout:
 
     def test_three_level_family_matches_the_64_member_layout(self, monkeypatch):
         h = smooth_random_family(3, 40, np.random.default_rng(15))  # 3 x 500 steps, 32-step sub-blocks
-        wide, narrow = self.both_layouts(monkeypatch, h, np.full(40, 3.0), 1500, full_grid=True)
+        wide, narrow = self.both_layouts(
+            monkeypatch, h, np.full(40, 3.0), 1500, identity_bases(40, 3), full_grid=True
+        )
         self.assert_same_outcomes(wide, narrow)
 
     def test_refusal_in_the_third_sub_block(self, monkeypatch):
@@ -416,7 +420,7 @@ class TestWaveLayout:
         ratio = dt * (10.0 + ramp * (half_steps / t_final) ** 8)
         first_step = (np.argmax(ratio > engine.RK4_STABILITY) - 1) // 2
         assert (first_step, first_step % 64 // 16) == (1575, 2)
-        wide, narrow = self.both_layouts(monkeypatch, h_of_t, np.full(40, t_final), steps)
+        wide, narrow = self.both_layouts(monkeypatch, h_of_t, np.full(40, t_final), steps, identity_bases(40, 2))
         assert isinstance(wide[-1], UnitarityLoss)
         assert "stability bound" in str(wide[-1])
         self.assert_same_outcomes(wide, narrow)
@@ -525,7 +529,7 @@ class TestCumulativeSimpson:
 class TestDynamicalPhase:
     def test_decoupled_levels(self):
         p = ModelParams(V=1.3, muB=0.0, omega=0.7, beta=0.0)
-        trace = model_trace(p, 1024, t_final=2.0, full_grid=True)
+        (trace,) = full_grid_traces([p], 1024, t_final=2.0)
         assert dynamical_phase(trace, model_h(p), 0) == pytest.approx(
             -0.5 * p.V * 2.0, abs=1e-9
         )
@@ -534,13 +538,13 @@ class TestDynamicalPhase:
         )
 
     def test_traceless_sum(self):
-        trace = model_trace(FLAGSHIP, 1024, full_grid=True)
+        (trace,) = full_grid_traces([FLAGSHIP], 1024)
         d1 = dynamical_phase(trace, model_h(FLAGSHIP), 0)
         d2 = dynamical_phase(trace, model_h(FLAGSHIP), 1)
         assert abs(d1 + d2) <= 1e-9
 
     def test_agrees_with_running_delta(self):
-        trace = model_trace(FLAGSHIP, 1024, full_grid=True)
+        (trace,) = full_grid_traces([FLAGSHIP], 1024)
         d1 = dynamical_phase(trace, model_h(FLAGSHIP), 0)
         assert d1 == pytest.approx(float(trace.delta[-1, 0]), abs=1e-12)
 
@@ -581,7 +585,7 @@ class TestParallelTransport:
 
     def test_decoupled_model_transports_to_identity(self):
         p = ModelParams(V=1.3, muB=0.0, omega=0.7, beta=0.0)
-        trace = model_trace(p, 1024, t_final=3.0, full_grid=True)
+        (trace,) = full_grid_traces([p], 1024, t_final=3.0)
         par = parallel_transported(trace)
         defect = np.linalg.norm(par.U - np.eye(2), axis=(1, 2)).max()
         assert defect <= 1e-9
@@ -596,12 +600,12 @@ class TestParallelTransport:
         assert np.linalg.norm(actual - expected) <= 1e-8
 
     def test_endpoint_matches_full_grid(self):
-        trace = model_trace(FLAGSHIP, 512, full_grid=True)
+        (trace,) = full_grid_traces([FLAGSHIP], 512)
         endpoint = engine.parallel_transported(trace.U[-1], trace.delta[-1], trace.basis)
         np.testing.assert_allclose(endpoint, parallel_transported(trace).U[-1], atol=1e-15)
 
     def test_interior_residual(self):
-        trace = model_trace(FLAGSHIP, 4096, full_grid=True)
+        (trace,) = full_grid_traces([FLAGSHIP], 4096)
         assert parallel_transport_residual(parallel_transported(trace)) <= 1e-7
 
 

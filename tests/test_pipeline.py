@@ -8,6 +8,7 @@ import pytest
 from support import (
     Ensemble,
     diagonal_phase_argument,
+    full_grid_traces,
     offdiagonal_trace,
     period_tau,
     shift_ensembles,
@@ -82,11 +83,11 @@ class TestStreaming:
     @pytest.mark.parametrize("steps", [2, 65, 128, 1025, 513, 640, 1536, 4097])
     def test_endpoint_is_last_row_of_full_grid(self, steps):
         # The V = 1e307 point runs over a time short enough for RK4's bound.
-        pts = PointFamily.of([FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0),
-                              ModelParams(V=1e307, muB=1.0, omega=0.6, beta=1.0)])
+        pts = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0),
+               ModelParams(V=1e307, muB=1.0, omega=0.6, beta=1.0)]
         t_final = [0.1, 0.1, 2e-308]
-        ends = model_traces(pts, steps, t_final)
-        fulls = model_traces(pts, steps, t_final, full_grid=True)
+        ends = model_traces(PointFamily.of(pts), steps, t_final)
+        fulls = full_grid_traces(pts, steps, t_final)
         assert all(isinstance(trace, PropagatorTrace) for trace in ends + fulls)
         # delta_1 = -E1 t with E1 = V/2, which an unscaled Simpson sum overflows; at
         # 2 steps RK4 shrinks |U|^2 by (dt E1)^6 / 72 = 2e-10.
@@ -102,8 +103,8 @@ class TestStreaming:
     @pytest.mark.parametrize("steps", [2, 65, 4097])
     def test_full_grid_rows_stay_finite_near_the_float_maximum(self, steps):
         # |H| = 8.5e307: G itself is finite, three unscaled Simpson samples are not.
-        point = PointFamily.of([ModelParams(V=1.7e308, muB=1.0, omega=0.6, beta=1.0)])
-        (full,) = model_traces(point, steps, [2e-309], full_grid=True)
+        point = ModelParams(V=1.7e308, muB=1.0, omega=0.6, beta=1.0)
+        (full,) = full_grid_traces([point], steps, [2e-309])
         assert isinstance(full, PropagatorTrace)
         assert np.all(np.isfinite(full.delta))
         # delta_1 = -E1 t; at 2 steps RK4 shrinks |U|^2 by (dt E1)^6 / 72 = 5e-9.
