@@ -140,12 +140,12 @@ def integrate_sampled_family(
     delta_k(t_s) - Re <b_k| X_s^dag W_s(t) X_s |b_k>, and X_{s+1} = U_s X_s.
     The traces are in endpoint form, the last segment's last row alone,
     unless ``full_grid`` asks for every step, a form only this kernel
-    offers.  The segments of even length
-    pair their Simpson panels as one composite rule over the whole grid
-    would.  Memory does not grow with ``steps``.  A family of no members is
-    checked like any other and gets no traces.  No operation mixes members,
-    and the segment layout does not depend on the batch, so a member's
-    result does not depend on the batch it is integrated in.
+    offers.  The segments of even length pair their Simpson panels as one
+    composite rule over the whole grid would.  Memory does not grow with
+    ``steps``.  A family of no members is checked like any other and gets
+    no traces.  No operation mixes members, and the segment layout does not
+    depend on the batch, so a member's result does not depend on the batch
+    it is integrated in.
 
     A member is refused if any of its segments is.  A segment is refused if
     its dt |H| exceeds RK4's stability bound 2 sqrt(2), or its drift at a
@@ -338,12 +338,13 @@ def _integrate_segments(
         # place: sub-block-sized temporaries set the peak memory of a wide chunk.
         a = step * h[:, :, 1::2]
         k = a + _contract(a, half * h[:, :, :-1:2])  # K2
-        s = step * h[:, :, :-1:2] + 2.0 * k
+        ends = step * h[:, :, ::2]  # A at each step's start and end: interior samples are both
+        s = ends[:, :, :-1] + 2.0 * k
         k = a + _contract(a, 0.5 * k)  # K3
         s += 2.0 * k
-        a = step * h[:, :, 2::2]
+        a = ends[:, :, 1:]
         s += a + _contract(a, k)  # K4
-        del a, k
+        del a, k, ends
         s /= 6.0
         s[range(n), range(n)] += 1.0
         s[..., refused] = eye[..., np.newaxis]
