@@ -292,8 +292,8 @@ def _integrate_segments(
     sample of G = U^dag H U is scaled by its Simpson weight times dt / 3, so
     the sum overflows no sooner than W_s itself; a sample on a sub-block
     edge is counted by the earlier sub-block.  A block's samples are summed
-    in time order, the running sum leading each sub-block's sum, and added
-    to W_s at the block's end, so the bytes do not depend on the sub-block
+    in time order, the running sum added to each sub-block's first sample,
+    and added to W_s at the block's end, so the bytes do not depend on the sub-block
     length.  With ``full_grid`` the rows G dt of the whole segment go through
     one :func:`cumulative_simpson` pass, whose last row is replaced by W_s so
     that both forms end on the same value.  A kernel member past the
@@ -378,8 +378,8 @@ def _integrate_segments(
         del hu, adjoint
         scale = np.multiply.outer(weights[start + lo : stop + 1], dt_m / 3.0)
         terms = g * scale[:, np.newaxis, np.newaxis]
-        if partial is not None:  # the block's sum so far leads, so the rows add in time order
-            terms = np.concatenate([partial[np.newaxis], terms])
+        if partial is not None:  # the block's sum so far joins the first row: the rows add in time order
+            terms[0] += partial
         partial = np.sum(terms, axis=0)
         del terms
         if checkpoint:
