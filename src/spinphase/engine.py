@@ -81,9 +81,9 @@ class PropagatorTrace:
     basis: np.ndarray
 
 
-def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over the two leading axes of stacks shaped (N, N, ...)."""
-    return np.einsum("ij...,jk...->ik...", a, b)
+def _contract(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix product over the two leading axes of stacks shaped (N, N, ...), into ``out`` if given."""
+    return np.einsum("ij...,jk...->ik...", a, b, out=out)
 
 
 def cumulative_simpson(y: np.ndarray, dx) -> np.ndarray:
@@ -351,8 +351,7 @@ def _integrate_segments(
         block = np.empty((n, n, stop - start + 1, m), dtype=complex)
         block[:, :, 0] = v
         for i, s_i in enumerate(s.transpose(2, 0, 1, 3), 1):
-            v = _contract(s_i, v)
-            block[:, :, i] = v
+            _contract(s_i, block[:, :, i - 1], out=block[:, :, i])
         del s
         checkpoint = stop % PROJECTION_INTERVAL == 0 or stop == length
         if checkpoint:

@@ -341,9 +341,9 @@ class TestTimeSegments:
         calls = []
         contract = engine._contract
 
-        def counting(a, b):
+        def counting(a, b, out=None):
             calls.append(1)
-            return contract(a, b)
+            return contract(a, b, out)
 
         monkeypatch.setattr(engine, "_contract", counting)
         steps = 8192
@@ -489,9 +489,9 @@ class TestComposedStep:
         calls = []
         contract = engine._contract
 
-        def counting(a, b):
+        def counting(a, b, out=None):
             calls.append(1)
-            return contract(a, b)
+            return contract(a, b, out)
 
         monkeypatch.setattr(engine, "_contract", counting)
         steps = 640
