@@ -406,7 +406,7 @@ def _step_ratio(h: np.ndarray, dt: np.ndarray) -> np.ndarray:
     n = h.shape[0]
     parts = h.view(float)  # real and imaginary parts alternate along the batch axis
     square = np.einsum("ijtb,ijtb->tb", parts, parts)
-    frobenius = np.sqrt(square[:, ::2] + square[:, 1::2]).max(axis=0)
+    frobenius = np.sqrt((square[:, ::2] + square[:, 1::2]).max(axis=0))  # sqrt is monotone
     if not np.all(np.isfinite(frobenius)):  # the squares overflowed, or H is not finite
         frobenius = np.hypot.reduce(np.abs(h).reshape(n * n, *h.shape[2:]), axis=0).max(axis=0)
     ratio = dt * frobenius / math.sqrt(n)
