@@ -340,7 +340,9 @@ def _integrate_segments(
         k = a + _contract(a, half * h[:, :, :-1:2])  # K2
         ends = step * h[:, :, ::2]  # A at each step's start and end: interior samples are both
         s = ends[:, :, :-1] + 2.0 * k
-        k = a + _contract(a, 0.5 * k)  # K3
+        k *= 0.5  # K2 is spent: halved in place, the stage holds one sub-block less
+        k = _contract(a, k)
+        k += a  # K3
         s += 2.0 * k
         a = ends[:, :, 1:]
         s += a + _contract(a, k)  # K4
