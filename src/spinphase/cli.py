@@ -311,9 +311,15 @@ def _cmd_propagate(args, params) -> int:
     return EXIT_OK
 
 
+#: The parser tree, built on the first :func:`main` call, not at import, and kept for the process.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     handlers = {
         "phases": _cmd_phases,
         "sweep": _cmd_sweep,

@@ -264,7 +264,11 @@ class SweepSpec:
             raise ValueError("stop - start must be finite; it overflows")
         if self.points < 2:
             raise ValueError("points must be >= 2")
-        if not np.all(np.diff(self.grid()) > 0.0):
+        try:
+            grid = self.grid()
+        except MemoryError:  # numpy's, when the count alone asks for more than can be allocated
+            raise ValueError(f"{self.points} points make a grid too large to allocate") from None
+        if not np.all(np.diff(grid) > 0.0):
             raise ValueError(f"{self.points} points from {self.start!r} to {self.stop!r} "
                              "do not make a strictly increasing grid")
         self.family()  # rejects the first invalid grid point, as ModelParams would

@@ -526,6 +526,18 @@ class TestNonFiniteInput:
         assert err.endswith("error: 3 points from 0.0 to 5e-324 do not make a strictly "
                             "increasing grid\n")
 
+    def test_sweep_grid_too_large_to_allocate(self, capsys):
+        # 10**15 grid values take 8 PB, past any 64-bit address space: the allocation
+        # fails at once and touches no memory.  Never test a count that can be allocated.
+        code, out, err = run_strictly(
+            capsys, "sweep", "--axis", "beta", "--start", "0", "--stop", "1",
+            "--points", "1000000000000000", "--steps", "64",
+        )
+        assert (code, out) == (2, "")
+        usage, _, error = err.rpartition("spinphase sweep: error: ")
+        assert usage.startswith("usage: spinphase sweep ") and "error" not in usage
+        assert error == "1000000000000000 points make a grid too large to allocate\n"
+
 
 class TestOverflowingPhase:
     """A final time at which omega t overflows is a usage error naming both.
@@ -794,6 +806,24 @@ class TestImport:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        # On the first main call: an import builds none.
+        src = str(Path(spinphase.__file__).resolve().parents[1])
+        code = "import sys; sys.path.insert(0, sys.argv[1]); import spinphase.cli; print(spinphase.cli._PARSER)"
+        result = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stdout) == (0, "None\n"), result.stderr
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "_PARSER", None)
+        assert run_cli(capsys, "propagate", "--t", "0", "--steps", "64")[0] == 0
+        code, out, err = run_strictly(capsys, "propagate", "--t", "-1", "--steps", "64")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: spinphase propagate ")
+        assert len(built) == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -79,9 +79,13 @@ def test_temperature_sweep_exits_with_the_cli_code(tmp_path):
         (["--points", "3", "--steps", "abc"], "invalid literal for int() with base 10: 'abc'"),
         (["--points", "3", "--steps", "0"], "steps must be >= 2, got 0"),
         (["--points", "3", "--steps", "2147483649"], "steps must be <= 2147483648, got 2147483649"),
+        # 8 PB of grid values: the allocation fails at once.  Never a count that can be allocated.
+        (["--points", "1000000000000000"],
+         "1000000000000000 points make a grid too large to allocate"),
     ],
     ids=["negative-beta-max", "infinite-beta-max", "one-point", "negative-coupling",
-         "subnormal-beta-max", "non-integer-steps", "too-few-steps", "too-many-steps"],
+         "subnormal-beta-max", "non-integer-steps", "too-few-steps", "too-many-steps",
+         "unallocatable-grid"],
 )
 def test_temperature_sweep_checks_its_own_flags(tmp_path, argv, message):
     # Reported under the script's usage line, not as flags of `spinphase sweep`.
