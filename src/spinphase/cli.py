@@ -311,14 +311,12 @@ def _cmd_propagate(args, params) -> int:
     return EXIT_OK
 
 
-#: The parser tree, built on the first :func:`main` call, not at import, and kept for the process.
-_PARSER: argparse.ArgumentParser | None = None
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main call, not at import
 
 
 def main(argv: list[str] | None = None) -> int:
     global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
+    _PARSER = _PARSER or build_parser()
     args = _PARSER.parse_args(argv)
     handlers = {
         "phases": _cmd_phases,

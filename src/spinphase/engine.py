@@ -185,8 +185,7 @@ def integrate_sampled_family(
     adjoint = bases.conj().transpose(2, 1, 0)[:, :, np.newaxis]
     x = bases.transpose(1, 2, 0)[:, :, np.newaxis]
     phase = np.zeros((n, 1, b))
-    u_rows = [np.broadcast_to(np.eye(n, dtype=complex)[..., None, None], (n, n, 1, b))]
-    delta_rows = [phase]
+    u_rows, delta_rows = [np.broadcast_to(np.eye(n, dtype=complex)[..., None, None], (n, n, 1, b))], [phase]
     # A diverging run overflows; the checkpoint drift test reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for first, count in _waves(lengths, max(1, WAVE_MEMBERS // b)):
