@@ -292,12 +292,12 @@ def _integrate_segments(
     the sum overflows no sooner than W_s itself; a sample on a sub-block
     edge is counted by the earlier sub-block.  A block's samples are summed
     in time order, the running sum added to each sub-block's first sample,
-    and added to W_s at the block's end, so the bytes do not depend on the sub-block
-    length.  With ``full_grid`` the rows G dt of the whole segment go through
-    one :func:`cumulative_simpson` pass, whose last row is replaced by W_s so
-    that both forms end on the same value.  A kernel member past the
-    stability bound, or drifting at a checkpoint, steps by the identity from
-    then on.
+    and added to W_s at the block's end, so the bytes do not depend on the
+    sub-block length.  With ``full_grid`` the rows G dt of the whole segment
+    go through one :func:`cumulative_simpson` pass, whose last row is
+    replaced by W_s so that both forms end on the same value.  A kernel
+    member past the stability bound, or drifting at a checkpoint, steps by
+    the identity from then on.
 
     Returns the rows U_s(t) and W_s(t), each (N, N, rows, M): every step
     after t = 0 with ``full_grid``, else only the end; then each kernel
