@@ -16,7 +16,7 @@ order, U(T) = U_P ... U_1, and the dynamical phases follow from the W_s and
 the composed propagators, so a single long trajectory runs as a wide batch.
 Segments run in waves of up to 256 kernel members.  A wave steps in sub-blocks
 short enough that a kernel call over B trajectories holds no more
-member-steps than a 64-step block max(B, 64) members wide.
+member-steps than a 64-step block max(B, 32) members wide.
 
 Time-dependent generators are supplied as callables mapping an array of
 times to a stacked array of Hermitian matrices, shape times.shape + (N, N).
@@ -47,8 +47,9 @@ SEGMENT_STEPS = 512
 #: Kernel width a wave of segments fills; a wave holds at least one segment.
 WAVE_MEMBERS = 256
 #: A kernel call over B trajectories holds at most max(B, BLOCK_MEMBERS) x 64
-#: member-steps: a wave wider than that runs its 64-step blocks in sub-blocks.
-BLOCK_MEMBERS = 64
+#: member-steps: a wave wider than that runs its 64-step blocks in sub-blocks
+#: of 32, 16 or 8 steps.  A full wave of WAVE_MEMBERS fits in 8-step ones.
+BLOCK_MEMBERS = 32
 #: Most steps a run may take: its ceil(steps / 512) segment lengths are listed.
 MAX_STEPS = 2**31
 
@@ -134,7 +135,7 @@ def integrate_sampled_family(
     rows of the segment propagator U_s(t) and of the operator integral
     W_s(t) = int U_s^dag H U_s dt.  The segments run in time order, in waves
     of at most max(1, 256 // B) segments, each stepped in sub-blocks of at
-    most max(B, 64) x 64 member-steps.  After each wave the segments are
+    most max(B, 32) x 64 member-steps.  After each wave the segments are
     composed in time order, every row by one formula: with X_0 = B, the
     reference basis, row t of segment s is U_s(t) X_s B^dag with phases
     delta_k(t_s) - Re <b_k| X_s^dag W_s(t) X_s |b_k>, and X_{s+1} = U_s X_s.
@@ -281,9 +282,9 @@ def _integrate_segments(
 
     Classical fixed-step RK4 in blocks of 64 steps, with the drift check at
     the end of each block and polar re-unitarization at the end of each full
-    one.  A block runs in sub-blocks of 64, 32 or 16 steps, the longest for
-    which M members x its length stay within max(B, 64) x 64 member-steps,
-    so a wide wave holds no more than a 64-step block of max(B, 64) members.
+    one.  A block runs in sub-blocks of 64, 32, 16 or 8 steps, the longest for
+    which M members x its length stay within max(B, 32) x 64 member-steps,
+    so a wide wave holds no more than a 64-step block of max(B, 32) members.
     H is sampled once per sub-block on its half-step grid, and each step is
     composed into one matrix: with A = -i dt H at the step's start, middle
     and end, S = I + (A0 + 2 (K2 + K3) + K4) / 6 for K2 = Am (I + A0/2), K3
@@ -306,7 +307,7 @@ def _integrate_segments(
     """
     b = dt.shape[0]
     m = len(origins) * b
-    sub = next(k for k in (64, 32, 16) if m * k <= max(b, BLOCK_MEMBERS) * PROJECTION_INTERVAL)
+    sub = next(k for k in (64, 32, 16, 8) if m * k <= max(b, BLOCK_MEMBERS) * PROJECTION_INTERVAL)
     dt_m = np.tile(dt, len(origins))
     # Fold -i into the step so the stage updates stay plain contractions.
     step = -1j * dt_m

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .engine import (
-    BLOCK_MEMBERS,
     PropagatorTrace,
     diagonal_phase_argument,
     integrate_sampled_family,
@@ -37,6 +36,9 @@ SWEEP_AXES = ("beta", "omega", "muB", "V")
 #: per-step interpreter work is amortized, narrow enough that the working set
 #: stays a few MiB at any step count.
 CHUNK_POINTS = 512
+#: Fewest trajectories a worker thread is given: threads over narrower parts
+#: of a chunk cost more than they save.
+THREAD_TRAJECTORIES = 64
 #: Integrator steps of a run that names no count.
 DEFAULT_STEPS = 8192
 
@@ -175,7 +177,7 @@ def phase_points(family: PointFamily, steps: int = DEFAULT_STEPS, t_final: float
     times are fixed here, once, and handed to each chunk's :func:`model_traces`.
     The other trajectories are cut into contiguous, near-equal chunks of at
     most CHUNK_POINTS // workers, where workers = max(1, min(usable CPUs,
-    CHUNK_POINTS // BLOCK_MEMBERS, trajectories // BLOCK_MEMBERS)) threads
+    CHUNK_POINTS // THREAD_TRAJECTORIES, trajectories // THREAD_TRAJECTORIES)) threads
     run them (the kernel releases the GIL); one worker is the calling thread.
     With no trajectory left, one empty chunk still has the kernel check
     ``steps``.  For the traces of a chunk at once, the assembly computes
@@ -190,7 +192,7 @@ def phase_points(family: PointFamily, steps: int = DEFAULT_STEPS, t_final: float
     table = PhaseTable.unfilled(len(family.V))
     table.errors[:] = errors
     n = len(groups)
-    workers = max(1, min(_usable_cpus(), CHUNK_POINTS // BLOCK_MEMBERS, n // BLOCK_MEMBERS))
+    workers = max(1, min(_usable_cpus(), CHUNK_POINTS // THREAD_TRAJECTORIES, n // THREAD_TRAJECTORIES))
     count = max(workers, -(-n // (CHUNK_POINTS // workers)))
     bounds = [n * k // count for k in range(count + 1)]
     failed: list[int] = []  # the chunks that raised

@@ -55,7 +55,7 @@ CASES = {
     # The kernel layouts that the cases above never reach: segments of 5 x 456 + 3 x 454 + 455
     # steps (three wave lengths and the odd end rule); 342, 342 and 341 (a 66-member wave in
     # 32-step sub-blocks, then a 33-member wave with the odd end rule); and one 160-member wave
-    # in 16-step sub-blocks.
+    # in 8-step sub-blocks.
     "phases-odd-steps-json": ["phases", "--steps", "4097", "--format", "json"],
     "sweep-odd-steps": ["sweep", "--axis", "omega", "--start", "0.1", "--stop", "2",
                         "--points", "33", "--steps", "1025"],

@@ -301,7 +301,7 @@ class TestTimeSegments:
 
     def test_across_a_wave_edge(self):
         # 33 points x 16 segments run in waves of 7, 7 and 2 segments (231, 231 and 66
-        # members, in 16- and 32-step sub-blocks); alone, in one 16-member wave.
+        # members, in 8- and 32-step sub-blocks); alone, in one 16-member wave.
         steps = 8192
         family = model_traces(PointFamily.of(self.POINTS), steps)
         for j in (0, 32):
@@ -382,7 +382,7 @@ class TestWaveLayout:
     @pytest.mark.parametrize(
         "count, steps, full_grid",
         [
-            (25, 16384, False),  # waves of 10 segments in 16-step sub-blocks, then one of 2
+            (25, 16384, False),  # waves of 10 segments in 8-step sub-blocks, then one of 2 in 32-step ones
             (33, 2048, True),  # one wave of 4 segments, 16-step sub-blocks
             (9, 4097, True),  # segments of 456, 454 and 455 steps: waves of 5, 3 and 1
             (40, 1025, True),  # segments of 342, 342 and 341 steps: 32-step sub-blocks, then 64
@@ -396,11 +396,22 @@ class TestWaveLayout:
         self.assert_same_outcomes(wide, narrow)
 
     def test_three_level_family_matches_the_64_member_layout(self, monkeypatch):
-        h = smooth_random_family(3, 40, np.random.default_rng(15))  # 3 x 500 steps, 32-step sub-blocks
+        h = smooth_random_family(3, 40, np.random.default_rng(15))  # 3 x 500 steps, 16-step sub-blocks
         wide, narrow = self.both_layouts(
             monkeypatch, h, np.full(40, 3.0), 1500, identity_bases(40, 3), full_grid=True
         )
         self.assert_same_outcomes(wide, narrow)
+
+    @staticmethod
+    def diagonal_family(scale):
+        """Members with H = scale(times) diag(1, -1), one row of times per member."""
+        return lambda times: scale(times)[..., None, None] * np.diag([1.0, -1.0]).astype(complex)
+
+    @staticmethod
+    def first_unstable_step(scale, dt, steps):
+        """The step whose samples first put a member of this ``scale`` past RK4's stability bound."""
+        ratio = dt * scale(0.5 * dt * np.arange(2 * steps + 1))
+        return (np.argmax(ratio > engine.RK4_STABILITY) - 1) // 2
 
     def test_refusal_in_the_third_sub_block(self, monkeypatch):
         # 40 members x 4 segments run in 16-step sub-blocks.  The last member's dt |H|
@@ -411,25 +422,54 @@ class TestWaveLayout:
         dt = t_final / steps
         ramp = (engine.RK4_STABILITY / dt - 10.0) / (1575.25 * dt / t_final) ** 8
         slopes = np.append(np.linspace(0.0, 100.0, 39), ramp)
-
-        def h_of_t(times):
-            scale = 10.0 + slopes[:, None] * (times / t_final) ** 8
-            return scale[..., None, None] * np.diag([1.0, -1.0]).astype(complex)
-
-        half_steps = 0.5 * dt * np.arange(2 * steps + 1)
-        ratio = dt * (10.0 + ramp * (half_steps / t_final) ** 8)
-        first_step = (np.argmax(ratio > engine.RK4_STABILITY) - 1) // 2
+        first_step = self.first_unstable_step(lambda t: 10.0 + ramp * (t / t_final) ** 8, dt, steps)
         assert (first_step, first_step % 64 // 16) == (1575, 2)
+        h_of_t = self.diagonal_family(lambda times: 10.0 + slopes[:, None] * (times / t_final) ** 8)
         wide, narrow = self.both_layouts(monkeypatch, h_of_t, np.full(40, t_final), steps, identity_bases(40, 2))
         assert isinstance(wide[-1], UnitarityLoss)
         assert "stability bound" in str(wide[-1])
         self.assert_same_outcomes(wide, narrow)
 
+    def test_stability_refusal_inside_an_8_step_sub_block(self, monkeypatch):
+        # 20 members x 8 segments make one 160-member wave in 8-step sub-blocks; the
+        # 64-member layout runs waves of 3 segments in 32-step sub-blocks.  The last
+        # member's dt |H| first passes 2 sqrt(2) at step 3573, in the seventh 8-step
+        # sub-block of segment 6's last 64-step block.
+        steps, t_final = 4096, 2.0
+        dt = t_final / steps
+        ramp = (engine.RK4_STABILITY / dt - 10.0) / (3573.25 * dt / t_final) ** 8
+        slopes = np.append(np.linspace(0.0, 100.0, 19), ramp)
+        first_step = self.first_unstable_step(lambda t: 10.0 + ramp * (t / t_final) ** 8, dt, steps)
+        assert (first_step // 512, first_step % 512 // 64, first_step % 64 // 8) == (6, 7, 6)
+        h_of_t = self.diagonal_family(lambda times: 10.0 + slopes[:, None] * (times / t_final) ** 8)
+        wide, narrow = self.both_layouts(monkeypatch, h_of_t, np.full(20, t_final), steps, identity_bases(20, 2))
+        assert isinstance(wide[-1], UnitarityLoss)
+        assert "stability bound" in str(wide[-1])
+        assert all(isinstance(trace, PropagatorTrace) for trace in wide[:-1])
+        self.assert_same_outcomes(wide, narrow)
+
+    def test_drift_refusal_at_a_checkpoint_after_8_step_sub_blocks(self, monkeypatch):
+        # The layouts of the test above.  From step 2600, in the sixth 8-step sub-block of
+        # segment 5's first 64-step block, the last member steps at dt |H| = 0.5: within
+        # the stability bound, but its drift passes 1e-6 by the checkpoint at step 2624.
+        steps, t_final = 4096, 2.0
+        dt = t_final / steps
+        jump = np.append(np.zeros(19), 0.5 / dt - 10.0)
+        onset = 2600.25 * dt
+        assert (2600 // 512, 2600 % 512 // 64, 2600 % 64 // 8) == (5, 0, 5)
+        h_of_t = self.diagonal_family(lambda times: 10.0 + jump[:, None] * (times >= onset))
+        wide, narrow = self.both_layouts(monkeypatch, h_of_t, np.full(20, t_final), steps, identity_bases(20, 2))
+        assert isinstance(wide[-1], UnitarityLoss)
+        assert str(wide[-1]).startswith("unitarity drift")
+        assert all(isinstance(trace, PropagatorTrace) for trace in wide[:-1])
+        self.assert_same_outcomes(wide, narrow)
+
     @pytest.mark.parametrize(
         "count, steps, lengths",
-        [(1, 8192, {64}), (2, 16384, {64}), (25, 16384, {16, 64}), (100, 8192, {32}), (256, 512, {64})],
+        [(1, 8192, {64}), (2, 16384, {32}), (25, 16384, {8, 32}), (100, 8192, {32}), (256, 512, {64}),
+         (20, 4096, {8}), (1, 32768, {32})],
     )
-    def test_kernel_calls_keep_the_working_set_of_a_64_step_block(self, monkeypatch, count, steps, lengths):
+    def test_kernel_calls_keep_a_32_member_working_set(self, monkeypatch, count, steps, lengths):
         calls = []
         kernel = engine._integrate_segments
 
@@ -448,9 +488,9 @@ class TestWaveLayout:
         h, t_final, bases = self.model_family(count)
         integrate_sampled_family(h, t_final, steps, bases)
         for trajectories, members, sub_block in calls:
-            assert members * sub_block <= max(trajectories, 64) * 64
-            if members == trajectories or trajectories == 1:
-                assert sub_block == 64
+            budget = max(trajectories, 32) * 64
+            assert members * sub_block <= budget
+            assert sub_block == 64 or 2 * members * sub_block > budget  # the longest that fits
         assert {sub_block for *_, sub_block in calls} == lengths
 
 
