@@ -7,8 +7,10 @@ sweep to CSV or JSON), ``verify`` (closed-form verification ledger), and
 Exit codes are a stable contract, stated once in ``EXIT_CODES`` (error type
 to code): 0 success, 2 usage error, 3 degenerate frame or spectrum, 4
 undefined phase, 5 inconsistent verification, 6 the integration lost
-unitarity (too few steps for the final time).  A sweep leaves a degenerate
-or refused point's row empty and exits 3 or 6 only when no point is left.
+unitarity (too few steps for the final time), 7 the output could not be
+written, 130 interrupted (SIGINT), 141 the reader closed standard output.
+A sweep leaves a degenerate or refused point's row empty and exits 3 or 6
+only when no point is left.
 Number formatting is locale independent; sweep output uses 17 significant
 digits with a lowercase exponent so repeated runs are byte identical.
 """
@@ -16,8 +18,10 @@ digits with a lowercase exponent so repeated runs are byte identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -49,6 +53,9 @@ EXIT_CODES = {
     UndefinedPhase: 4,
     InconsistentClassification: 5,
     UnitarityLoss: 6,
+    OSError: 7,  # a write to standard output or error failed, e.g. on a full disk
+    KeyboardInterrupt: 130,
+    BrokenPipeError: 141,  # the code a shell reports for a writer killed by SIGPIPE
 }
 
 SWEEP_CSV_HEADER = (
@@ -314,6 +321,17 @@ def _cmd_propagate(args, params) -> int:
 _PARSER: argparse.ArgumentParser | None = None  # built by the first main call, not at import
 
 
+def _discard_stdout() -> None:
+    """Point standard output at os.devnull: the interpreter's final flush of unwritten output cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # a stream without a descriptor, as under redirect_stdout
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     global _PARSER
     _PARSER = _PARSER or build_parser()
@@ -326,10 +344,17 @@ def main(argv: list[str] | None = None) -> int:
     }
     params = _params_from(args, args.parser)
     try:
-        return handlers[args.command](args, params)
+        code = handlers[args.command](args, params)
+        sys.stdout.flush()  # a failed write raises here, not in the interpreter's final flush
+        return code
     except tuple(EXIT_CODES) as exc:
-        hint = "; increase --steps" if isinstance(exc, UnitarityLoss) else ""
-        print(f"error: {exc}{hint}", file=sys.stderr)
+        if isinstance(exc, OSError):
+            _discard_stdout()
+        if not isinstance(exc, BrokenPipeError):  # a reader that went away wants no message
+            hint = "; increase --steps" if isinstance(exc, UnitarityLoss) else ""
+            message = "interrupted" if isinstance(exc, KeyboardInterrupt) else f"{exc}{hint}"
+            with contextlib.suppress(OSError):  # standard error may be unwritable too
+                print(f"error: {message}", file=sys.stderr)
         return next(EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in EXIT_CODES)
 
 

@@ -2,8 +2,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -875,6 +877,60 @@ class TestExitContract:
         table = readme.partition("| code | meaning |")[2].strip().split("\n\n")[0]
         codes = {int(row.split("|")[1]) for row in table.splitlines()[1:]}
         assert codes == {0, *cli.EXIT_CODES.values()}
+
+
+class TestUnwritableOutputAndInterrupt:
+    """A reader that goes away, a full disk or SIGINT ends a run with its documented code and no traceback.
+
+    Each run is a fresh interpreter: the golden corpus runs in process and cannot pin these.
+    """
+
+    SRC = str(Path(spinphase.__file__).resolve().parents[1])
+
+    def env(self):
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [self.SRC, os.environ.get("PYTHONPATH")]))}
+
+    def test_closed_reader_exits_141_quietly(self):
+        # About 1 MB of CSV: far more than a pipe holds, so writes go on after the reader closes.
+        argv = ["sweep", "--axis", "omega", "--start", "0.1", "--stop", "2", "--points", "5000", "--steps", "64"]
+        with subprocess.Popen([sys.executable, "-m", "spinphase", *argv], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=self.env()) as proc:
+            assert os.read(proc.stdout.fileno(), 100).startswith(b"axis,axis_value,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=120), err) == (141, b"")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this platform")
+    def test_full_disk_exits_7_with_one_line(self):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, "-m", "spinphase", "phases", "--steps", "256"], stdout=full,
+                                    stderr=subprocess.PIPE, text=True, timeout=120, env=self.env())
+        assert (result.returncode, result.stderr) == (7, "error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize(
+        "cpus, argv",
+        [
+            (1, ["phases", "--steps", "100000000"]),  # a minute or more of one trajectory
+            (2, ["sweep", "--axis", "omega", "--start", "0.1", "--stop", "2", "--points", "4096",
+                 "--steps", "4096"]),  # 16 chunks of 256 trajectories on two threads
+        ],
+        ids=["serial", "threaded"],
+    )
+    def test_sigint_exits_130_with_one_line(self, cpus, argv):
+        code = (
+            "import sys\n"
+            "from spinphase import cli, pipeline\n"
+            "pipeline._usable_cpus = lambda: int(sys.argv[1])\n"
+            "print('ready', file=sys.stderr, flush=True)\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n"
+        )
+        with subprocess.Popen([sys.executable, "-c", code, str(cpus), *argv], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=self.env()) as proc:
+            assert proc.stderr.readline() == "ready\n"
+            time.sleep(0.5)  # into the run
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
 
 
 class TestInconsistentClassificationExit:
