@@ -135,8 +135,14 @@ def _params_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> M
         parser.error(str(exc))
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        """Write the help at once, and let a failed write raise: argparse's own drops it."""
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinphase",
         description="Mixed-state geometric phases of a spin in a rotating field.",
     )
@@ -335,16 +341,15 @@ def _discard_stdout() -> None:
 def main(argv: list[str] | None = None) -> int:
     global _PARSER
     _PARSER = _PARSER or build_parser()
-    args = _PARSER.parse_args(argv)
     handlers = {
         "phases": _cmd_phases,
         "sweep": _cmd_sweep,
         "verify": _cmd_verify,
         "propagate": _cmd_propagate,
     }
-    params = _params_from(args, args.parser)
     try:
-        code = handlers[args.command](args, params)
+        args = _PARSER.parse_args(argv)  # help goes to standard output, which may fail too
+        code = handlers[args.command](args, _params_from(args, args.parser))
         sys.stdout.flush()  # a failed write raises here, not in the interpreter's final flush
         return code
     except tuple(EXIT_CODES) as exc:

@@ -50,7 +50,7 @@ WAVE_MEMBERS = 256
 #: member-steps: a wave wider than that runs its 64-step blocks in sub-blocks
 #: of 32, 16 or 8 steps.  A full wave of WAVE_MEMBERS fits in 8-step ones.
 BLOCK_MEMBERS = 32
-#: Most steps a run may take: its ceil(steps / 512) segment lengths are listed.
+#: Most steps a run may take, the step bound of the command-line contract.
 MAX_STEPS = 2**31
 
 
@@ -129,13 +129,14 @@ def integrate_sampled_family(
     (B, N, N).
 
     Each member's [0, T] is cut into ceil(steps / 512) time segments whose
-    lengths depend on ``steps`` alone (:func:`_segment_lengths`).  Every
-    (member, segment) pair is integrated from the identity as one member of
-    the blocked RK4 kernel (:func:`_integrate_segments`), which yields the
-    rows of the segment propagator U_s(t) and of the operator integral
-    W_s(t) = int U_s^dag H U_s dt.  The segments run in time order, in waves
-    of at most max(1, 256 // B) segments, each stepped in sub-blocks of at
-    most max(B, 32) x 64 member-steps.  After each wave the segments are
+    lengths depend on ``steps`` alone and form at most three runs
+    (:func:`_waves`).  Every (member, segment) pair is integrated from the
+    identity as one member of the blocked RK4 kernel
+    (:func:`_integrate_segments`), which yields the rows of the segment
+    propagator U_s(t) and of the operator integral W_s(t) = int U_s^dag H
+    U_s dt.  The segments run in time order, in waves of at most max(1, 256
+    // B) segments, each stepped in sub-blocks of at most max(B, 32) x 64
+    member-steps.  After each wave the segments are
     composed in time order, every row by one formula: with X_0 = B, the
     reference basis, row t of segment s is U_s(t) X_s B^dag with phases
     delta_k(t_s) - Re <b_k| X_s^dag W_s(t) X_s |b_k>, and X_{s+1} = U_s X_s.
@@ -177,8 +178,6 @@ def integrate_sampled_family(
     b = dt.shape[0]
     if b == 0:  # a family with nothing to integrate still had its step count checked
         return []
-    lengths = _segment_lengths(steps)
-    origins = 2 * np.cumsum([0] + lengths[:-1])  # each segment's first half-step index
     ratio = np.zeros(b)  # each member's largest step ratio over all its segments
     drift = np.zeros(b)  # the drift at each member's first failed checkpoint, 0 if none
     bases = np.asarray(bases, dtype=complex)
@@ -189,20 +188,21 @@ def integrate_sampled_family(
     u_rows, delta_rows = [np.broadcast_to(np.eye(n, dtype=complex)[..., None, None], (n, n, 1, b))], [phase]
     # A diverging run overflows; the checkpoint drift test reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for first, count in _waves(lengths, max(1, WAVE_MEMBERS // b)):
-            u, w, wave_ratio, wave_drift = _integrate_segments(
-                h_of_t, dt, origins[first : first + count], lengths[first], full_grid
-            )
-            np.maximum(ratio, wave_ratio.reshape(count, b).max(axis=0), out=ratio)
-            for p in range(count):
+        for origins, length in _waves(steps, max(1, WAVE_MEMBERS // b)):
+            u, w, wave_ratio, wave_drift = _integrate_segments(h_of_t, dt, origins, length, full_grid)
+            np.maximum(ratio, wave_ratio.reshape(len(origins), b).max(axis=0), out=ratio)
+            for p in range(len(origins)):
                 members = slice(p * b, (p + 1) * b)
                 drift = np.where(drift != 0.0, drift, wave_drift[members])
                 ux = _contract(u[..., members], x)
                 delta = phase - _phase_drop(w[..., members], x)
-                if full_grid or first + p == len(lengths) - 1:  # the endpoint form: U(T) alone
+                if full_grid:
                     u_rows.append(_contract(ux, adjoint))
                     delta_rows.append(delta)
                 x, phase = ux[:, :, -1:], delta[:, -1:]
+        if not full_grid:  # the endpoint form: U(T) alone
+            u_rows.append(_contract(x, adjoint))
+            delta_rows.append(phase)
     index = np.arange(steps + 1) if full_grid else np.array([0, steps])
     u_all = np.ascontiguousarray(np.concatenate(u_rows, axis=2).transpose(3, 2, 0, 1))
     delta_all = np.ascontiguousarray(np.concatenate(delta_rows, axis=1).transpose(2, 1, 0))
@@ -215,33 +215,25 @@ def integrate_sampled_family(
     ]
 
 
-def _segment_lengths(steps: int) -> list[int]:
-    """Step counts of the ceil(steps / 512) time segments of a trajectory, in time order.
+def _waves(steps: int, width: int):
+    """(origins, length) of each wave of time segments of a trajectory, in time order.
 
-    The lengths are near-equal and even, so each segment's Simpson panels
-    pair as the composite rule over the whole grid pairs them; only the last
-    segment takes an odd step.  Every segment has at least 2 steps, and at
-    least 256 when there are two or more.
+    The ceil(steps / 512) segments are near-equal and even, so each one's
+    Simpson panels pair as the composite rule over the whole grid pairs them;
+    only the last takes an odd step.  Every segment has at least 2 steps, and
+    at least 256 when there are two or more.  Their lengths form at most
+    three runs, and a wave is at most ``width`` consecutive segments of one
+    run; ``origins`` holds each segment's first half-step index.
     """
     count = -(-steps // SEGMENT_STEPS)
     even = 2 * (steps // (2 * count))
     extra = steps - count * even  # fewer than 2 * count
-    longer = extra // 2
-    return [even + 2] * longer + [even] * (count - 1 - longer) + [even + extra % 2]
-
-
-def _waves(lengths: list[int], width: int):
-    """(first, count) of each wave: at most ``width`` consecutive segments of one length."""
-    first = 0
-    while first < len(lengths):
-        count = 1
-        while (
-            count < width and first + count < len(lengths)
-            and lengths[first + count] == lengths[first]
-        ):
-            count += 1
-        yield first, count
-        first += count
+    start = 0  # the run's first step
+    runs = (even + 2, extra // 2), (even, count - extra // 2 - extra % 2), (even + 1, extra % 2)
+    for length, segments in runs:
+        for first in range(0, segments, width):
+            yield 2 * (start + length * np.arange(first, min(first + width, segments))), length
+        start += length * segments
 
 
 def _simpson_weights(steps: int) -> np.ndarray:

@@ -167,12 +167,12 @@ class PointFamily:
         lam1 = w / (1.0 + w)
         return np.stack([lam1, 1.0 - lam1], axis=1)
 
-    @property
+    @cached_property
     def frame_degenerate(self) -> np.ndarray:
         """Points without a rotating-frame period: Omega <= 1e-12."""
         return self.omega_eff <= FRAME_EPSILON
 
-    @property
+    @cached_property
     def spectrum_degenerate(self) -> np.ndarray:
         """Points without an eigenbasis: E1 <= 1e-12."""
         return self.gap[0] <= 1e-12

@@ -336,7 +336,7 @@ SWEEP_FLAGS = ["sweep", "--axis", "beta", "--start", "0", "--stop", "1", "--poin
 
 
 class TestInvalidSteps:
-    # A count above 2**31 would ask for a list of ceil(steps / 512) segment lengths.
+    # A count below 2 or above engine.MAX_STEPS = 2**31 is a usage error, whatever the command.
     @pytest.mark.parametrize("steps", ["0", "-4", "1", "-1", "100000000000000000000"])
     @pytest.mark.parametrize(
         "argv, least",
@@ -902,10 +902,22 @@ class TestUnwritableOutputAndInterrupt:
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this platform")
     def test_full_disk_exits_7_with_one_line(self):
-        with open("/dev/full", "w") as full:
-            result = subprocess.run([sys.executable, "-m", "spinphase", "phases", "--steps", "256"], stdout=full,
-                                    stderr=subprocess.PIPE, text=True, timeout=120, env=self.env())
-        assert (result.returncode, result.stderr) == (7, "error: [Errno 28] No space left on device\n")
+        for argv in (["phases", "--steps", "256"], ["--help"], ["sweep", "--help"]):
+            with open("/dev/full", "w") as full:
+                result = subprocess.run([sys.executable, "-m", "spinphase", *argv], stdout=full,
+                                        stderr=subprocess.PIPE, text=True, timeout=120, env=self.env())
+            assert (result.returncode, result.stderr) == (7, "error: [Errno 28] No space left on device\n"), argv
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["help", "sweep-help"])
+    def test_help_to_a_closed_reader_exits_141_quietly(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the help is written
+        try:
+            result = subprocess.run([sys.executable, "-m", "spinphase", *argv], stdout=write,
+                                    stderr=subprocess.PIPE, timeout=120, env=self.env())
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (141, b"")
 
     @pytest.mark.parametrize(
         "cpus, argv",

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -280,7 +281,47 @@ class TestTimeSegments:
         ],
     )
     def test_layout_depends_on_steps_alone(self, steps, expected):
-        assert engine._segment_lengths(steps) == expected
+        assert [length for _, length in engine._waves(steps, 1)] == expected
+
+    @staticmethod
+    def plan_cases():
+        """Seeded step counts of every residue mod 1024, and MAX_STEPS, each with three widths in [1, 256]."""
+        rng = np.random.default_rng(1024)
+        counts = [2, 3] + [r + 1024 * int(rng.integers(1 if r < 2 else 0, 48)) for r in range(1024)]
+        cases = [(steps, width) for steps in counts for width in (1, 256, int(rng.integers(1, 257)))]
+        return cases + [(engine.MAX_STEPS, 256), (engine.MAX_STEPS, 229)]
+
+    def test_waves_tile_the_trajectory(self):
+        for steps, width in self.plan_cases():
+            count = -(-steps // engine.SEGMENT_STEPS)
+            end, seen = 0, 0  # the next segment's first half-step index, and the segments so far
+            for origins, length in engine._waves(steps, width):
+                assert type(length) is int and 1 <= len(origins) <= width, (steps, width)
+                assert np.array_equal(origins, end + 2 * length * np.arange(len(origins))), (steps, width)
+                assert length >= (256 if count > 1 else 2), (steps, width)
+                end, seen = end + 2 * length * len(origins), seen + len(origins)
+                odd = length % 2 == 1
+                assert not odd or (seen == count and len(origins) == 1), (steps, width)
+            assert (end, seen, odd) == (2 * steps, count, steps % 2 == 1), (steps, width)
+
+    def test_planning_the_longest_run_holds_no_list_of_segments(self, monkeypatch):
+        # MAX_STEPS is 4194304 segments of 512 steps: a per-segment plan held 128 MiB.
+        class FirstCall(Exception):
+            pass
+
+        def first_call(*args):
+            raise FirstCall
+
+        monkeypatch.setattr(engine, "_integrate_segments", first_call)
+        h = constant_h(np.eye(2, dtype=complex))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstCall):
+                integrate_sampled_family(h, [1.0], engine.MAX_STEPS, identity_bases(1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     def test_point_alone_equals_point_in_a_family(self):
         steps = 16384  # 32 segments; 25 points run in waves of 10 segments

@@ -170,6 +170,15 @@ class TestPointFamily:
         assert family.weights[4, 0] == 0.0 and family.weights[4, 1] == 1.0
         assert np.all(np.isfinite(family.gap[1][:5]))
 
+    def test_masks_are_computed_once_per_family(self):
+        # Triage names every flagged point by degeneracy(i), which reads both masks:
+        # a mask recomputed on each read made an all-degenerate sweep quadratic.
+        family = PointFamily.of(self.EDGES * 4)
+        masks = family.frame_degenerate, family.spectrum_degenerate
+        errors = [family.degeneracy(i) for i in range(len(self.EDGES) * 4)]
+        assert sum(error is not None for error in errors) == 12
+        assert family.frame_degenerate is masks[0] and family.spectrum_degenerate is masks[1]
+
     @pytest.mark.parametrize(
         "index", [slice(3, 150), [5, 0, 207, 101], np.arange(0, 208, 3)], ids=["slice", "list", "array"]
     )
