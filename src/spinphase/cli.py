@@ -148,18 +148,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
+    def command(name: str, summary: str, handler) -> argparse.ArgumentParser:
         # The handler reports its usage errors through this parser, under its own usage line.
         command_parser = sub.add_parser(name, help=summary)
         _add_param_flags(command_parser)
-        command_parser.set_defaults(parser=command_parser)
+        command_parser.set_defaults(parser=command_parser, handler=handler)
         return command_parser
 
-    p_phases = command("phases", "single-point phase report")
+    p_phases = command("phases", "single-point phase report", _cmd_phases)
     p_phases.add_argument("--t", type=float, help="final time (default: tau)")
     p_phases.add_argument("--format", choices=("table", "json"), default="table")
 
-    p_sweep = command("sweep", "one-axis parameter sweep")
+    p_sweep = command("sweep", "one-axis parameter sweep", _cmd_sweep)
     p_sweep.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p_sweep.add_argument("--start", type=float, required=True)
     p_sweep.add_argument("--stop", type=float, required=True)
@@ -168,12 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--jobs", type=int, default=1, help="accepted, no effect (>= 1)")
 
-    p_verify = command("verify", "closed-form verification ledger")
+    p_verify = command("verify", "closed-form verification ledger", _cmd_verify)
     p_verify.add_argument("--grid", type=int, help="verify N seeded random generic points")
     p_verify.add_argument("--seed", type=int, default=0, help="grid seed")
     p_verify.add_argument("--format", choices=("table", "json"), default="table")
 
-    p_prop = command("propagate", "propagator comparison at one time")
+    p_prop = command("propagate", "propagator comparison at one time", _cmd_propagate)
     p_prop.add_argument("--t", type=float, help="evaluation time (default: tau)")
 
     return parser
@@ -242,7 +242,7 @@ def _cmd_sweep(args, params) -> int:
     except ValueError as exc:
         args.parser.error(str(exc))
     if args.jobs < 1:
-        raise ValueError("jobs must be >= 1")
+        args.parser.error("--jobs must be >= 1")
     table = run_sweep(spec)
     rows = sweep_rows(spec.grid(), table)
     for (value, *fields), error in zip(rows, table.errors):
@@ -341,15 +341,9 @@ def _discard_stdout() -> None:
 def main(argv: list[str] | None = None) -> int:
     global _PARSER
     _PARSER = _PARSER or build_parser()
-    handlers = {
-        "phases": _cmd_phases,
-        "sweep": _cmd_sweep,
-        "verify": _cmd_verify,
-        "propagate": _cmd_propagate,
-    }
     try:
         args = _PARSER.parse_args(argv)  # help goes to standard output, which may fail too
-        code = handlers[args.command](args, _params_from(args, args.parser))
+        code = args.handler(args, _params_from(args, args.parser))
         sys.stdout.flush()  # a failed write raises here, not in the interpreter's final flush
         return code
     except tuple(EXIT_CODES) as exc:

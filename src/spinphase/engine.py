@@ -455,16 +455,16 @@ def shift_ensembles(weights: np.ndarray) -> np.ndarray:
     return np.stack([np.roll(weights, n, axis=-1) for n in range(weights.shape[-1])], axis=-2)
 
 
-def offdiagonal_trace(u_par: np.ndarray, bases: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Tr prod_a U_par rho_a^{1/l} with rho_a^{1/l} = sum_k w_ak^{1/l} |psi_ak><psi_ak|.
+def offdiagonal_trace(u_par: np.ndarray, basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Tr prod_a U_par rho_a^{1/l} with rho_a^{1/l} = sum_k w_ak^{1/l} |psi_k><psi_k|.
 
-    ``bases`` (..., l, N, N) and ``weights`` (..., l, N) list the l
-    ensembles in product order; ``u_par`` is (..., N, N).  Leading batch
-    axes broadcast.
+    The l ensembles share the columns of ``basis`` (..., N, N), as the
+    companions of ``shift_ensembles`` do; ``weights`` (..., l, N) lists them
+    in product order and ``u_par`` is (..., N, N).  Leading axes broadcast.
     """
     l = weights.shape[-2]
-    adjoints = np.conj(np.swapaxes(bases, -1, -2))
-    roots = (bases * weights[..., np.newaxis, :] ** (1.0 / l)) @ adjoints
+    basis = basis[..., np.newaxis, :, :]
+    roots = (basis * weights[..., np.newaxis, :] ** (1.0 / l)) @ np.conj(np.swapaxes(basis, -1, -2))
     product = u_par @ roots[..., 0, :, :]
     for a in range(1, l):
         product = product @ u_par @ roots[..., a, :, :]

@@ -38,6 +38,8 @@ from .linalg import rotation_z, su2_exponential
 
 #: Effective frequencies at or below this are treated as degenerate.
 FRAME_EPSILON = 1e-12
+#: Level gaps E1 at or below this leave the spectrum without an eigenbasis.
+SPECTRUM_EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -169,13 +171,13 @@ class PointFamily:
 
     @cached_property
     def frame_degenerate(self) -> np.ndarray:
-        """Points without a rotating-frame period: Omega <= 1e-12."""
+        """Points without a rotating-frame period: Omega <= FRAME_EPSILON."""
         return self.omega_eff <= FRAME_EPSILON
 
     @cached_property
     def spectrum_degenerate(self) -> np.ndarray:
-        """Points without an eigenbasis: E1 <= 1e-12."""
-        return self.gap[0] <= 1e-12
+        """Points without an eigenbasis: E1 <= SPECTRUM_EPSILON."""
+        return self.gap[0] <= SPECTRUM_EPSILON
 
     def degeneracy(self, i: int) -> SpinPhaseError | None:
         """The error that leaves point ``i`` without a period, else without an eigenbasis."""
@@ -184,7 +186,9 @@ class PointFamily:
                 f"effective frequency {self.omega_eff[i]:.3e} <= {FRAME_EPSILON:.0e}; no period"
             )
         if self.spectrum_degenerate[i]:
-            return DegenerateSpectrum(f"E1 = {self.gap[0][i]:.3e} <= 1e-12; eigenbasis undefined")
+            return DegenerateSpectrum(
+                f"E1 = {self.gap[0][i]:.3e} <= {SPECTRUM_EPSILON:.0e}; eigenbasis undefined"
+            )
         return None
 
     def eigenbasis(self, t=0.0) -> np.ndarray:

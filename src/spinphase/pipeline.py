@@ -221,7 +221,7 @@ def phase_points(family: PointFamily, steps: int = DEFAULT_STEPS, t_final: float
             rows, t_final=[tr.grid[-1] for tr in traces], tau=family.tau[rows],
             omega_eff=family.omega_eff[rows], weights=weights, delta=delta,
             diag_raw=diagonal_phase_argument(u_final, delta, basis, weights),
-            offdiag_raw=offdiagonal_trace(u_par, basis[:, np.newaxis], shift_ensembles(weights)),
+            offdiag_raw=offdiagonal_trace(u_par, basis, shift_ensembles(weights)),
             u_final=u_final, u_par=u_par, basis=basis,
         )
 

@@ -215,11 +215,9 @@ def random_generic_params(n: int, seed: int) -> list[ModelParams]:
 def _value_to_jsonable(value):
     """A real as a number, a complex as [re, im], an array as nested lists, by dtype."""
     arr = np.asarray(value)
-    if arr.ndim:
-        return [_value_to_jsonable(entry) for entry in arr]
     if np.iscomplexobj(arr):
-        return [float(arr.real), float(arr.imag)]
-    return float(arr)
+        arr = np.stack((arr.real, arr.imag), axis=-1)
+    return arr.astype(float).tolist()
 
 
 def report_to_dict(report: VerifyReport) -> dict:

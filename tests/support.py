@@ -250,9 +250,8 @@ def offdiagonal_trace(trace, ensembles, l=None):
         raise ValueError("need at least one ensemble")
     _require_shared_basis(trace, ensembles)
     u_par = engine.parallel_transported(trace.U[-1], trace.delta[-1], trace.basis)
-    bases = np.stack([e.basis for e in ensembles])
     weights = np.stack([e.weights for e in ensembles])
-    return complex(engine.offdiagonal_trace(u_par, bases, weights))
+    return complex(engine.offdiagonal_trace(u_par, trace.basis, weights))
 
 
 # Independent cross-check routes of the phase engine, used only by the tests.

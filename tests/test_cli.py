@@ -367,10 +367,11 @@ class TestInvalidSteps:
         assert err == f"error: steps must be {bound}, got {steps}\n"
 
     def test_jobs_below_one_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, *SWEEP_FLAGS, "--steps", "256", "--jobs", "0")
+        code, out, err = run_strictly(capsys, *SWEEP_FLAGS, "--steps", "256", "--jobs", "0")
         assert code == 2
         assert out == ""
-        assert err == "error: jobs must be >= 1\n"
+        assert err.startswith("usage: spinphase sweep ")
+        assert err.endswith("spinphase sweep: error: --jobs must be >= 1\n")
 
 
 class TestZeroTemperature:

@@ -815,6 +815,23 @@ class TestOffDiagonalPhase:
             z_exp = offdiag_trace_expansion(trace, companions, l)
             assert abs(z_op - z_exp) <= 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batch_shares_one_basis_per_point(self, n):
+        # One (B, N, N) basis per point serves all of its (B, l, N) companions' weights.
+        rng = np.random.default_rng(60 + n)
+        count = 4
+        bases = np.stack([random_unitary(n, rng) for _ in range(count)])
+        weights = np.stack([distinct_weights(n, rng) for _ in range(count)])
+        traces = integrate_sampled_family(smooth_random_family(n, count, rng), np.full(count, 3.0), 512, bases)
+        u_par = engine.parallel_transported(
+            np.stack([t.U[-1] for t in traces]), np.stack([t.delta[-1] for t in traces]), bases
+        )
+        batch = engine.offdiagonal_trace(u_par, bases, engine.shift_ensembles(weights))
+        assert batch.shape == (count,)
+        for z, trace, w in zip(batch, traces, weights):
+            companions = shift_ensembles(Ensemble(basis=trace.basis, weights=w))
+            assert abs(z - offdiagonal_trace(trace, companions)) <= 1e-12
+
 
 class TestInvariances:
     def test_gauge_invariance_sample(self):
