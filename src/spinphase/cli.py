@@ -184,6 +184,8 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _cmd_phases(args, params) -> int:
+    if args.t is not None and not (math.isfinite(args.t) and args.t > 0):
+        args.parser.error("--t must be positive and finite")
     table = phase_point(params, steps=args.steps, t_final=args.t)
     phases = {
         "diag": ("diagonal", _phase_or_none(table.diag_raw[0])),
@@ -243,6 +245,8 @@ def _cmd_sweep(args, params) -> int:
         args.parser.error(str(exc))
     if args.jobs < 1:
         args.parser.error("--jobs must be >= 1")
+    if args.t is not None and not (math.isfinite(args.t) and args.t > 0):
+        args.parser.error("--t must be positive and finite")
     table = run_sweep(spec)
     rows = sweep_rows(spec.grid(), table)
     for (value, *fields), error in zip(rows, table.errors):

@@ -14,6 +14,7 @@ started from the identity, and accumulates its propagator U_s and the
 operator integral W_s = int U_s^dag H U_s dt.  The endpoints compose in time
 order, U(T) = U_P ... U_1, and the dynamical phases follow from the W_s and
 the composed propagators, so a single long trajectory runs as a wide batch.
+A trace keeps the rows at t = 0 and t = T alone.
 Segments run in waves of up to 256 kernel members.  A wave steps in sub-blocks
 short enough that a kernel call over B trajectories holds no more
 member-steps than a 64-step block max(B, 32) members wide.
@@ -56,21 +57,19 @@ MAX_STEPS = 2**31
 
 @dataclass(frozen=True)
 class PropagatorTrace:
-    """Sampled propagator of one unitary evolution.
+    """Propagator of one unitary evolution at its start and end.
 
-    The endpoint form, which the phase computations need and the kernel
-    returns by default, holds two rows: grid [0, T], U [I, U(T)] and delta
-    [0, delta(T)].  The full form holds every step, M+1 rows.  The rows of
-    both forms are bit-identical where they overlap.
+    Two rows, which the phase computations need: grid [0, T], U [I, U(T)]
+    and delta [0, delta(T)].
 
     Attributes
     ----------
-    grid : ndarray, shape (M+1,) or (2,)
-        Strictly increasing sample times starting at 0.
-    U : ndarray, shape (M+1, N, N) or (2, N, N)
+    grid : ndarray, shape (2,)
+        The times 0 and T.
+    U : ndarray, shape (2, N, N)
         Propagator at each grid time; U[0] is the identity.
-    delta : ndarray, shape (M+1, N) or (2, N)
-        Running dynamical phase of each reference-basis state,
+    delta : ndarray, shape (2, N)
+        Dynamical phase of each reference-basis state at each grid time,
         delta_k(t) = -int_0^t <psi_k| U^dag H U |psi_k> dt'.
     basis : ndarray, shape (N, N)
         Orthonormal reference basis (columns) the phases refer to.
@@ -117,8 +116,6 @@ def integrate_sampled_family(
     t_final,
     steps: int,
     bases: np.ndarray,
-    *,
-    full_grid: bool = False,
 ) -> list[PropagatorTrace | UnitarityLoss]:
     """Integrate i dU/dt = H(t) U from the identity for a family of evolutions.
 
@@ -132,22 +129,18 @@ def integrate_sampled_family(
     lengths depend on ``steps`` alone and form at most three runs
     (:func:`_waves`).  Every (member, segment) pair is integrated from the
     identity as one member of the blocked RK4 kernel
-    (:func:`_integrate_segments`), which yields the rows of the segment
-    propagator U_s(t) and of the operator integral W_s(t) = int U_s^dag H
-    U_s dt.  The segments run in time order, in waves of at most max(1, 256
-    // B) segments, each stepped in sub-blocks of at most max(B, 32) x 64
-    member-steps.  After each wave the segments are
-    composed in time order, every row by one formula: with X_0 = B, the
-    reference basis, row t of segment s is U_s(t) X_s B^dag with phases
-    delta_k(t_s) - Re <b_k| X_s^dag W_s(t) X_s |b_k>, and X_{s+1} = U_s X_s.
-    The traces are in endpoint form, the last segment's last row alone,
-    unless ``full_grid`` asks for every step, a form only this kernel
-    offers.  The segments of even length pair their Simpson panels as one
-    composite rule over the whole grid would.  Memory does not grow with
-    ``steps``.  A family of no members is checked like any other and gets
-    no traces.  No operation mixes members, and the segment layout does not
-    depend on the batch, so a member's result does not depend on the batch
-    it is integrated in.
+    (:func:`_integrate_segments`), which yields the segment propagator U_s
+    and the operator integral W_s = int U_s^dag H U_s dt.  The segments run
+    in time order, in waves of at most max(1, 256 // B) segments, each
+    stepped in sub-blocks of at most max(B, 32) x 64 member-steps.  After
+    each wave the segments are composed in time order: with X_0 = B, the
+    reference basis, X_{s+1} = U_s X_s and delta_k(t_{s+1}) = delta_k(t_s)
+    - Re <b_k| X_s^dag W_s X_s |b_k>, so U(T) = X_P B^dag.  The segments of
+    even length pair their Simpson panels as one composite rule over the
+    whole grid would.  Memory does not grow with ``steps``.  A family of no
+    members is checked like any other and gets no traces.  No operation
+    mixes members, and the segment layout does not depend on the batch, so
+    a member's result does not depend on the batch it is integrated in.
 
     A member is refused if any of its segments is.  A segment is refused if
     its dt |H| exceeds RK4's stability bound 2 sqrt(2), or its drift at a
@@ -182,35 +175,27 @@ def integrate_sampled_family(
     drift = np.zeros(b)  # the drift at each member's first failed checkpoint, 0 if none
     bases = np.asarray(bases, dtype=complex)
     n = bases.shape[-1]
-    adjoint = bases.conj().transpose(2, 1, 0)[:, :, np.newaxis]
-    x = bases.transpose(1, 2, 0)[:, :, np.newaxis]
-    phase = np.zeros((n, 1, b))
-    u_rows, delta_rows = [np.broadcast_to(np.eye(n, dtype=complex)[..., None, None], (n, n, 1, b))], [phase]
+    adjoint = bases.conj().transpose(2, 1, 0)
+    x = bases.transpose(1, 2, 0)
+    phase = np.zeros((n, b))
     # A diverging run overflows; the checkpoint drift test reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for origins, length in _waves(steps, max(1, WAVE_MEMBERS // b)):
-            u, w, wave_ratio, wave_drift = _integrate_segments(h_of_t, dt, origins, length, full_grid)
+            u, w, wave_ratio, wave_drift = _integrate_segments(h_of_t, dt, origins, length)
             np.maximum(ratio, wave_ratio.reshape(len(origins), b).max(axis=0), out=ratio)
             for p in range(len(origins)):
                 members = slice(p * b, (p + 1) * b)
                 drift = np.where(drift != 0.0, drift, wave_drift[members])
-                ux = _contract(u[..., members], x)
-                delta = phase - _phase_drop(w[..., members], x)
-                if full_grid:
-                    u_rows.append(_contract(ux, adjoint))
-                    delta_rows.append(delta)
-                x, phase = ux[:, :, -1:], delta[:, -1:]
-        if not full_grid:  # the endpoint form: U(T) alone
-            u_rows.append(_contract(x, adjoint))
-            delta_rows.append(phase)
-    index = np.arange(steps + 1) if full_grid else np.array([0, steps])
-    u_all = np.ascontiguousarray(np.concatenate(u_rows, axis=2).transpose(3, 2, 0, 1))
-    delta_all = np.ascontiguousarray(np.concatenate(delta_rows, axis=1).transpose(2, 1, 0))
+                x, phase = _contract(u[..., members], x), phase - _phase_drop(w[..., members], x)
+        u_final = _contract(x, adjoint).transpose(2, 0, 1)
+    u_all = np.stack([np.broadcast_to(np.eye(n), u_final.shape), u_final], axis=1)
+    delta_all = np.stack([np.zeros((b, n)), phase.T], axis=1)
+    grid = np.multiply.outer(dt, [0, steps])
     unstable, drifted = ratio > RK4_STABILITY, drift != 0.0  # NaN drift, from an overflow, counts
     return [
         _stability_refusal(ratio[j], steps) if unstable[j]
         else UnitarityLoss(f"unitarity drift {drift[j]:.3e} > {DRIFT_LIMIT:.0e}") if drifted[j]
-        else PropagatorTrace(grid=dt[j] * index, U=u_all[j], delta=delta_all[j], basis=bases[j])
+        else PropagatorTrace(grid=grid[j], U=u_all[j], delta=delta_all[j], basis=bases[j])
         for j in range(b)
     ]
 
@@ -239,16 +224,19 @@ def _waves(steps: int, width: int):
 def _simpson_weights(steps: int) -> np.ndarray:
     """Coefficients c with Simpson's integral over ``steps`` panels = dt / 3 sum_t c_t f_t.
 
-    Composite Simpson over the leading even number of panels; an odd last
-    panel takes the end rule of :func:`cumulative_simpson`.
+    The interval rules of :func:`cumulative_simpson`, read off its integrals
+    of unit samples (dx / 3 = 1, so every coefficient is exact): composite
+    Simpson over the leading even number of panels, and its end rule on an
+    odd last panel.
     """
+    first, second, last = np.diff(cumulative_simpson(np.eye(4), 3.0), axis=0)
+    pair = (first + second)[:3]  # 1, 4, 1
     even = steps - steps % 2
     c = np.zeros(steps + 1)
-    c[1:even:2] = 4.0
-    c[2:even:2] = 2.0
-    c[0] = c[even] = 1.0
+    for i in range(3):
+        c[i : even - 1 + i : 2] += pair[i]
     if steps % 2:
-        c[even - 1 : even + 2] += (-0.25, 2.0, 1.25)
+        c[even - 1 :] += last[1:]  # -1/4, 2, 5/4
     return c
 
 
@@ -262,7 +250,6 @@ def _integrate_segments(
     dt: np.ndarray,
     origins: np.ndarray,
     length: int,
-    full_grid: bool,
 ):
     """Integrate ``length``-step segments of every member from the identity, side by side.
 
@@ -286,16 +273,12 @@ def _integrate_segments(
     edge is counted by the earlier sub-block.  A block's samples are summed
     in time order, the running sum added to each sub-block's first sample,
     and added to W_s at the block's end, so the bytes do not depend on the
-    sub-block length.  With ``full_grid`` the rows G dt of the whole segment
-    go through one :func:`cumulative_simpson` pass, whose last row is
-    replaced by W_s so that both forms end on the same value.  A kernel
-    member past the stability bound, or drifting at a checkpoint, steps by
-    the identity from then on.
+    sub-block length.  A kernel member past the stability bound, or drifting
+    at a checkpoint, steps by the identity from then on.
 
-    Returns the rows U_s(t) and W_s(t), each (N, N, rows, M): every step
-    after t = 0 with ``full_grid``, else only the end; then each kernel
-    member's largest step ratio (M,) and the drift at its first failed
-    checkpoint (M,), 0 if none.
+    Returns U_s and W_s, each (N, N, M); then each kernel member's
+    largest step ratio (M,) and the drift at its first failed checkpoint
+    (M,), 0 if none.
     """
     b = dt.shape[0]
     m = len(origins) * b
@@ -308,7 +291,6 @@ def _integrate_segments(
     ratio = np.zeros(m)
     drift = np.zeros(m)
     refused = np.zeros(m, dtype=bool)
-    u_rows, g_rows = [], []
     partial = None  # the current 64-step block's Simpson sum so far, in time order
     # Integration runs in (N, N, time, M) blocks: each matrix element is a
     # contiguous row over the members, so one contraction advances them all.
@@ -378,15 +360,8 @@ def _integrate_segments(
         if checkpoint:
             w += partial
             partial = None
-        if full_grid:
-            u_rows.append(block[:, :, 1:])
-            g_rows.append(g)
         del block, g  # the next sub-block's samples and stages need the room
-    if not full_grid:
-        return v[:, :, np.newaxis], w[:, :, np.newaxis], ratio, drift
-    running = cumulative_simpson(np.concatenate(g_rows) * dt_m, 1.0)[1:]
-    running[-1] = w
-    return np.concatenate(u_rows, axis=2), running.transpose(1, 2, 0, 3), ratio, drift
+    return v, w, ratio, drift
 
 
 def _step_ratio(h: np.ndarray, dt: np.ndarray) -> np.ndarray:

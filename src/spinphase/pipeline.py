@@ -98,11 +98,11 @@ def model_traces(
     basis is the t = 0 eigenbasis of each point.  The first point of each
     trajectory group is integrated, all in one kernel call (:func:`phase_points`
     bounds its width), and its trace handed to the rest.  The call is made
-    with no member too, so the kernel checks ``steps`` for every run.  Traces
-    are in endpoint form: a trace of every step is an option of the kernel
-    alone.  A point without an eigenbasis, or without a period when
-    ``t_final`` is None, gets its :meth:`PointFamily.degeneracy`; a point
-    the integrator refused, its UnitarityLoss.
+    with no member too, so the kernel checks ``steps`` for every run.  A
+    trace holds the rows at 0 and at the point's final time.  A point
+    without an eigenbasis, or without a period when ``t_final`` is None,
+    gets its :meth:`PointFamily.degeneracy`; a point the integrator refused,
+    its UnitarityLoss.
     """
     flagged = family.spectrum_degenerate | (t_final is None) & family.frame_degenerate
     finals, traces, groups = _plan(family, t_final, flagged)

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 
 from spinphase import engine
-from spinphase.engine import PropagatorTrace, cumulative_simpson, integrate_sampled_family
+from spinphase.engine import PropagatorTrace, integrate_sampled_family
 from spinphase.errors import UnitarityLoss
 from spinphase.linalg import phase_functional
 from spinphase.model import (
@@ -128,33 +128,31 @@ def identity_bases(count, n):
 
 
 def integrate_propagator(h_of_t, t_final, steps, basis=None):
-    """One evolution on the full grid; ``h_of_t`` maps 1-D times to (T, N, N).  Raises its refusal.
+    """One evolution's endpoint trace; ``h_of_t`` maps 1-D times to (T, N, N).  Raises its refusal.
 
     ``basis`` defaults to the computational basis of H's dimension.
     """
     bases = identity_bases(1, h_of_t(np.zeros(1)).shape[-1]) if basis is None else [basis]
-    (trace,) = integrate_sampled_family(
-        lambda times: h_of_t(times[0])[np.newaxis], [t_final], steps, bases, full_grid=True
-    )
+    (trace,) = integrate_sampled_family(lambda times: h_of_t(times[0])[np.newaxis], [t_final], steps, bases)
     if isinstance(trace, UnitarityLoss):
         raise trace
     return trace
 
 
-def full_grid_traces(points, steps, t_final=None):
-    """Every step of each point's trajectory: the kernel call of ``model_traces``, on the full grid.
+def model_family_traces(points, steps, t_final=None):
+    """The kernel call of ``model_traces``, one member per entry of ``points``.
 
     ``points`` lists ModelParams that have an eigenbasis and, when
-    ``t_final`` is None, a period tau.  ``t_final`` may be a scalar, one
-    value per point, or None for each point's tau.  A point the kernel
-    refused gets its UnitarityLoss.  The rows that both forms hold are
-    bit-identical to ``model_traces``' endpoint traces.
+    ``t_final`` is None, a period tau; a point may repeat, so one family
+    holds a trajectory's rows at chosen times as its members' endpoints.
+    ``t_final`` may be a scalar, one value per point, or None for each
+    point's tau.  A point the kernel refused gets its UnitarityLoss.  A
+    member's trace is bit-identical to ``model_traces``' trace of its point
+    at its final time.
     """
     family = PointFamily.of(points)
     finals = family.tau if t_final is None else np.broadcast_to(np.asarray(t_final, dtype=float), family.V.shape)
-    return integrate_sampled_family(
-        partial(hamiltonian, family), finals, steps, family.eigenbasis(), full_grid=True
-    )
+    return integrate_sampled_family(partial(hamiltonian, family), finals, steps, family.eigenbasis())
 
 
 @dataclass(frozen=True)
@@ -196,18 +194,23 @@ def parallel_transported(trace):
     )
 
 
-def parallel_transport_residual(trace):
-    """Max interior residual |<psi_k| U^dag dU/dt |psi_k>| of a transported full-grid trace.
+def parallel_transport_residual(p, steps, centers, h):
+    """Max residual |<psi_k| U_par^dag dU_par/dt |psi_k>| of one point at each time of ``centers``.
 
-    The derivative uses the five-point (fourth-order) central stencil; the
-    three-point stencil's h^2 truncation would dominate the residual at the
-    step counts this check runs at.
+    U_par at t0 + j h, j = -2..2, comes from the endpoint traces of one
+    family, one member per time, each of ``steps`` steps.  At a fixed step
+    count U(t) is smooth in t, so the five-point (fourth-order) central
+    stencil's error is about 1e-15 / h + h^4; the three-point stencil's h^2
+    truncation would dominate the residual.
     """
-    u = trace.U
-    dt = float(trace.grid[1] - trace.grid[0])
-    du = (-u[4:] + 8.0 * u[3:-1] - 8.0 * u[1:-3] + u[:-4]) / (12.0 * dt)
-    inner = np.einsum("mji,mjk->mik", u[2:-2].conj(), du)
-    per_state = np.einsum("ja,mjk,ka->ma", trace.basis.conj(), inner, trace.basis)
+    times = np.add.outer(centers, h * np.arange(-2, 3)).ravel()
+    traces = model_family_traces([p] * len(times), steps, times)
+    u = np.stack([engine.parallel_transported(t.U[-1], t.delta[-1], t.basis) for t in traces])
+    u = u.reshape(len(centers), 5, *u.shape[1:])
+    du = (-u[:, 4] + 8.0 * u[:, 3] - 8.0 * u[:, 1] + u[:, 0]) / (12.0 * h)
+    inner = np.einsum("mji,mjk->mik", u[:, 2].conj(), du)
+    basis = traces[0].basis
+    per_state = np.einsum("ja,mjk,ka->ma", basis.conj(), inner, basis)
     return float(np.max(np.abs(per_state)))
 
 
@@ -257,20 +260,21 @@ def offdiagonal_trace(trace, ensembles, l=None):
 # Independent cross-check routes of the phase engine, used only by the tests.
 
 
-def dynamical_phase(trace, h_of_t, k):
-    """Dynamical phase delta_k(T) = -int_0^T <psi_k|U^dag H U|psi_k> dt.
+def exact_delta1(p):
+    """Exact delta_1(tau) = -delta_2(tau) = -tau (h0.n)^2 / E1 of one ModelParams.
 
-    Simpson quadrature of the integrand re-sampled from ``h_of_t`` on the
-    grid of a full-grid trace, independent of the trace's running phases.
+    U(t) = R(t) e^{-i H_rot t} with R(t) = e^{-i sigma_z omega t / 2}, so
+    U^dag H U = e^{i H_rot t} H(0) e^{-i H_rot t}.  Over one period the
+    Bloch vector h0 = (muB, 0, V/2) of H(0) turns once about the axis n =
+    (2 muB, 0, V - omega) / Omega of H_rot, and only its part along n
+    survives: int_0^tau U^dag H U dt = tau (h0.n) n.sigma, with h0.n = (2
+    muB^2 + V (V - omega) / 2) / Omega.  The upper eigenvector psi_1 of
+    H(0) has <psi_1|n.sigma|psi_1> = (h0.n) / E1.
     """
-    n = trace.U.shape[-1]
-    if not 0 <= k < n:
-        raise IndexError(f"basis index {k} out of range for dimension {n}")
-    h_grid = np.asarray(h_of_t(trace.grid), dtype=complex)
-    ub = trace.U @ trace.basis
-    integrand = -np.real(np.einsum("mik,mik->mk", ub.conj(), h_grid @ ub))
-    dt = float(trace.grid[1] - trace.grid[0])
-    return float(cumulative_simpson(integrand[:, k], dt)[-1])
+    family = PointFamily.of([p])
+    omega_eff = float(family.omega_eff[0])
+    along = (2.0 * p.muB**2 + 0.5 * p.V * (p.V - p.omega)) / omega_eff
+    return -float(family.tau[0]) * along**2 / float(family.gap[0][0])
 
 
 def diagonal_mixed_phase(trace, ensemble):

@@ -489,11 +489,12 @@ class TestNonFiniteInput:
         [["phases", "--steps", "64"], [*SWEEP_FLAGS, "--steps", "64"]],
         ids=["phases", "sweep"],
     )
-    @pytest.mark.parametrize("t_final", ["inf", "nan"])
+    @pytest.mark.parametrize("t_final", ["inf", "nan", "0", "-1"])
     def test_final_time(self, capsys, argv, t_final):
         code, out, err = run_strictly(capsys, *argv, "--t", t_final)
         assert (code, out) == (2, "")
-        assert err == "error: t_final must be positive and finite\n"
+        assert err.startswith(f"usage: spinphase {argv[0]} ")
+        assert err.endswith(f"spinphase {argv[0]}: error: --t must be positive and finite\n")
 
     @pytest.mark.parametrize("t_final", ["inf", "nan"])
     def test_propagate_time(self, capsys, t_final):

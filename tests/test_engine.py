@@ -12,10 +12,10 @@ from support import (
     diagonal_mixed_phase,
     diagonal_phase_argument,
     distinct_weights,
-    dynamical_phase,
-    full_grid_traces,
+    exact_delta1,
     identity_bases,
     integrate_propagator,
+    model_family_traces,
     offdiag_trace_expansion,
     offdiagonal_mixed_phase,
     offdiagonal_trace,
@@ -67,13 +67,6 @@ def constant_h(matrix):
     return h_of_t
 
 
-def model_h(p):
-    def h_of_t(times):
-        return point_hamiltonian(p, times)
-
-    return h_of_t
-
-
 def analytic_delta1(p):
     """Closed form for delta1 over one full period.
 
@@ -118,12 +111,15 @@ class TestIntegrator:
         assert np.linalg.norm(trace.U[-1] - closed) <= 1e-6
 
     def test_trace_invariants(self):
-        (trace,) = full_grid_traces([FLAGSHIP], 1024)
-        np.testing.assert_array_equal(trace.U[0], np.eye(2))
-        assert np.all(np.diff(trace.grid) > 0)
-        gram = np.einsum("mji,mjk->mik", trace.U.conj(), trace.U) - np.eye(2)
-        assert np.linalg.norm(gram, axis=(1, 2)).max() <= 1e-9
-        assert np.abs(trace.delta.sum(axis=1)).max() <= 1e-9
+        # The trajectory at 16 times up to tau, one endpoint trace each.
+        times = period_tau(FLAGSHIP) * np.arange(1, 17) / 16
+        for t_final, trace in zip(times, model_family_traces([FLAGSHIP] * 16, 1024, times)):
+            np.testing.assert_array_equal(trace.U[0], np.eye(2))
+            np.testing.assert_array_equal(trace.delta[0], np.zeros(2))
+            assert trace.grid[0] == 0.0 and trace.grid[1] == pytest.approx(t_final, rel=1e-15)
+            gram = np.einsum("mji,mjk->mik", trace.U.conj(), trace.U) - np.eye(2)
+            assert np.linalg.norm(gram, axis=(1, 2)).max() <= 1e-9
+            assert np.abs(trace.delta.sum(axis=1)).max() <= 1e-9
 
     def test_unitarity_loss_on_undersampling(self):
         h = constant_h(50.0 * np.array([[0, 1], [1, 0]], dtype=complex))
@@ -140,13 +136,13 @@ class TestIntegrator:
     def test_family_matches_single_runs(self):
         points = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0)]
         taus = [period_tau(p) for p in points]
-        singles = [full_grid_traces([p], 512)[0] for p in points]
+        singles = [model_family_traces([p], 512)[0] for p in points]
 
         def per_point_h(times):
             return np.stack([point_hamiltonian(p, row) for p, row in zip(points, times)])
 
         bases = np.stack([s.basis for s in singles])
-        family = integrate_sampled_family(per_point_h, taus, 512, bases, full_grid=True)
+        family = integrate_sampled_family(per_point_h, taus, 512, bases)
         for single, member in zip(singles, family):
             np.testing.assert_array_equal(single.U, member.U)
             np.testing.assert_array_equal(single.delta, member.delta)
@@ -156,11 +152,10 @@ class TestIntegrator:
         rng = np.random.default_rng(33)
         h = smooth_random_family(3, 5, rng)
         bases = np.stack([random_unitary(3, rng) for _ in range(5)])
-        family = integrate_sampled_family(h, np.full(5, 3.0), 256, bases, full_grid=True)
+        t_final = np.linspace(1.0, 3.0, 5)
+        family = integrate_sampled_family(h, t_final, 256, bases)
         for j, member in enumerate(family):
-            single = integrate_sampled_family(
-                h[j : j + 1], [3.0], 256, bases[j : j + 1], full_grid=True
-            )[0]
+            single = integrate_sampled_family(h[j : j + 1], t_final[j : j + 1], 256, bases[j : j + 1])[0]
             np.testing.assert_array_equal(single.U, member.U)
             np.testing.assert_array_equal(single.delta, member.delta)
 
@@ -169,11 +164,10 @@ class TestIntegrator:
         rng = np.random.default_rng(34)
         h = smooth_random_family(3, 5, rng)
         bases = np.stack([random_unitary(3, rng) for _ in range(5)])
-        family = integrate_sampled_family(h, np.full(5, 3.0), 1500, bases, full_grid=True)
+        t_final = np.linspace(1.0, 3.0, 5)
+        family = integrate_sampled_family(h, t_final, 1500, bases)
         for j, member in enumerate(family):
-            single = integrate_sampled_family(
-                h[j : j + 1], [3.0], 1500, bases[j : j + 1], full_grid=True
-            )[0]
+            single = integrate_sampled_family(h[j : j + 1], t_final[j : j + 1], 1500, bases[j : j + 1])[0]
             np.testing.assert_array_equal(single.U, member.U)
             np.testing.assert_array_equal(single.delta, member.delta)
 
@@ -353,9 +347,8 @@ class TestTimeSegments:
         end = model_trace(FLAGSHIP, steps=16384)
         closed = closed_form_propagator(FLAGSHIP, tau, Convention.ODE)
         assert np.linalg.norm(end.U[-1] - closed) <= 1e-10
-        (full,) = full_grid_traces([FLAGSHIP], 16384)
-        for k in range(2):
-            assert abs(end.delta[-1, k] - dynamical_phase(full, model_h(FLAGSHIP), k)) <= 1e-9
+        exact = exact_delta1(FLAGSHIP)
+        assert np.abs(end.delta[-1] - (exact, -exact)).max() <= 1e-9
 
     def test_late_refusal_names_the_largest_ratio(self):
         # |H| grows as t^8: dt |H| passes 2 sqrt(2) only in the last of four segments.
@@ -421,7 +414,7 @@ class TestWaveLayout:
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     @pytest.mark.parametrize(
-        "count, steps, full_grid",
+        "count, steps, spread",
         [
             (25, 16384, False),  # waves of 10 segments in 8-step sub-blocks, then one of 2 in 32-step ones
             (33, 2048, True),  # one wave of 4 segments, 16-step sub-blocks
@@ -430,17 +423,18 @@ class TestWaveLayout:
             (3, 16385, False),  # 33 segments of three lengths
         ],
     )
-    def test_model_families_match_the_64_member_layout(self, monkeypatch, count, steps, full_grid):
+    def test_model_families_match_the_64_member_layout(self, monkeypatch, count, steps, spread):
+        # With ``spread``, the members end at final times from 0.1 tau to tau.
         h, t_final, bases = self.model_family(count)
-        wide, narrow = self.both_layouts(monkeypatch, h, t_final, steps, bases, full_grid=full_grid)
+        if spread:
+            t_final = t_final * np.linspace(0.1, 1.0, count)
+        wide, narrow = self.both_layouts(monkeypatch, h, t_final, steps, bases)
         assert all(isinstance(trace, PropagatorTrace) for trace in wide)
         self.assert_same_outcomes(wide, narrow)
 
     def test_three_level_family_matches_the_64_member_layout(self, monkeypatch):
         h = smooth_random_family(3, 40, np.random.default_rng(15))  # 3 x 500 steps, 16-step sub-blocks
-        wide, narrow = self.both_layouts(
-            monkeypatch, h, np.full(40, 3.0), 1500, identity_bases(40, 3), full_grid=True
-        )
+        wide, narrow = self.both_layouts(monkeypatch, h, np.linspace(0.3, 3.0, 40), 1500, identity_bases(40, 3))
         self.assert_same_outcomes(wide, narrow)
 
     @staticmethod
@@ -514,14 +508,14 @@ class TestWaveLayout:
         calls = []
         kernel = engine._integrate_segments
 
-        def spy(h_of_t, dt, origins, length, full_grid):
+        def spy(h_of_t, dt, origins, length):
             rows = []
 
             def sampled(times):
                 rows.append(times.shape[1] // len(origins))  # 2 k + 1 samples per segment
                 return h_of_t(times)
 
-            result = kernel(sampled, dt, origins, length, full_grid)
+            result = kernel(sampled, dt, origins, length)
             calls.append((len(dt), len(dt) * len(origins), (max(rows) - 1) // 2))
             return result
 
@@ -554,17 +548,18 @@ class TestComposedStep:
         rng = np.random.default_rng(100 * n + steps)
         family = smooth_random_family(n, 1, rng)
         basis = random_unitary(n, rng)
-        t_final = 0.1
-        trace = integrate_propagator(lambda times: family(times[np.newaxis])[0], t_final, steps, basis)
-        reference = rk4_reference(lambda t: family(np.array([[t]]))[0, 0], t_final, steps)
-        np.testing.assert_array_equal(trace.U[0], np.eye(n))
-        assert np.abs(trace.U - reference).max() <= 1e-14
-        # The running phases from the reference rows, by the same quadrature.
+        dt = 0.1 / steps
+        reference = rk4_reference(lambda t: family(np.array([[t]]))[0, 0], steps * dt, steps)
+        # The phases from the reference rows, by the same quadrature.
         ub = reference @ basis
-        h_grid = family(trace.grid[np.newaxis])[0]
+        h_grid = family(dt * np.arange(steps + 1)[np.newaxis])[0]
         integrand = -np.real(np.einsum("mik,mik->mk", ub.conj(), h_grid @ ub))
-        delta = cumulative_simpson(integrand, t_final / steps)
-        assert np.abs(trace.delta - delta).max() <= 1e-14
+        for k in range(2, steps + 1):  # row k of the reference is the endpoint of k steps
+            trace = integrate_propagator(lambda times: family(times[np.newaxis])[0], k * dt, k, basis)
+            np.testing.assert_array_equal(trace.U[0], np.eye(n))
+            assert np.abs(trace.U[-1] - reference[k]).max() <= 1e-14
+            delta = cumulative_simpson(integrand[: k + 1], dt)[-1]
+            assert np.abs(trace.delta[-1] - delta).max() <= 1e-14
 
     def test_one_contraction_per_step(self, monkeypatch):
         calls = []
@@ -606,28 +601,60 @@ class TestCumulativeSimpson:
         integral = cumulative_simpson(x**3 - x, 0.25)
         np.testing.assert_allclose(integral[::2], (x**4 / 4 - x**2 / 2)[::2], atol=1e-14)
 
+    @staticmethod
+    def composite_pattern(steps):
+        """1, 4, 2, ..., 2, 4, 1 over the even panels; an odd last panel adds -1/4, 2, 5/4."""
+        even = steps - steps % 2
+        c = np.zeros(steps + 1)
+        c[1:even:2] = 4.0
+        c[2:even:2] = 2.0
+        c[0] = c[even] = 1.0
+        if steps % 2:
+            c[even - 1 :] += (-0.25, 2.0, 1.25)
+        return c
+
+    def test_kernel_weights_are_the_composite_pattern(self):
+        lengths = {length for steps in (4097, 16385, 33333) for _, length in engine._waves(steps, 1)}
+        for steps in sorted(set(range(2, 4101)) | lengths):
+            expected = self.composite_pattern(steps)
+            assert engine._simpson_weights(steps).tobytes() == expected.tobytes(), steps
+
 
 class TestDynamicalPhase:
     def test_decoupled_levels(self):
         p = ModelParams(V=1.3, muB=0.0, omega=0.7, beta=0.0)
-        (trace,) = full_grid_traces([p], 1024, t_final=2.0)
-        assert dynamical_phase(trace, model_h(p), 0) == pytest.approx(
-            -0.5 * p.V * 2.0, abs=1e-9
-        )
-        assert dynamical_phase(trace, model_h(p), 1) == pytest.approx(
-            0.5 * p.V * 2.0, abs=1e-9
-        )
+        times = np.array([0.5, 1.0, 2.0])
+        for t_final, trace in zip(times, model_family_traces([p] * 3, 1024, times)):
+            np.testing.assert_allclose(trace.delta[-1], (-0.5 * p.V * t_final, 0.5 * p.V * t_final), atol=1e-9)
 
     def test_traceless_sum(self):
-        (trace,) = full_grid_traces([FLAGSHIP], 1024)
-        d1 = dynamical_phase(trace, model_h(FLAGSHIP), 0)
-        d2 = dynamical_phase(trace, model_h(FLAGSHIP), 1)
-        assert abs(d1 + d2) <= 1e-9
+        times = period_tau(FLAGSHIP) * np.array([0.25, 0.5, 1.0])
+        for trace in model_family_traces([FLAGSHIP] * 3, 1024, times):
+            assert abs(trace.delta[-1].sum()) <= 1e-9
 
     def test_agrees_with_running_delta(self):
-        (trace,) = full_grid_traces([FLAGSHIP], 1024)
-        d1 = dynamical_phase(trace, model_h(FLAGSHIP), 0)
-        assert d1 == pytest.approx(float(trace.delta[-1, 0]), abs=1e-12)
+        trace = model_trace(FLAGSHIP, 8192)
+        exact = exact_delta1(FLAGSHIP)
+        assert np.abs(trace.delta[-1] - (exact, -exact)).max() <= 1e-12
+
+    def test_exact_delta1_matches_gauss_legendre_quadrature(self):
+        # delta_1(tau) = -int_0^tau <psi_1| U^dag H U |psi_1> dt over the closed-form U(t).
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        for p in random_generic_params(8, 41):
+            tau = period_tau(p)
+            times = 0.5 * tau * (nodes + 1.0)
+            psi = PointFamily.of([p]).eigenbasis()[0][:, 0]
+            u_psi = np.stack([closed_form_propagator(p, t, Convention.ODE) @ psi for t in times])
+            h_u_psi = np.einsum("tij,tj->ti", point_hamiltonian(p, times), u_psi)
+            integrand = np.real(np.einsum("ti,ti->t", u_psi.conj(), h_u_psi))
+            quadrature = -0.5 * tau * float(weights @ integrand)
+            assert exact_delta1(p) == pytest.approx(quadrature, rel=1e-13)
+
+    def test_oracle_converges_to_exact_delta1_at_fourth_order(self):
+        p = ModelParams(V=0.05, muB=0.001, omega=0.05, beta=1.0)
+        exact = exact_delta1(p)
+        errors = [abs(float(model_trace(p, steps).delta[-1, 0]) - exact) for steps in (4096, 8192)]
+        assert errors[0] / errors[1] == pytest.approx(16.0, abs=1.0)
 
     def test_against_independent_closed_form(self):
         rng = np.random.default_rng(99)
@@ -647,11 +674,6 @@ class TestDynamicalPhase:
         trace = model_trace(FLAGSHIP, 8192)
         assert float(trace.delta[-1, 0]) == pytest.approx(FLAGSHIP_DELTA1, abs=1e-9)
 
-    def test_index_out_of_range(self):
-        trace = model_trace(FLAGSHIP, 256)
-        with pytest.raises(IndexError):
-            dynamical_phase(trace, model_h(FLAGSHIP), 2)
-
 
 class TestParallelTransport:
     def test_zero_phases_leave_trace_unchanged(self):
@@ -666,10 +688,10 @@ class TestParallelTransport:
 
     def test_decoupled_model_transports_to_identity(self):
         p = ModelParams(V=1.3, muB=0.0, omega=0.7, beta=0.0)
-        (trace,) = full_grid_traces([p], 1024, t_final=3.0)
-        par = parallel_transported(trace)
-        defect = np.linalg.norm(par.U - np.eye(2), axis=(1, 2)).max()
-        assert defect <= 1e-9
+        times = 3.0 * np.arange(1, 17) / 16
+        for trace in model_family_traces([p] * 16, 1024, times):
+            defect = np.linalg.norm(parallel_transported(trace).U - np.eye(2), axis=(1, 2)).max()
+            assert defect <= 1e-9
 
     def test_matrix_elements_factorize(self):
         trace = model_trace(FLAGSHIP, 1024)
@@ -680,14 +702,10 @@ class TestParallelTransport:
         actual = b.conj().T @ par.U[-1] @ b
         assert np.linalg.norm(actual - expected) <= 1e-8
 
-    def test_endpoint_matches_full_grid(self):
-        (trace,) = full_grid_traces([FLAGSHIP], 512)
-        endpoint = engine.parallel_transported(trace.U[-1], trace.delta[-1], trace.basis)
-        np.testing.assert_allclose(endpoint, parallel_transported(trace).U[-1], atol=1e-15)
-
     def test_interior_residual(self):
-        (trace,) = full_grid_traces([FLAGSHIP], 4096)
-        assert parallel_transport_residual(parallel_transported(trace)) <= 1e-7
+        tau = period_tau(FLAGSHIP)
+        centers = tau * np.arange(1, 16) / 16
+        assert parallel_transport_residual(FLAGSHIP, 4096, centers, tau / 4096) <= 1e-7
 
 
 def identity_trace(basis, n=2):

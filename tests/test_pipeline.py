@@ -8,7 +8,7 @@ import pytest
 from support import (
     Ensemble,
     diagonal_phase_argument,
-    full_grid_traces,
+    model_family_traces,
     offdiagonal_trace,
     period_tau,
     shift_ensembles,
@@ -80,35 +80,39 @@ class TestModelTraces:
 class TestStreaming:
     """Endpoint traces and point chunks change no value, not even in the last bit."""
 
+    # A trajectory's grid of rows is taken at chosen times, as the endpoint traces of
+    # one family with one member per time.
+
     @pytest.mark.parametrize("steps", [2, 65, 128, 1025, 513, 640, 1536, 4097])
     def test_endpoint_is_last_row_of_full_grid(self, steps):
         # The V = 1e307 point runs over a time short enough for RK4's bound.
         pts = [FLAGSHIP, ModelParams(V=0.7, muB=0.3, omega=1.1, beta=2.0),
                ModelParams(V=1e307, muB=1.0, omega=0.6, beta=1.0)]
-        t_final = [0.1, 0.1, 2e-308]
+        t_final = np.array([0.1, 0.1, 2e-308])
         ends = model_traces(PointFamily.of(pts), steps, t_final)
-        fulls = full_grid_traces(pts, steps, t_final)
-        assert all(isinstance(trace, PropagatorTrace) for trace in ends + fulls)
+        fractions = [0.25, 0.5, 1.0]  # the rows at T / 4, T / 2 and T
+        rows = model_family_traces([p for p in pts for _ in fractions], steps, np.outer(t_final, fractions).ravel())
+        assert all(isinstance(trace, PropagatorTrace) for trace in ends + rows)
         # delta_1 = -E1 t with E1 = V/2, which an unscaled Simpson sum overflows; at
         # 2 steps RK4 shrinks |U|^2 by (dt E1)^6 / 72 = 2e-10.
         assert ends[2].delta[-1, 0] == pytest.approx(-0.5e307 * 2e-308, rel=1e-9)
-        for end, full in zip(ends, fulls):
-            assert full.U.shape[0] == steps + 1
+        for end, last in zip(ends, rows[len(fractions) - 1 :: len(fractions)], strict=True):
             assert end.U.shape[0] == 2
-            for name in ("grid", "U", "delta"):
-                rows = getattr(full, name)[[0, -1]]
-                assert getattr(end, name).tobytes() == rows.tobytes(), name
-            assert end.basis.tobytes() == full.basis.tobytes()
+            np.testing.assert_array_equal(end.U[0], np.eye(2))
+            np.testing.assert_array_equal(end.delta[0], np.zeros(2))
+            for name in ("grid", "U", "delta", "basis"):
+                assert getattr(end, name).tobytes() == getattr(last, name).tobytes(), name
 
     @pytest.mark.parametrize("steps", [2, 65, 4097])
     def test_full_grid_rows_stay_finite_near_the_float_maximum(self, steps):
         # |H| = 8.5e307: G itself is finite, three unscaled Simpson samples are not.
         point = ModelParams(V=1.7e308, muB=1.0, omega=0.6, beta=1.0)
-        (full,) = full_grid_traces([point], steps, [2e-309])
-        assert isinstance(full, PropagatorTrace)
-        assert np.all(np.isfinite(full.delta))
+        rows = model_family_traces([point] * 4, steps, 2e-309 * np.arange(1, 5) / 4)
+        assert all(isinstance(row, PropagatorTrace) for row in rows)
+        delta = np.stack([row.delta[-1] for row in rows])
+        assert np.all(np.isfinite(delta))
         # delta_1 = -E1 t; at 2 steps RK4 shrinks |U|^2 by (dt E1)^6 / 72 = 5e-9.
-        np.testing.assert_allclose(full.delta[:, 0], -0.85e308 * full.grid, rtol=1e-8)
+        np.testing.assert_allclose(delta[:, 0], -0.85e308 * np.array([row.grid[-1] for row in rows]), rtol=1e-8)
 
     def test_family_wider_than_a_chunk_matches_single_points(self):
         n = CHUNK_POINTS + 3
