@@ -54,12 +54,15 @@ CASES = {
     "verify-grid-one-json": ["verify", "--grid", "1", "--steps", "1024", "--format", "json"],
     # The kernel layouts that the cases above never reach: segments of 5 x 456 + 3 x 454 + 455
     # steps (three wave lengths and the odd end rule); 342, 342 and 341 (a 66-member wave in
-    # 32-step sub-blocks, then a 33-member wave with the odd end rule); and one 160-member wave
-    # in 8-step sub-blocks.
+    # 32-step sub-blocks, then a 33-member wave with the odd end rule); one 160-member wave
+    # in 8-step sub-blocks; and 100 trajectories of 4 segments, two 200-member waves in
+    # 32-step sub-blocks.
     "phases-odd-steps-json": ["phases", "--steps", "4097", "--format", "json"],
     "sweep-odd-steps": ["sweep", "--axis", "omega", "--start", "0.1", "--stop", "2",
                         "--points", "33", "--steps", "1025"],
     "verify-grid-long-json": ["verify", "--grid", "5", "--steps", "16384", "--format", "json"],
+    "sweep-wide-long": ["sweep", "--axis", "muB", "--start", "0.1", "--stop", "1",
+                        "--points", "100", "--steps", "2048"],
     **{
         f"sweep-{axis}-{form}": ["sweep", "--axis", axis, "--start", start, "--stop", stop,
                                  "--points", "33", "--steps", "64", "--format", form]
