@@ -15,9 +15,9 @@ operator integral W_s = int U_s^dag H U_s dt.  The endpoints compose in time
 order, U(T) = U_P ... U_1, and the dynamical phases follow from the W_s and
 the composed propagators, so a single long trajectory runs as a wide batch.
 A trace keeps the rows at t = 0 and t = T alone.
-Segments run in waves of up to 256 kernel members.  A wave steps in sub-blocks
-short enough that a kernel call over B trajectories holds no more
-member-steps than a 64-step block max(B, 32) members wide.
+A kernel call over B trajectories holds no more member-steps than a 64-step
+block max(B, 32) members wide: a wave of segments is as wide as 8-step
+sub-blocks allow, and steps in the longest sub-blocks that fit.
 
 Time-dependent generators are supplied as callables mapping an array of
 times to a stacked array of Hermitian matrices, shape times.shape + (N, N).
@@ -45,11 +45,7 @@ RK4_STABILITY = 2.0 * math.sqrt(2.0)
 #: Steps per time segment: a longer trajectory is cut into segments that are
 #: integrated side by side, as members of one batch, and then composed.
 SEGMENT_STEPS = 512
-#: Kernel width a wave of segments fills; a wave holds at least one segment.
-WAVE_MEMBERS = 256
-#: A kernel call over B trajectories holds at most max(B, BLOCK_MEMBERS) x 64
-#: member-steps: a wave wider than that runs its 64-step blocks in sub-blocks
-#: of 32, 16 or 8 steps.  A full wave of WAVE_MEMBERS fits in 8-step ones.
+#: A kernel call over B trajectories holds at most max(B, BLOCK_MEMBERS) x 64 member-steps.
 BLOCK_MEMBERS = 32
 #: Most steps a run may take, the step bound of the command-line contract.
 MAX_STEPS = 2**31
@@ -131,8 +127,8 @@ def integrate_sampled_family(
     identity as one member of the blocked RK4 kernel
     (:func:`_integrate_segments`), which yields the segment propagator U_s
     and the operator integral W_s = int U_s^dag H U_s dt.  The segments run
-    in time order, in waves of at most max(1, 256 // B) segments, each
-    stepped in sub-blocks of at most max(B, 32) x 64 member-steps.  After
+    in time order, in waves of max(1, max(B, 32) x 64 // (8 B)) segments,
+    each stepped in sub-blocks of at most max(B, 32) x 64 member-steps.  After
     each wave the segments are composed in time order: with X_0 = B, the
     reference basis, X_{s+1} = U_s X_s and delta_k(t_{s+1}) = delta_k(t_s)
     - Re <b_k| X_s^dag W_s X_s |b_k>, so U(T) = X_P B^dag.  The segments of
@@ -180,7 +176,7 @@ def integrate_sampled_family(
     phase = np.zeros((n, b))
     # A diverging run overflows; the checkpoint drift test reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for origins, length in _waves(steps, max(1, WAVE_MEMBERS // b)):
+        for origins, length in _waves(steps, max(1, _member_steps(b) // (8 * b))):
             u, w, wave_ratio, wave_drift = _integrate_segments(h_of_t, dt, origins, length)
             np.maximum(ratio, wave_ratio.reshape(len(origins), b).max(axis=0), out=ratio)
             for p in range(len(origins)):
@@ -240,6 +236,11 @@ def _simpson_weights(steps: int) -> np.ndarray:
     return c
 
 
+def _member_steps(b: int) -> int:
+    """Most member-steps a kernel call over ``b`` trajectories holds: a 64-step block max(b, 32) wide."""
+    return max(b, BLOCK_MEMBERS) * PROJECTION_INTERVAL
+
+
 def _phase_drop(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Re <e_k| X^dag W X |e_k> = Re sum_i conj(x_ik) (W X)_ik per column k of (N, N, ...) stacks."""
     return np.real(np.sum(np.conj(x) * _contract(w, x), axis=0))
@@ -262,8 +263,7 @@ def _integrate_segments(
     Classical fixed-step RK4 in blocks of 64 steps, with the drift check at
     the end of each block and polar re-unitarization at the end of each full
     one.  A block runs in sub-blocks of 64, 32, 16 or 8 steps, the longest for
-    which M members x its length stay within max(B, 32) x 64 member-steps,
-    so a wide wave holds no more than a 64-step block of max(B, 32) members.
+    which M members x its length stay within :func:`_member_steps` of B.
     H is sampled once per sub-block on its half-step grid, and each step is
     composed into one matrix: with A = -i dt H at the step's start, middle
     and end, S = I + (A0 + 2 (K2 + K3) + K4) / 6 for K2 = Am (I + A0/2), K3
@@ -282,7 +282,7 @@ def _integrate_segments(
     """
     b = dt.shape[0]
     m = len(origins) * b
-    sub = next(k for k in (64, 32, 16, 8) if m * k <= max(b, BLOCK_MEMBERS) * PROJECTION_INTERVAL)
+    sub = next(k for k in (64, 32, 16, 8) if m * k <= _member_steps(b))
     dt_m = np.tile(dt, len(origins))
     # Fold -i into the step so the stage updates stay plain contractions.
     step = -1j * dt_m

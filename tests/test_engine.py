@@ -335,8 +335,8 @@ class TestTimeSegments:
         self.assert_same_bytes(model_trace(point, steps), pair[0])
 
     def test_across_a_wave_edge(self):
-        # 33 points x 16 segments run in waves of 7, 7 and 2 segments (231, 231 and 66
-        # members, in 8- and 32-step sub-blocks); alone, in one 16-member wave.
+        # 33 points x 16 segments run in two waves of 8 segments (264 members, in 8-step
+        # sub-blocks); alone, in one 16-member wave.
         steps = 8192
         family = model_traces(PointFamily.of(self.POINTS), steps)
         for j in (0, 32):
@@ -388,7 +388,7 @@ class TestTimeSegments:
 
 
 class TestWaveLayout:
-    """Waves of up to 256 members in cache-sized sub-blocks give the 64-member layout's bytes."""
+    """Budget-sized waves in cache-sized sub-blocks give the bytes of whole 64-step blocks."""
 
     @staticmethod
     def model_family(count, seed=4):
@@ -396,16 +396,44 @@ class TestWaveLayout:
         return partial(hamiltonian, family), family.tau, family.eigenbasis()
 
     @staticmethod
-    def both_layouts(monkeypatch, *args, **kwargs):
-        wide = integrate_sampled_family(*args, **kwargs)
+    def kernel_calls(monkeypatch, *args):
+        """A family's outcomes, and (trajectories, members, sub-block, length) of each kernel call."""
+        calls = []
+        kernel = engine._integrate_segments
+
+        def spy(h_of_t, dt, origins, length):
+            rows = []
+
+            def sampled(times):
+                rows.append(times.shape[1] // len(origins))  # 2 k + 1 samples per segment
+                return h_of_t(times)
+
+            result = kernel(sampled, dt, origins, length)
+            calls.append((len(dt), len(dt) * len(origins), (max(rows) - 1) // 2, length))
+            return result
+
         with monkeypatch.context() as m:
-            m.setattr(engine, "WAVE_MEMBERS", 64)
-            narrow = integrate_sampled_family(*args, **kwargs)
-        return wide, narrow
+            m.setattr(engine, "_integrate_segments", spy)
+            return integrate_sampled_family(*args), calls
+
+    @classmethod
+    def both_layouts(cls, monkeypatch, *args):
+        """The family in its own layout and in the reference one; returns both outcomes and the own layout.
+
+        The reference budget holds 1024 members: one wave per run of segments, in
+        whole 64-step blocks.  The two layouts must differ, or a test is vacuous.
+        """
+        wide, layout = cls.kernel_calls(monkeypatch, *args)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "BLOCK_MEMBERS", 1024)
+            whole, reference = cls.kernel_calls(monkeypatch, *args)
+        assert {sub_block for _, _, sub_block, _ in reference} == {64}
+        assert [call[1:3] for call in layout] != [call[1:3] for call in reference]
+        return wide, whole, layout
 
     @staticmethod
-    def assert_same_outcomes(wide, narrow):
-        for a, b in zip(wide, narrow, strict=True):
+    def assert_same_outcomes(wide, whole):
+        for a, b in zip(wide, whole, strict=True):
             assert type(a) is type(b)
             if isinstance(a, UnitarityLoss):
                 assert str(a) == str(b)
@@ -428,14 +456,14 @@ class TestWaveLayout:
         h, t_final, bases = self.model_family(count)
         if spread:
             t_final = t_final * np.linspace(0.1, 1.0, count)
-        wide, narrow = self.both_layouts(monkeypatch, h, t_final, steps, bases)
+        wide, whole, _ = self.both_layouts(monkeypatch, h, t_final, steps, bases)
         assert all(isinstance(trace, PropagatorTrace) for trace in wide)
-        self.assert_same_outcomes(wide, narrow)
+        self.assert_same_outcomes(wide, whole)
 
     def test_three_level_family_matches_the_64_member_layout(self, monkeypatch):
         h = smooth_random_family(3, 40, np.random.default_rng(15))  # 3 x 500 steps, 16-step sub-blocks
-        wide, narrow = self.both_layouts(monkeypatch, h, np.linspace(0.3, 3.0, 40), 1500, identity_bases(40, 3))
-        self.assert_same_outcomes(wide, narrow)
+        wide, whole, _ = self.both_layouts(monkeypatch, h, np.linspace(0.3, 3.0, 40), 1500, identity_bases(40, 3))
+        self.assert_same_outcomes(wide, whole)
 
     @staticmethod
     def diagonal_family(scale):
@@ -452,7 +480,7 @@ class TestWaveLayout:
         # 40 members x 4 segments run in 16-step sub-blocks.  The last member's dt |H|
         # first passes 2 sqrt(2) at step 1575, step 39 of the last segment's first
         # 64-step block: the wide layout refuses it two sub-blocks later than the
-        # narrow one, which refuses the whole block.
+        # reference, which refuses the whole block.
         steps, t_final = 2048, 2.0
         dt = t_final / steps
         ramp = (engine.RK4_STABILITY / dt - 10.0) / (1575.25 * dt / t_final) ** 8
@@ -460,16 +488,17 @@ class TestWaveLayout:
         first_step = self.first_unstable_step(lambda t: 10.0 + ramp * (t / t_final) ** 8, dt, steps)
         assert (first_step, first_step % 64 // 16) == (1575, 2)
         h_of_t = self.diagonal_family(lambda times: 10.0 + slopes[:, None] * (times / t_final) ** 8)
-        wide, narrow = self.both_layouts(monkeypatch, h_of_t, np.full(40, t_final), steps, identity_bases(40, 2))
+        wide, whole, layout = self.both_layouts(monkeypatch, h_of_t, np.full(40, t_final), steps, identity_bases(40, 2))
+        assert layout == [(40, 160, 16, 512)]
         assert isinstance(wide[-1], UnitarityLoss)
         assert "stability bound" in str(wide[-1])
-        self.assert_same_outcomes(wide, narrow)
+        self.assert_same_outcomes(wide, whole)
 
     def test_stability_refusal_inside_an_8_step_sub_block(self, monkeypatch):
         # 20 members x 8 segments make one 160-member wave in 8-step sub-blocks; the
-        # 64-member layout runs waves of 3 segments in 32-step sub-blocks.  The last
-        # member's dt |H| first passes 2 sqrt(2) at step 3573, in the seventh 8-step
-        # sub-block of segment 6's last 64-step block.
+        # reference runs it in whole 64-step blocks.  The last member's dt |H| first
+        # passes 2 sqrt(2) at step 3573, in the seventh 8-step sub-block of segment 6's
+        # last 64-step block.
         steps, t_final = 4096, 2.0
         dt = t_final / steps
         ramp = (engine.RK4_STABILITY / dt - 10.0) / (3573.25 * dt / t_final) ** 8
@@ -477,11 +506,12 @@ class TestWaveLayout:
         first_step = self.first_unstable_step(lambda t: 10.0 + ramp * (t / t_final) ** 8, dt, steps)
         assert (first_step // 512, first_step % 512 // 64, first_step % 64 // 8) == (6, 7, 6)
         h_of_t = self.diagonal_family(lambda times: 10.0 + slopes[:, None] * (times / t_final) ** 8)
-        wide, narrow = self.both_layouts(monkeypatch, h_of_t, np.full(20, t_final), steps, identity_bases(20, 2))
+        wide, whole, layout = self.both_layouts(monkeypatch, h_of_t, np.full(20, t_final), steps, identity_bases(20, 2))
+        assert layout == [(20, 160, 8, 512)]
         assert isinstance(wide[-1], UnitarityLoss)
         assert "stability bound" in str(wide[-1])
         assert all(isinstance(trace, PropagatorTrace) for trace in wide[:-1])
-        self.assert_same_outcomes(wide, narrow)
+        self.assert_same_outcomes(wide, whole)
 
     def test_drift_refusal_at_a_checkpoint_after_8_step_sub_blocks(self, monkeypatch):
         # The layouts of the test above.  From step 2600, in the sixth 8-step sub-block of
@@ -493,40 +523,45 @@ class TestWaveLayout:
         onset = 2600.25 * dt
         assert (2600 // 512, 2600 % 512 // 64, 2600 % 64 // 8) == (5, 0, 5)
         h_of_t = self.diagonal_family(lambda times: 10.0 + jump[:, None] * (times >= onset))
-        wide, narrow = self.both_layouts(monkeypatch, h_of_t, np.full(20, t_final), steps, identity_bases(20, 2))
+        wide, whole, layout = self.both_layouts(monkeypatch, h_of_t, np.full(20, t_final), steps, identity_bases(20, 2))
+        assert layout == [(20, 160, 8, 512)]
         assert isinstance(wide[-1], UnitarityLoss)
         assert str(wide[-1]).startswith("unitarity drift")
         assert all(isinstance(trace, PropagatorTrace) for trace in wide[:-1])
-        self.assert_same_outcomes(wide, narrow)
+        self.assert_same_outcomes(wide, whole)
 
     @pytest.mark.parametrize(
         "count, steps, lengths",
-        [(1, 8192, {64}), (2, 16384, {32}), (25, 16384, {8, 32}), (100, 8192, {32}), (256, 512, {64}),
+        [(1, 8192, {64}), (2, 16384, {32}), (25, 16384, {8, 32}), (100, 8192, {8}), (256, 512, {64}),
          (20, 4096, {8}), (1, 32768, {32})],
     )
     def test_kernel_calls_keep_a_32_member_working_set(self, monkeypatch, count, steps, lengths):
-        calls = []
-        kernel = engine._integrate_segments
-
-        def spy(h_of_t, dt, origins, length):
-            rows = []
-
-            def sampled(times):
-                rows.append(times.shape[1] // len(origins))  # 2 k + 1 samples per segment
-                return h_of_t(times)
-
-            result = kernel(sampled, dt, origins, length)
-            calls.append((len(dt), len(dt) * len(origins), (max(rows) - 1) // 2))
-            return result
-
-        monkeypatch.setattr(engine, "_integrate_segments", spy)
         h, t_final, bases = self.model_family(count)
-        integrate_sampled_family(h, t_final, steps, bases)
-        for trajectories, members, sub_block in calls:
+        _, calls = self.kernel_calls(monkeypatch, h, t_final, steps, bases)
+        for trajectories, members, sub_block, _ in calls:
             budget = max(trajectories, 32) * 64
             assert members * sub_block <= budget
             assert sub_block == 64 or 2 * members * sub_block > budget  # the longest that fits
-        assert {sub_block for *_, sub_block in calls} == lengths
+            assert members <= budget // 8  # a wave is as wide as 8-step sub-blocks hold
+        assert {sub_block for _, _, sub_block, _ in calls} == lengths
+
+    @pytest.mark.parametrize(
+        "count, steps, calls",
+        [
+            (1, 8192, [(1, 16, 64, 512)]),
+            (25, 16384, [(25, 250, 8, 512)] * 3 + [(25, 50, 32, 512)]),
+            (250, 512, [(250, 250, 64, 512)]),
+            (2, 16384, [(2, 64, 32, 512)]),
+            (20, 4096, [(20, 160, 8, 512)]),
+            (1, 32768, [(1, 64, 32, 512)]),
+            # Past 32 trajectories a wave holds 8 segments: 2 kernel calls, not 16 or 8.
+            (250, 8192, [(250, 2000, 8, 512)] * 2),
+            (100, 8192, [(100, 800, 8, 512)] * 2),
+        ],
+    )
+    def test_kernel_calls_in_time_order(self, monkeypatch, count, steps, calls):
+        h, t_final, bases = self.model_family(count)
+        assert self.kernel_calls(monkeypatch, h, t_final, steps, bases)[1] == calls
 
 
 class TestComposedStep:

@@ -190,18 +190,28 @@ class TestMemory:
             large = peak(4000, cpus)
             assert large < 1.2 * small, (cpus, small, large)
 
-    def test_peak_of_long_trajectories_stays_small(self):
-        # 25 points x 16384 steps: 32 segments each, in waves of 10 segments (250 members)
-        # that step in 8-step sub-blocks, then one wave of 2 segments (50 members).
-        points = PointFamily.of(random_generic_params(25, 4))
+    @staticmethod
+    def integration_peak(count, steps):
+        points = PointFamily.of(random_generic_params(count, 4))
         model_traces(points[:1], 1024)  # leave one-time allocations out of the peak
         tracemalloc.start()
         try:
-            model_traces(points, 16384)
-            peak = tracemalloc.get_traced_memory()[1]
+            model_traces(points, steps)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_peak_of_long_trajectories_stays_small(self):
+        # 25 points x 16384 steps: 32 segments each, in waves of 10 segments (250 members)
+        # that step in 8-step sub-blocks, then one wave of 2 segments (50 members).
+        peak = self.integration_peak(25, 16384)
         assert peak < 2 * 2**20, peak
+
+    def test_peak_of_wide_long_trajectories_stays_small(self):
+        # 100 points x 8192 steps: two waves of 8 segments (800 members) in 8-step
+        # sub-blocks.  The peak measured 4.18 MiB on x86-64 with numpy 2.4.
+        peak = self.integration_peak(100, 8192)
+        assert peak < 5 * 2**20, peak
 
 
 class TestPhasePoint:
