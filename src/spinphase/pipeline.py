@@ -177,13 +177,13 @@ def phase_points(family: PointFamily, steps: int = DEFAULT_STEPS, t_final: float
     times are fixed here, once, and handed to each chunk's :func:`model_traces`.
     The other trajectories are cut into contiguous, near-equal chunks of at
     most CHUNK_POINTS // workers, where workers = max(1, min(usable CPUs,
-    CHUNK_POINTS // THREAD_TRAJECTORIES, trajectories // THREAD_TRAJECTORIES)) threads
-    run them (the kernel releases the GIL); one worker is the calling thread.
-    With no trajectory left, one empty chunk still has the kernel check
-    ``steps``.  For the traces of a chunk at once, the assembly computes
-    U_par(T), the diagonal amplitude of each thermal state and the
-    off-diagonal trace of the thermal state with its weight-shifted companion
-    (reversed weights); a refused point gets its UnitarityLoss.  No
+    CHUNK_POINTS // THREAD_TRAJECTORIES, trajectories // THREAD_TRAJECTORIES))
+    threads of a ThreadPoolExecutor run them as the caller waits (the kernel releases
+    the GIL); one worker runs them on the calling thread and starts no thread.  With
+    no trajectory left, an empty chunk still has the kernel check ``steps``.  Chunk
+    by chunk, the assembly computes U_par(T), the diagonal amplitude of each thermal
+    state and the off-diagonal trace of the thermal state with its weight-shifted
+    companion (reversed weights); a refused point gets its UnitarityLoss.  No
     operation mixes points, so the table does not depend on the cut.  No
     chunk after one that raises starts, so the error is the serial run's.
     """

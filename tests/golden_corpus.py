@@ -3,8 +3,9 @@
 Each command runs in process through ``spinphase.cli.main`` with every
 warning an error and a fixed 80-column terminal, so that argparse wraps its
 usage lines the same way everywhere.  ``tests/test_golden.py`` reruns every
-stored command and compares.  A change that alters an output on purpose
-rewrites the corpus from the repository root with
+stored command and compares, and :func:`check_installed` runs each through
+the installed ``spinphase`` script.  A change that alters an output on
+purpose rewrites the corpus from the repository root with
 
     PYTHONPATH=src python tests/golden_corpus.py
 
@@ -24,6 +25,7 @@ import io
 import json
 import os
 import platform
+import subprocess
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -46,6 +48,7 @@ CASES = {
     "propagate": ["propagate", "--steps", "256"],
     "propagate-explicit-t": ["propagate", "--t", "2.5", "--steps", "256"],
     "propagate-t-zero": ["propagate", "--t", "0", "--steps", "256"],
+    "phases-t-zero": ["phases", "--t", "0", "--steps", "64"],
     "verify-table": ["verify", "--steps", "1024"],
     "verify-json": ["verify", "--steps", "1024", "--format", "json"],
     "verify-grid-table": ["verify", "--grid", "5", "--steps", "1024"],
@@ -68,6 +71,8 @@ CASES = {
                                  "--points", "33", "--steps", "64", "--format", form]
         for axis, (start, stop) in _SWEEPS.items() for form in ("csv", "json")
     },
+    "sweep-jobs-zero": ["sweep", "--axis", "beta", "--start", "0", "--stop", "5", "--points", "33",
+                        "--steps", "64", "--jobs", "0"],
     # Points past RK4's stability bound keep empty rows; all of them refused exits 6.
     "sweep-refused-rows": ["sweep", "--axis", "muB", "--start", "0.1", "--stop", "100",
                            "--points", "5", "--steps", "64", "--t", "10"],
@@ -118,7 +123,7 @@ def environment() -> dict:
             "simd": targets[-1] if targets else "baseline"}
 
 
-def run(argv: list[str]) -> tuple[int, str, str]:
+def run(argv: list[str]) -> tuple[int, bytes, bytes]:
     """(exit code, stdout, stderr) of one CLI command."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
@@ -131,7 +136,24 @@ def run(argv: list[str]) -> tuple[int, str, str]:
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def expected(name: str, case: dict) -> tuple[int, bytes, bytes]:
+    """The stored (exit code, stdout, stderr) of the manifest case ``name``."""
+    return case["exit"], (GOLDEN / f"{name}.stdout").read_bytes(), (GOLDEN / f"{name}.stderr").read_bytes()
+
+
+def check_installed() -> int:
+    """Run each manifest case through the installed ``spinphase`` script: 1 if one differs or none is stored, else 0."""
+    cases = json.loads(MANIFEST.read_text())["cases"]
+    differ = []
+    for name, case in cases.items():
+        done = subprocess.run(["spinphase", *case["argv"]], capture_output=True, env={**os.environ, "COLUMNS": "80"})
+        if (done.returncode, done.stdout, done.stderr) != expected(name, case):
+            differ.append(name)
+    print(f"{len(cases)} cases through the installed spinphase script", *(f"differs: {n}" for n in differ), sep="\n")
+    return 1 if differ or not cases else 0
 
 
 def write() -> None:
@@ -141,8 +163,8 @@ def write() -> None:
     cases = {}
     for name, argv in CASES.items():
         code, out, err = run(argv)
-        (GOLDEN / f"{name}.stdout").write_bytes(out.encode())
-        (GOLDEN / f"{name}.stderr").write_bytes(err.encode())
+        (GOLDEN / f"{name}.stdout").write_bytes(out)
+        (GOLDEN / f"{name}.stderr").write_bytes(err)
         cases[name] = {"argv": argv, "exit": code}
     doc = {"environment": environment(), "cases": cases}
     MANIFEST.write_text(json.dumps(doc, indent=1) + "\n")

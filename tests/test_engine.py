@@ -451,7 +451,7 @@ class TestWaveLayout:
             (3, 16385, False),  # 33 segments of three lengths
         ],
     )
-    def test_model_families_match_the_64_member_layout(self, monkeypatch, count, steps, spread):
+    def test_model_families_match_whole_64_step_blocks(self, monkeypatch, count, steps, spread):
         # With ``spread``, the members end at final times from 0.1 tau to tau.
         h, t_final, bases = self.model_family(count)
         if spread:
@@ -460,7 +460,7 @@ class TestWaveLayout:
         assert all(isinstance(trace, PropagatorTrace) for trace in wide)
         self.assert_same_outcomes(wide, whole)
 
-    def test_three_level_family_matches_the_64_member_layout(self, monkeypatch):
+    def test_three_level_family_matches_whole_64_step_blocks(self, monkeypatch):
         h = smooth_random_family(3, 40, np.random.default_rng(15))  # 3 x 500 steps, 16-step sub-blocks
         wide, whole, _ = self.both_layouts(monkeypatch, h, np.linspace(0.3, 3.0, 40), 1500, identity_bases(40, 3))
         self.assert_same_outcomes(wide, whole)
@@ -531,21 +531,6 @@ class TestWaveLayout:
         self.assert_same_outcomes(wide, whole)
 
     @pytest.mark.parametrize(
-        "count, steps, lengths",
-        [(1, 8192, {64}), (2, 16384, {32}), (25, 16384, {8, 32}), (100, 8192, {8}), (256, 512, {64}),
-         (20, 4096, {8}), (1, 32768, {32})],
-    )
-    def test_kernel_calls_keep_a_32_member_working_set(self, monkeypatch, count, steps, lengths):
-        h, t_final, bases = self.model_family(count)
-        _, calls = self.kernel_calls(monkeypatch, h, t_final, steps, bases)
-        for trajectories, members, sub_block, _ in calls:
-            budget = max(trajectories, 32) * 64
-            assert members * sub_block <= budget
-            assert sub_block == 64 or 2 * members * sub_block > budget  # the longest that fits
-            assert members <= budget // 8  # a wave is as wide as 8-step sub-blocks hold
-        assert {sub_block for _, _, sub_block, _ in calls} == lengths
-
-    @pytest.mark.parametrize(
         "count, steps, calls",
         [
             (1, 8192, [(1, 16, 64, 512)]),
@@ -557,11 +542,18 @@ class TestWaveLayout:
             # Past 32 trajectories a wave holds 8 segments: 2 kernel calls, not 16 or 8.
             (250, 8192, [(250, 2000, 8, 512)] * 2),
             (100, 8192, [(100, 800, 8, 512)] * 2),
+            (256, 512, [(256, 256, 64, 512)]),
         ],
     )
     def test_kernel_calls_in_time_order(self, monkeypatch, count, steps, calls):
         h, t_final, bases = self.model_family(count)
-        assert self.kernel_calls(monkeypatch, h, t_final, steps, bases)[1] == calls
+        recorded = self.kernel_calls(monkeypatch, h, t_final, steps, bases)[1]
+        assert recorded == calls
+        for trajectories, members, sub_block, _ in recorded:
+            budget = max(trajectories, 32) * 64
+            assert members * sub_block <= budget
+            assert sub_block == 64 or 2 * members * sub_block > budget  # the longest that fits
+            assert members <= budget // 8  # a wave is as wide as 8-step sub-blocks hold
 
 
 class TestComposedStep:

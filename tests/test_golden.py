@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from golden_corpus import CASES, GOLDEN, MANIFEST, environment, run
+from golden_corpus import CASES, MANIFEST, environment, expected, run
 
 STORED = json.loads(MANIFEST.read_text())
 
@@ -17,11 +17,7 @@ def test_corpus_holds_every_command():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_is_golden(name):
     case = STORED["cases"][name]
-    stored = (case["exit"], (GOLDEN / f"{name}.stdout").read_bytes().decode(),
-              (GOLDEN / f"{name}.stderr").read_bytes().decode())
-    assert run(case["argv"]) == stored, (
-        f"written on {STORED['environment']}, run on {environment()}"
-    )
+    assert run(case["argv"]) == expected(name, case), f"written on {STORED['environment']}, run on {environment()}"
 
 
 def test_every_exit_code_in_readme_has_a_command():
